@@ -2,14 +2,12 @@
 for a two-species cross-diffusion system with fast-diffusion pressure on
 the periodic unit interval."""
 
-from .grid import Field, GridSpec, div_cell, grad_interface, integrate, make_grid, shift
+from .grid import Field, GridSpec, div_cell, grad_interface, integrate, make_grid
 from .model import (InitialData, Nonlinearity, PotentialPair, ProblemSpec,
                     build_potentials, validate_initial)
-from .transforms import (SumRatioState, from_sum_ratio, imbalance_kernels,
-                         shifted_gradient, to_sum_ratio)
+from .transforms import SumRatioState, shifted_gradient, to_sum_ratio
 from .solver import (SolverError, State, StepRecord, Trajectory, advance,
-                     cfl_dt, interface_velocities, run, step_explicit,
-                     step_semi_implicit)
+                     cfl_dt, interface_velocities, run)
 from .diagnostics import (DiagnosticsReport, TestFunctionBank, build_report,
                           bv_norms, dissipation_beta, energy, entropy,
                           equicontinuity_moduli, lebesgue_norms,
@@ -20,13 +18,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "GridSpec", "div_cell", "grad_interface", "integrate",
-    "make_grid", "shift",
+    "make_grid",
     "InitialData", "Nonlinearity", "PotentialPair", "ProblemSpec",
     "build_potentials", "validate_initial",
-    "SumRatioState", "from_sum_ratio", "imbalance_kernels",
-    "shifted_gradient", "to_sum_ratio",
+    "SumRatioState", "shifted_gradient", "to_sum_ratio",
     "SolverError", "State", "StepRecord", "Trajectory", "advance", "cfl_dt",
-    "interface_velocities", "run", "step_explicit", "step_semi_implicit",
+    "interface_velocities", "run",
     "DiagnosticsReport", "TestFunctionBank", "build_report", "bv_norms",
     "dissipation_beta", "energy", "entropy", "equicontinuity_moduli",
     "lebesgue_norms", "make_test_bank", "weak_residual",

@@ -87,14 +87,20 @@ def _load_config(path: str, args):
     return cfg
 
 
+def _report(cfg, traj: Trajectory):
+    """Diagnostics report of a trajectory, with the outputs cfg asks for."""
+    problem = traj.problem
+    bank = (make_test_bank(problem.grid, problem.t_final, cfg.bank_k)
+            if cfg.residuals and problem.t_final > 0.0 else None)
+    return build_report(traj, bank, with_residuals=cfg.residuals and bank is not None,
+                        with_moduli=cfg.moduli)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args)
     problem = build_problem(cfg)
     traj = run(problem)
-    bank = (make_test_bank(problem.grid, problem.t_final, cfg.bank_k)
-            if cfg.residuals and problem.t_final > 0.0 else None)
-    report = build_report(traj, bank, with_residuals=cfg.residuals and bank is not None,
-                          with_moduli=cfg.moduli)
+    report = _report(cfg, traj)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.cfg").write_text(dump_config(cfg))
@@ -129,11 +135,7 @@ def _cmd_diagnose(args) -> int:
     snapshots = read_snapshots(traj_dir, build_problem(cfg).grid)
     times = tuple(s.t for s in snapshots)
     problem = build_problem(cfg, snapshot_times=times)
-    traj = Trajectory(problem, tuple(snapshots), ())
-    bank = (make_test_bank(problem.grid, problem.t_final, cfg.bank_k)
-            if cfg.residuals and problem.t_final > 0.0 else None)
-    report = build_report(traj, bank, with_residuals=cfg.residuals and bank is not None,
-                          with_moduli=cfg.moduli)
+    report = _report(cfg, Trajectory(problem, tuple(snapshots), ()))
     out = Path(args.out) if args.out else traj_dir / "diagnose"
     write_report_csv(report, out, cfg.precision)
     print(f"diagnose complete: {len(snapshots)} snapshots, output in {out}")

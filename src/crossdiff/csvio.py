@@ -13,17 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport
+from .diagnostics import SCALAR_COLUMNS, DiagnosticsReport
 from .solver import State, Trajectory
 from .study import StudyReport
 from .grid import Field, GridSpec
-
-SCALARS_HEADER = ("t,mass_rho,mass_mu,entropy,energy,diss_entropy,"
-                  "diss_beta_a,diss_beta_1ma,fisher_log,bv_r,bv_u,"
-                  "norm_S_2ma,sup_S_pow,h_minus_one")
-SCALAR_COLUMNS = ("mass_rho", "mass_mu", "entropy", "energy", "diss_entropy",
-                  "diss_beta_a", "diss_beta_1ma", "fisher_log", "bv_r", "bv_u",
-                  "norm_S_2ma", "sup_S_pow", "h_minus_one")
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -43,7 +36,7 @@ def write_report_csv(report: DiagnosticsReport, out_dir, precision: int = 17) ->
     out = Path(out_dir)
     written = []
 
-    lines = [SCALARS_HEADER]
+    lines = ["t," + ",".join(SCALAR_COLUMNS)]
     for i, t in enumerate(report.times):
         row = [t] + [getattr(report, col)[i] for col in SCALAR_COLUMNS]
         lines.append(",".join(_fmt(x, precision) for x in row))
@@ -94,10 +87,9 @@ def read_snapshots(traj_dir, grid: GridSpec) -> list[State]:
     found = []
     for path in Path(traj_dir).glob("snapshot_*.csv"):
         t = float(path.stem[len("snapshot_"):])
-        rows = path.read_text().strip().split("\n")
-        if rows[0] != "x,rho,mu":
-            raise ValueError(f"{path}: unexpected snapshot header {rows[0]!r}")
-        data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        header, data = read_table(path)
+        if header != ["x", "rho", "mu"]:
+            raise ValueError(f"{path}: unexpected snapshot header {','.join(header)!r}")
         if data.shape[0] != grid.n_cells:
             raise ValueError(f"{path}: expected {grid.n_cells} rows, got {data.shape[0]}")
         found.append(State(t, Field(grid, data[:, 1]), Field(grid, data[:, 2])))

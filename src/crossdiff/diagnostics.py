@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, integrate
+from .grid import GridSpec, grad, integrate, interface_mean
 from .model import ProblemSpec
 from .solver import State, Trajectory
 from .transforms import shifted_gradient, to_sum_ratio
@@ -59,19 +59,15 @@ def dissipation_beta(state: State, problem: ProblemSpec, beta: float) -> Dissipa
     if beta in (0.0, 1.0):
         diss = 0.0
     elif m == 0.0:
-        g = _grad_vals(np.log(S), dx)
+        g = grad(np.log(S), dx)
         diss = (alpha * beta * (1.0 - beta) / 2.0) * float(np.sum(g * g) * dx)
     else:
-        g = _grad_vals(S ** (m / 2.0), dx)
+        g = grad(S ** (m / 2.0), dx)
         diss = (2.0 * alpha * beta * (1.0 - beta) / m**2) * float(np.sum(g * g) * dx)
     sup_drift = max(pot.sup_dV, pot.sup_dW)
     c_young = beta * (1.0 - beta) * sup_drift**2 / (2.0 * alpha)
     rhs = c_young * float(np.sum(S ** (beta + 1.0 - alpha)) * dx)
     return DissipationBeta(beta_entropy, diss, rhs)
-
-
-def _grad_vals(v: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(v, -1) - v) / dx
 
 
 def bv_norms(state: State, problem: ProblemSpec) -> tuple[float, float]:
@@ -99,7 +95,7 @@ def lebesgue_norms(state: State, problem: ProblemSpec) -> LebesgueNorms:
     S = state.rho.values + state.mu.values
     norm_2ma = float(np.sum(S ** (2.0 - alpha)) * dx)
     sup_pow = float(np.max(S) ** (1.0 - alpha))
-    g = _grad_vals(np.log(S), dx)
+    g = grad(np.log(S), dx)
     fisher = float(np.sum(g * g) * dx)
     # Fourier coefficients at the cell centers (phase-corrected rfft)
     k = np.arange(1, n // 2 + 1)
@@ -164,6 +160,15 @@ def make_test_bank(grid: GridSpec, t_final: float, k_max: int = 8) -> TestFuncti
     return TestFunctionBank(grid, float(t_final), int(k_max), tuple(phis))
 
 
+def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    """Trapezoid weights on the snapshot times (all zero for one snapshot)."""
+    widths = np.diff(times)
+    w = np.zeros_like(times)
+    w[:-1] += 0.5 * widths
+    w[1:] += 0.5 * widths
+    return w
+
+
 class ResidualRow(NamedTuple):
     phi_id: str
     species: str
@@ -185,16 +190,13 @@ def weak_residual(traj: Trajectory, bank: TestFunctionBank
     nl, pot = problem.nonlinearity, problem.potentials
     dx = problem.grid.dx
     times = traj.times
-    widths = np.diff(times)
-    w_trap = np.zeros_like(times)
-    w_trap[:-1] += 0.5 * widths
-    w_trap[1:] += 0.5 * widths
+    w_trap = _trapezoid_weights(times)
 
     rho = np.stack([s.rho.values for s in traj.snapshots])
     mu = np.stack([s.mu.values for s in traj.snapshots])
     S = rho + mu
     # centered pressure gradient at cells: mean of the two interface values
-    dp_int = np.stack([_grad_vals(nl.pressure(s), dx) for s in S])
+    dp_int = np.stack([grad(nl.pressure(s), dx) for s in S])
     dp_cells = 0.5 * (dp_int + np.roll(dp_int, 1, axis=1))
 
     flux_rho = rho * (dp_cells + pot.dV_cells)
@@ -242,14 +244,7 @@ def equicontinuity_moduli(traj: Trajectory):
     times = traj.times
     rho = np.stack([s.rho.values for s in traj.snapshots])
     mu = np.stack([s.mu.values for s in traj.snapshots])
-
-    if len(times) > 1:
-        widths = np.diff(times)
-        w_trap = np.zeros_like(times)
-        w_trap[:-1] += 0.5 * widths
-        w_trap[1:] += 0.5 * widths
-    else:
-        w_trap = np.zeros(1)
+    w_trap = _trapezoid_weights(times)
 
     space_lags = _dyadic_lags(n // 4)
     h_vals = np.array([m * dx for m in space_lags])
@@ -281,6 +276,12 @@ def equicontinuity_moduli(traj: Trajectory):
 
 # ---------------------------------------------------------------------------
 # aggregation
+
+
+# per-snapshot columns of DiagnosticsReport, in scalars.csv order
+SCALAR_COLUMNS = ("mass_rho", "mass_mu", "entropy", "energy", "diss_entropy",
+                  "diss_beta_a", "diss_beta_1ma", "fisher_log", "bv_r", "bv_u",
+                  "norm_S_2ma", "sup_S_pow", "h_minus_one")
 
 
 @dataclass(frozen=True)
@@ -316,9 +317,8 @@ def diss_entropy_rate(state: State, problem: ProblemSpec) -> float:
     nl = problem.nonlinearity
     dx = state.grid.dx
     S = state.rho.values + state.mu.values
-    s_int = 0.5 * (S + np.roll(S, -1))
-    g = _grad_vals(S, dx)
-    return float(np.sum(nl.pressure_slope(s_int) * g * g) * dx)
+    g = grad(S, dx)
+    return float(np.sum(nl.pressure_slope(interface_mean(S)) * g * g) * dx)
 
 
 def build_report(traj: Trajectory, bank: TestFunctionBank | None = None,
@@ -326,10 +326,7 @@ def build_report(traj: Trajectory, bank: TestFunctionBank | None = None,
                  ) -> DiagnosticsReport:
     problem = traj.problem
     alpha = problem.nonlinearity.alpha
-    cols = {name: [] for name in
-            ("mass_rho", "mass_mu", "entropy", "energy", "diss_entropy",
-             "diss_beta_a", "diss_beta_1ma", "fisher_log", "bv_r", "bv_u",
-             "norm_S_2ma", "sup_S_pow", "h_minus_one")}
+    cols = {name: [] for name in SCALAR_COLUMNS}
     for s in traj.snapshots:
         cols["mass_rho"].append(integrate(s.rho))
         cols["mass_mu"].append(integrate(s.mu))

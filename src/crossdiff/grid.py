@@ -2,9 +2,11 @@
 
 Cells are indexed 0..n-1 with centers x_i = (i + 1/2)*dx.  Interface i sits
 at x = (i+1)*dx, between cells i and i+1 (indices wrap), so cell-centered
-fields and interface fields both hold n values.  All operators below are
-exact summation-by-parts partners: sum_i a_i div(g)_i dx = -sum_i grad(a)_i
-g_i dx up to roundoff, and div_cell telescopes to zero over the torus.
+fields and interface fields both hold n values.  grad, div and
+interface_mean act on raw arrays and are the only copies of these stencils;
+grad_interface and div_cell wrap them for Fields.  grad and div are exact
+summation-by-parts partners: sum_i a_i div(g)_i dx = -sum_i grad(a)_i g_i dx
+up to roundoff, and div telescopes to zero over the torus.
 """
 
 from __future__ import annotations
@@ -66,23 +68,29 @@ class Field:
         return cls(grid, np.full(grid.n_cells, float(value)))
 
 
+def grad(v: np.ndarray, dx: float) -> np.ndarray:
+    """Two-point gradient at interfaces: (v[i+1] - v[i])/dx at interface i."""
+    return (np.roll(v, -1) - v) / dx
+
+
+def div(g: np.ndarray, dx: float) -> np.ndarray:
+    """Conservative divergence: (g[i] - g[i-1])/dx in cell i."""
+    return (g - np.roll(g, 1)) / dx
+
+
+def interface_mean(v: np.ndarray) -> np.ndarray:
+    """Mean of the two cells beside interface i: (v[i] + v[i+1])/2."""
+    return 0.5 * (v + np.roll(v, -1))
+
+
 def grad_interface(f: Field) -> Field:
-    """Two-point gradient at interfaces: (f[i+1] - f[i])/dx at interface i."""
-    v = f.values
-    return Field(f.grid, (np.roll(v, -1) - v) / f.grid.dx)
+    return Field(f.grid, grad(f.values, f.grid.dx))
 
 
 def div_cell(g: Field) -> Field:
-    """Conservative divergence: (g[i] - g[i-1])/dx in cell i."""
-    v = g.values
-    return Field(g.grid, (v - np.roll(v, 1)) / g.grid.dx)
+    return Field(g.grid, div(g.values, g.grid.dx))
 
 
 def integrate(f: Field) -> float:
     """Midpoint quadrature over the torus, exact for trig polynomials of degree < n."""
     return float(np.sum(f.values) * f.grid.dx)
-
-
-def shift(f: Field, m: int) -> Field:
-    """Circular rotation by m cells (shift(delta_0, 1) = delta_1)."""
-    return Field(f.grid, np.roll(f.values, m % f.grid.n_cells))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, integrate
+from .grid import Field, GridSpec, grad
 
 Mode = tuple[int, float, float]  # (wavenumber k, cosine coeff, sine coeff)
 
@@ -112,14 +112,14 @@ def _check_modes(modes, grid: GridSpec, name: str) -> tuple[Mode, ...]:
 
 @dataclass(frozen=True)
 class PotentialPair:
-    """Two C^3 potentials given by finite trigonometric sums, with exact
-    derivative tables sampled at cell centers and interfaces.
+    """Two potentials given by finite trigonometric sums, with exact value
+    and derivative tables: V, V'' at cell centers, V' at cell centers and
+    interfaces (likewise for W).
 
-    v = (V' + W')/2 and w = (V' - W')/2 are the half-sum/half-difference
-    drift fields.  w_fd_int is the two-point gradient of the cell samples
-    of (V - W)/2; it is the interface shift used by the shifted log-ratio
-    gradient so that the alpha = 1 collapse onto grad(r + V - W) is exact
-    at the discrete level.
+    w_fd_int is the two-point gradient of the cell samples of (V - W)/2; it
+    is the interface shift used by the shifted log-ratio gradient so that
+    the alpha = 1 collapse onto grad(r + V - W) is exact at the discrete
+    level.
     """
 
     grid: GridSpec
@@ -127,19 +127,12 @@ class PotentialPair:
     modes_W: tuple[Mode, ...]
     V_cells: np.ndarray
     W_cells: np.ndarray
-    V_int: np.ndarray
-    W_int: np.ndarray
     dV_cells: np.ndarray
     dW_cells: np.ndarray
     dV_int: np.ndarray
     dW_int: np.ndarray
     d2V_cells: np.ndarray
     d2W_cells: np.ndarray
-    d3V_cells: np.ndarray
-    d3W_cells: np.ndarray
-    v_int: np.ndarray
-    w_int: np.ndarray
-    dw_int: np.ndarray
     w_fd_int: np.ndarray
     sup_dV: float
     sup_dW: float
@@ -156,57 +149,38 @@ def build_potentials(modes_V, modes_W, grid: GridSpec) -> PotentialPair:
     tables = {}
     for name, modes in (("V", mv), ("W", mw)):
         tables[f"{name}_cells"] = _trig_eval(modes, xc, 0)
-        tables[f"{name}_int"] = _trig_eval(modes, xi, 0)
         tables[f"d{name}_cells"] = _trig_eval(modes, xc, 1)
         tables[f"d{name}_int"] = _trig_eval(modes, xi, 1)
         tables[f"d2{name}_cells"] = _trig_eval(modes, xc, 2)
-        tables[f"d3{name}_cells"] = _trig_eval(modes, xc, 3)
 
-    v_int = 0.5 * (tables["dV_int"] + tables["dW_int"])
-    w_int = 0.5 * (tables["dV_int"] - tables["dW_int"])
-    dw_int = 0.5 * (_trig_eval(mv, xi, 2) - _trig_eval(mw, xi, 2))
-    half_diff = 0.5 * (tables["V_cells"] - tables["W_cells"])
-    w_fd_int = (np.roll(half_diff, -1) - half_diff) / grid.dx
+    w_fd_int = grad(0.5 * (tables["V_cells"] - tables["W_cells"]), grid.dx)
     sup_dV = float(max(np.max(np.abs(tables["dV_cells"]), initial=0.0),
                        np.max(np.abs(tables["dV_int"]), initial=0.0)))
     sup_dW = float(max(np.max(np.abs(tables["dW_cells"]), initial=0.0),
                        np.max(np.abs(tables["dW_int"]), initial=0.0)))
 
-    for arr in tables.values():
-        arr.setflags(write=False)
-    for arr in (v_int, w_int, dw_int, w_fd_int):
+    for arr in (*tables.values(), w_fd_int):
         arr.setflags(write=False)
 
-    return PotentialPair(
-        grid=grid, modes_V=mv, modes_W=mw,
-        v_int=v_int, w_int=w_int, dw_int=dw_int, w_fd_int=w_fd_int,
-        sup_dV=sup_dV, sup_dW=sup_dW, **tables,
-    )
+    return PotentialPair(grid=grid, modes_V=mv, modes_W=mw, w_fd_int=w_fd_int,
+                         sup_dV=sup_dV, sup_dW=sup_dW, **tables)
 
 
 @dataclass(frozen=True)
 class InitialData:
     rho0: Field
     mu0: Field
-    entropy0: float
-    log_ratio_bv0: float
 
 
 def validate_initial(rho0: Field, mu0: Field) -> InitialData:
-    """Check strict positivity and record the entropy and the total
-    variation of log(rho0/mu0) of the initial pair."""
+    """Check that the initial pair shares one grid and is strictly positive."""
     if rho0.grid != mu0.grid:
         raise ValueError("initial fields live on different grids")
     for name, f in (("rho0", rho0), ("mu0", mu0)):
         bad = np.flatnonzero(f.values <= 0.0)
         if bad.size:
             raise ValueError(f"{name}: nonpositive density at cell {bad[0]}")
-    r = np.log(rho0.values) - np.log(mu0.values)
-    entropy0 = integrate(Field(rho0.grid,
-                               rho0.values * np.log(rho0.values)
-                               + mu0.values * np.log(mu0.values)))
-    log_ratio_bv0 = float(np.sum(np.abs(np.roll(r, -1) - r)))
-    return InitialData(rho0, mu0, entropy0, log_ratio_bv0)
+    return InitialData(rho0, mu0)
 
 
 STEPPERS = ("explicit", "semi-implicit")

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .grid import Field
+from .grid import Field, div, grad
 from .model import ProblemSpec
 
 NEWTON_TOL = 1e-11
@@ -72,14 +72,6 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-def _grad(v: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(v, -1) - v) / dx
-
-
-def _div(g: np.ndarray, dx: float) -> np.ndarray:
-    return (g - np.roll(g, 1)) / dx
-
-
 def _donor(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     # donor cell of the transport direction -a at interface i
     return np.where(a < 0.0, v, np.roll(v, -1))
@@ -90,7 +82,7 @@ def interface_velocities(state: State, problem: ProblemSpec) -> tuple[Field, Fie
     nl, pot = problem.nonlinearity, problem.potentials
     dx = problem.grid.dx
     S = state.rho.values + state.mu.values
-    dp = _grad(nl.pressure(S), dx)
+    dp = grad(nl.pressure(S), dx)
     return (Field(problem.grid, dp + pot.dV_int),
             Field(problem.grid, dp + pot.dW_int))
 
@@ -125,12 +117,12 @@ def _explicit_update(state: State, dt: float, problem: ProblemSpec):
     rho, mu = state.rho.values, state.mu.values
     S = rho + mu
     clamps = nl.clamp_count(S)
-    dp = _grad(nl.pressure(S), dx)
+    dp = grad(nl.pressure(S), dx)
     new = []
     for v, dpot in ((rho, pot.dV_int), (mu, pot.dW_int)):
         a = dp + dpot
-        flux = _donor(v, a) * a + eps * _grad(v, dx)
-        new.append(v + dt * _div(flux, dx))
+        flux = _donor(v, a) * a + eps * grad(v, dx)
+        new.append(v + dt * div(flux, dx))
     t_new = state.t + dt
     _check_positive(new[0], t_new, "rho")
     _check_positive(new[1], t_new, "mu")
@@ -190,8 +182,8 @@ def _semi_implicit_update(state: State, dt: float, problem: ProblemSpec):
     t_new = state.t + dt
 
     # explicit upwind potential drift
-    rho_s = rho + dt * _div(_donor(rho, pot.dV_int) * pot.dV_int, dx)
-    mu_s = mu + dt * _div(_donor(mu, pot.dW_int) * pot.dW_int, dx)
+    rho_s = rho + dt * div(_donor(rho, pot.dV_int) * pot.dV_int, dx)
+    mu_s = mu + dt * div(_donor(mu, pot.dW_int) * pot.dW_int, dx)
     _check_positive(rho_s, t_new, "rho")
     _check_positive(mu_s, t_new, "mu")
 
@@ -201,10 +193,10 @@ def _semi_implicit_update(state: State, dt: float, problem: ProblemSpec):
     clamps += nclamps
 
     # split the aggregate diffusive flux by donor-cell mobility fractions
-    g_diff = _grad(nl.kirchhoff(s_new) + eps * s_new, dx)
+    g_diff = grad(nl.kirchhoff(s_new) + eps * s_new, dx)
     s_up = _donor(s_star, g_diff)
-    rho_new = rho_s + dt * _div((_donor(rho_s, g_diff) / s_up) * g_diff, dx)
-    mu_new = mu_s + dt * _div((_donor(mu_s, g_diff) / s_up) * g_diff, dx)
+    rho_new = rho_s + dt * div((_donor(rho_s, g_diff) / s_up) * g_diff, dx)
+    mu_new = mu_s + dt * div((_donor(mu_s, g_diff) / s_up) * g_diff, dx)
     _check_positive(rho_new, t_new, "rho")
     _check_positive(mu_new, t_new, "mu")
     g = problem.grid
@@ -220,14 +212,6 @@ def advance(state: State, dt: float, problem: ProblemSpec):
     else:
         new, clamps, iters = _semi_implicit_update(state, dt, problem)
     return new, StepRecord(state.t, dt, clamps, iters)
-
-
-def step_explicit(state: State, dt: float, problem: ProblemSpec) -> State:
-    return _explicit_update(state, dt, problem)[0]
-
-
-def step_semi_implicit(state: State, dt: float, problem: ProblemSpec) -> State:
-    return _semi_implicit_update(state, dt, problem)[0]
 
 
 def run(problem: ProblemSpec) -> Trajectory:

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Field, GridSpec, make_grid
+from .grid import Field, GridSpec, grad, make_grid
 from .model import ProblemSpec, build_potentials, validate_initial
 from .diagnostics import DiagnosticsReport, build_report, make_test_bank
 from .solver import Trajectory, run
@@ -127,8 +127,7 @@ def _int_diss(traj: Trajectory) -> float:
     dx = traj.problem.grid.dx
     vals = []
     for s in traj.snapshots:
-        S = s.rho.values + s.mu.values
-        g = (np.roll(S ** (alpha / 2.0), -1) - S ** (alpha / 2.0)) / dx
+        g = grad((s.rho.values + s.mu.values) ** (alpha / 2.0), dx)
         vals.append(np.sum(g * g) * dx)
     return float(np.trapezoid(vals, traj.times))
 

@@ -1,6 +1,6 @@
-"""Change of variables between the species pair (rho, mu) and the
-sum/log-ratio pair (S, r), plus the auxiliary ratio kernels and the
-shifted log-ratio gradient whose L1 norm obeys a Gronwall bound.
+"""Change of variables from the species pair (rho, mu) to the sum/log-ratio
+pair (S, r), and the shifted log-ratio gradient whose L1 norm obeys a
+Gronwall bound.
 
 S = rho + mu,  r = log(rho/mu),  rho = S*sigmoid(r),  mu = S*sigmoid(-r),
 rho - mu = S*h(r) with h(r) = (e^r - 1)/(e^r + 1) = tanh(r/2).
@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .grid import Field, grad_interface
+from .grid import Field, grad_interface, interface_mean
 from .model import Nonlinearity, PotentialPair
-
-_TINY = float(np.finfo(float).tiny)  # keeps species strictly positive at saturation
 
 
 @dataclass(frozen=True)
@@ -42,28 +39,6 @@ def to_sum_ratio(rho: Field, mu: Field) -> SumRatioState:
     return SumRatioState(Field(rho.grid, S), Field(rho.grid, r))
 
 
-def from_sum_ratio(sr: SumRatioState) -> tuple[Field, Field]:
-    """Invert to (rho, mu) with overflow-safe logistic branches; each species
-    is floored at the smallest normal float so saturation stays positive."""
-    S = sr.S.values
-    r = sr.r.values
-    rho = np.maximum(S * expit(r), _TINY)
-    mu = np.maximum(S * expit(-r), _TINY)
-    return Field(sr.S.grid, rho), Field(sr.S.grid, mu)
-
-
-def imbalance_kernels(r):
-    """h(r), h'(r) and g'(r) = -h(r) for the log-ratio transport terms.
-
-    h = (e^r-1)/(e^r+1) is the normalized imbalance (rho-mu)/S; saturation
-    for large |r| is graceful (h -> +-1, h' -> 0).
-    """
-    r = np.asarray(r, dtype=float)
-    h = np.tanh(0.5 * r)
-    h_prime = 0.5 * (1.0 - h * h)
-    return h, h_prime, -h
-
-
 def shifted_gradient(sr: SumRatioState, pot: PotentialPair,
                      nl: Nonlinearity) -> Field:
     """Interface field  grad(r) - 2 w y(S)  with S averaged onto interfaces.
@@ -73,7 +48,5 @@ def shifted_gradient(sr: SumRatioState, pot: PotentialPair,
     grad_interface(r + V - W) exactly.
     """
     g_r = grad_interface(sr.r).values
-    S = sr.S.values
-    s_int = 0.5 * (S + np.roll(S, -1))
-    u = g_r - 2.0 * pot.w_fd_int * nl.shift_profile(s_int)
+    u = g_r - 2.0 * pot.w_fd_int * nl.shift_profile(interface_mean(sr.S.values))
     return Field(sr.S.grid, u)

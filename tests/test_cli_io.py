@@ -4,7 +4,7 @@ import pytest
 from crossdiff.cli import main
 from crossdiff.config import (ConfigError, build_plan, build_problem,
                               dump_config, parse_config)
-from crossdiff.csvio import read_table, write_report_csv
+from crossdiff.csvio import read_snapshots, read_table, write_report_csv
 from crossdiff.diagnostics import DiagnosticsReport, ResidualRow
 from crossdiff.svgplot import emit_plot
 
@@ -275,6 +275,37 @@ def test_main_diagnose_round_trip(tmp_path):
     for name in ("scalars.csv", "omega_space.csv", "omega_time.csv",
                  "residuals.csv"):
         assert (out / name).read_bytes() == (re_out / name).read_bytes()
+
+
+def _corrupt_snapshots(traj_dir, defect):
+    paths = sorted(traj_dir.glob("snapshot_*.csv"))
+    if defect == "header":
+        rows = paths[0].read_text().split("\n")
+        paths[0].write_text("\n".join(["x,rho,nu"] + rows[1:]))
+    elif defect == "rows":
+        rows = paths[-1].read_text().strip().split("\n")
+        paths[-1].write_text("\n".join(rows[:-1]) + "\n")
+    else:
+        for path in paths:
+            path.unlink()
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("header", "unexpected snapshot header 'x,rho,nu'"),
+    ("rows", "expected 128 rows, got 127"),
+    ("none", r"no snapshot_\*\.csv files in "),
+])
+def test_read_snapshots_errors(tmp_path, capsys, defect, message):
+    out = tmp_path / "run_out"
+    assert main(["run", _write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 0
+    grid = build_problem(parse_config(MINIMAL)).grid
+    _corrupt_snapshots(out, defect)
+    with pytest.raises(ValueError, match=message):
+        read_snapshots(out, grid)
+    capsys.readouterr()
+    assert main(["diagnose", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3:") and err.count("\n") == 1
 
 
 def test_main_stepper_and_eps_overrides(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import crossdiff as cd
-from crossdiff.grid import Field, div_cell, grad_interface, integrate, shift
+from crossdiff.grid import Field, div_cell, grad_interface, integrate, interface_mean
 
 
 def test_make_grid_basic():
@@ -96,15 +96,11 @@ def test_integrate_examples():
         1.0, abs=1e-14)
 
 
-def test_shift_identities():
-    g = cd.make_grid(16)
-    rng = np.random.default_rng(3)
-    f = Field(g, rng.normal(size=16))
-    assert np.array_equal(shift(f, 0).values, f.values)
-    assert np.array_equal(shift(f, 16).values, f.values)
-    delta = np.zeros(16)
-    delta[0] = 1.0
-    assert shift(Field(g, delta), 1).values[1] == 1.0
+def test_interface_mean_two_level_field():
+    vals = np.where(np.arange(16) < 5, 1.0, 3.0)
+    expected = vals.copy()
+    expected[4] = expected[15] = 2.0  # the interfaces beside the two jumps
+    assert np.array_equal(interface_mean(vals), expected)
 
 
 def test_summation_by_parts():
@@ -124,7 +120,8 @@ def test_shift_isometry_and_commutation():
     g = cd.make_grid(32)
     f = Field(g, rng.normal(size=32))
     for m in (1, 5, 31):
-        assert integrate(Field(g, np.abs(shift(f, m).values))) == pytest.approx(
+        shifted = Field(g, np.roll(f.values, m))
+        assert integrate(Field(g, np.abs(shifted.values))) == pytest.approx(
             integrate(Field(g, np.abs(f.values))), abs=1e-14)
-        assert np.array_equal(grad_interface(shift(f, m)).values,
-                              shift(grad_interface(f), m).values)
+        assert np.array_equal(grad_interface(shifted).values,
+                              np.roll(grad_interface(f).values, m))

@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 import crossdiff as cd
+from crossdiff.diagnostics import bv_norms, entropy
 from crossdiff.grid import Field
+from crossdiff.solver import State
 
 
 def oracle_shift_profile(alpha: float, s: float) -> float:
@@ -95,7 +97,8 @@ def test_clamp_count():
 def test_build_potentials_zero():
     g = cd.make_grid(32)
     pot = cd.build_potentials([], [], g)
-    for table in (pot.v_int, pot.w_int, pot.dV_cells, pot.d3W_cells):
+    for table in (pot.V_cells, pot.dV_int, pot.dW_int, pot.dV_cells, pot.d2W_cells,
+                  pot.w_fd_int):
         assert np.all(table == 0.0)
 
 
@@ -103,25 +106,25 @@ def test_build_potentials_sine():
     g = cd.make_grid(64)
     pot = cd.build_potentials([(1, 0.0, 1.0)], [], g)  # V = sin(2 pi x), W = 0
     xi = g.interfaces()
-    assert np.allclose(pot.v_int, np.pi * np.cos(2 * np.pi * xi), atol=1e-13)
-    assert np.allclose(pot.w_int, np.pi * np.cos(2 * np.pi * xi), atol=1e-13)
-    # the seam interface sits at x = 0 where v = w = pi
-    assert pot.v_int[-1] == pytest.approx(np.pi, abs=1e-14)
-    # exact derivative tables up to third order
-    xc = g.cell_centers()
     w = 2 * np.pi
+    assert np.allclose(pot.dV_int, w * np.cos(w * xi), atol=1e-12)
+    assert np.all(pot.dW_int == 0.0)
+    # the seam interface sits at x = 0 where V' = 2 pi
+    assert pot.dV_int[-1] == pytest.approx(w, abs=1e-14)
+    # exact value and derivative tables up to second order
+    xc = g.cell_centers()
+    assert np.allclose(pot.V_cells, np.sin(w * xc), atol=1e-14)
     assert np.allclose(pot.dV_cells, w * np.cos(w * xc), atol=1e-12)
     assert np.allclose(pot.d2V_cells, -w**2 * np.sin(w * xc), atol=1e-11)
-    assert np.allclose(pot.d3V_cells, -w**3 * np.cos(w * xc), atol=1e-10)
 
 
 def test_build_potentials_equal_pair():
     g = cd.make_grid(64)
     pot = cd.build_potentials([(1, 1.0, 0.0)], [(1, 1.0, 0.0)], g)
-    assert np.all(pot.w_int == 0.0)
+    assert np.array_equal(pot.dV_int, pot.dW_int)
     assert np.all(pot.w_fd_int == 0.0)
     xi = g.interfaces()
-    assert np.allclose(pot.v_int, -2 * np.pi * np.sin(2 * np.pi * xi), atol=1e-12)
+    assert np.allclose(pot.dV_int, -2 * np.pi * np.sin(2 * np.pi * xi), atol=1e-12)
 
 
 def test_build_potentials_resolution_guard():
@@ -130,26 +133,31 @@ def test_build_potentials_resolution_guard():
         cd.build_potentials([(100, 1.0, 0.0)], [], g)
 
 
-def test_half_sum_difference_identity():
-    g = cd.make_grid(64)
-    pot = cd.build_potentials([(1, 0.4, -0.3), (3, 0.0, 0.7)],
-                              [(2, -0.5, 0.1)], g)
-    assert np.allclose(pot.v_int + pot.w_int, pot.dV_int, atol=1e-14)
-    assert np.allclose(pot.v_int - pot.w_int, pot.dW_int, atol=1e-14)
+def _initial_problem(rho0, mu0):
+    g = rho0.grid
+    return cd.ProblemSpec(grid=g, nonlinearity=cd.Nonlinearity(1.0),
+                          potentials=cd.build_potentials([], [], g),
+                          initial=cd.validate_initial(rho0, mu0),
+                          t_final=0.0, snapshot_times=(0.0,))
 
 
 def test_validate_initial_constant():
+    # the initial entropy and log-ratio variation are row 0 of the report
     g = cd.make_grid(16)
-    init = cd.validate_initial(Field.constant(g, 1.0), Field.constant(g, 1.0))
-    assert init.entropy0 == pytest.approx(0.0, abs=1e-15)
-    assert init.log_ratio_bv0 == 0.0
+    one = Field.constant(g, 1.0)
+    prob = _initial_problem(one, one)
+    assert prob.initial.rho0 is one and prob.initial.mu0 is one
+    st = State(0.0, prob.initial.rho0, prob.initial.mu0)
+    assert entropy(st) == pytest.approx(0.0, abs=1e-15)
+    assert bv_norms(st, prob)[0] == 0.0
 
 
 def test_validate_initial_closed_form():
     g = cd.make_grid(16)
-    init = cd.validate_initial(Field.constant(g, 3.0), Field.constant(g, 1.0))
-    assert init.entropy0 == pytest.approx(3.0 * np.log(3.0), abs=1e-13)
-    assert init.log_ratio_bv0 == pytest.approx(0.0, abs=1e-15)
+    prob = _initial_problem(Field.constant(g, 3.0), Field.constant(g, 1.0))
+    st = State(0.0, prob.initial.rho0, prob.initial.mu0)
+    assert entropy(st) == pytest.approx(3.0 * np.log(3.0), abs=1e-13)
+    assert bv_norms(st, prob)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_validate_initial_rejects_zero_cell():

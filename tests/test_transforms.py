@@ -3,9 +3,7 @@ import pytest
 
 import crossdiff as cd
 from crossdiff.grid import Field, grad_interface
-from crossdiff.transforms import (SumRatioState, from_sum_ratio,
-                                  imbalance_kernels, shifted_gradient,
-                                  to_sum_ratio)
+from crossdiff.transforms import SumRatioState, shifted_gradient, to_sum_ratio
 
 from scenarios import random_positive_state
 
@@ -28,24 +26,9 @@ def test_to_sum_ratio_rejects_nonpositive():
         to_sum_ratio(Field(g, vals), Field.constant(g, 1.0))
 
 
-def test_from_sum_ratio_examples():
-    g = cd.make_grid(8)
-    rho, mu = from_sum_ratio(SumRatioState(Field.constant(g, 2.0),
-                                           Field.constant(g, 0.0)))
-    assert np.all(rho.values == 1.0) and np.all(mu.values == 1.0)
-    rho, mu = from_sum_ratio(SumRatioState(Field.constant(g, 4.0),
-                                           Field.constant(g, np.log(3.0))))
-    assert np.allclose(rho.values, 3.0, rtol=1e-14)
-    assert np.allclose(mu.values, 1.0, rtol=1e-14)
-
-
-def test_from_sum_ratio_saturation():
-    g = cd.make_grid(8)
-    rho, mu = from_sum_ratio(SumRatioState(Field.constant(g, 1.0),
-                                           Field.constant(g, 800.0)))
-    assert np.all(np.isfinite(rho.values)) and np.all(np.isfinite(mu.values))
-    assert np.all(mu.values > 0.0)
-    assert np.allclose(rho.values, 1.0, rtol=1e-14)
+def _species(S, r):
+    """Inverse of to_sum_ratio: rho = S sigmoid(r), mu = S sigmoid(-r)."""
+    return S / (1.0 + np.exp(-r)), S / (1.0 + np.exp(r))
 
 
 def test_round_trip_both_ways():
@@ -54,46 +37,30 @@ def test_round_trip_both_ways():
     for _ in range(100):
         st = random_positive_state(g, rng)
         sr = to_sum_ratio(st.rho, st.mu)
-        rho, mu = from_sum_ratio(sr)
-        assert np.allclose(rho.values, st.rho.values, rtol=1e-13)
-        assert np.allclose(mu.values, st.mu.values, rtol=1e-13)
-        sr2 = to_sum_ratio(rho, mu)
+        rho, mu = _species(sr.S.values, sr.r.values)
+        assert np.allclose(rho, st.rho.values, rtol=1e-13)
+        assert np.allclose(mu, st.mu.values, rtol=1e-13)
+        sr2 = to_sum_ratio(Field(g, rho), Field(g, mu))
         assert np.allclose(sr2.S.values, sr.S.values, rtol=1e-13)
         assert np.allclose(sr2.r.values, sr.r.values, rtol=1e-13, atol=1e-13)
 
 
 def test_species_sum_recovered():
     rng = np.random.default_rng(5)
-    S = rng.uniform(0.5, 3.0, 64)
-    r = rng.uniform(-4.0, 4.0, 64)
     g = cd.make_grid(64)
-    rho, mu = from_sum_ratio(SumRatioState(Field(g, S), Field(g, r)))
-    assert np.allclose(rho.values + mu.values, S, rtol=1e-14)
-
-
-def test_imbalance_kernels_examples():
-    h, hp, gp = imbalance_kernels(0.0)
-    assert (float(h), float(hp), float(gp)) == (0.0, 0.5, 0.0)
-    h, _, _ = imbalance_kernels(np.log(3.0))
-    assert float(h) == pytest.approx(0.5, abs=1e-15)
-    h, hp, gp = imbalance_kernels(800.0)
-    assert (float(h), float(hp), float(gp)) == (1.0, 0.0, -1.0)
+    for _ in range(20):
+        st = random_positive_state(g, rng)
+        sr = to_sum_ratio(st.rho, st.mu)
+        assert np.array_equal(sr.S.values, st.rho.values + st.mu.values)
 
 
 def test_imbalance_identities():
-    r = np.linspace(-30, 30, 1001)
-    h, hp, gp = imbalance_kernels(r)
-    assert np.array_equal(gp, -h)
-    assert np.all(np.abs(h) < 1.0 + 1e-15)
-    assert np.all(np.diff(h) > 0)
-    assert np.all((hp > 0) | (np.abs(r) > 25))
-    assert np.max(hp) <= 0.5
-    # rho - mu = S h(r)
+    # rho - mu = S h(r) with h(r) = tanh(r/2)
     rng = np.random.default_rng(9)
     g = cd.make_grid(32)
     st = random_positive_state(g, rng)
     sr = to_sum_ratio(st.rho, st.mu)
-    h, _, _ = imbalance_kernels(sr.r.values)
+    h = np.tanh(0.5 * sr.r.values)
     assert np.allclose(st.rho.values - st.mu.values, sr.S.values * h, rtol=1e-13,
                        atol=1e-13)
 
