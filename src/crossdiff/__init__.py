@@ -2,10 +2,10 @@
 for a two-species cross-diffusion system with fast-diffusion pressure on
 the periodic unit interval."""
 
-from .grid import Field, GridSpec, div_cell, grad_interface, integrate, make_grid
+from .grid import Field, GridSpec, integrate, make_grid
 from .model import (InitialData, Nonlinearity, PotentialPair, ProblemSpec,
                     build_potentials, validate_initial)
-from .transforms import SumRatioState, shifted_gradient, to_sum_ratio
+from .transforms import shifted_gradient, to_sum_ratio
 from .solver import (SolverError, State, StepRecord, Trajectory, advance,
                      cfl_dt, interface_velocities, run)
 from .diagnostics import (DiagnosticsReport, TestFunctionBank, build_report,
@@ -17,11 +17,10 @@ from .study import StudyPlan, StudyReport, fit_rate, prolong, run_study
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "GridSpec", "div_cell", "grad_interface", "integrate",
-    "make_grid",
+    "Field", "GridSpec", "integrate", "make_grid",
     "InitialData", "Nonlinearity", "PotentialPair", "ProblemSpec",
     "build_potentials", "validate_initial",
-    "SumRatioState", "shifted_gradient", "to_sum_ratio",
+    "shifted_gradient", "to_sum_ratio",
     "SolverError", "State", "StepRecord", "Trajectory", "advance", "cfl_dt",
     "interface_velocities", "run",
     "DiagnosticsReport", "TestFunctionBank", "build_report", "bv_norms",

@@ -4,7 +4,7 @@
         integrate and write snapshot_<t>.csv files, the report CSVs
         (scalars, omega_space, omega_time, residuals) and a canonical
         run.cfg into the output directory
-    crossdiff study CONFIG [--out DIR] [--levels N]
+    crossdiff study CONFIG [--out DIR] [--levels N] [--eps X] [--stepper S]
         run the refinement/viscosity campaign and write levels.csv,
         cauchy_l1.csv, rates.csv plus per-level scalars under level_<k>/
     crossdiff diagnose TRAJDIR [--out DIR]
@@ -27,6 +27,8 @@ from .config import ConfigError, build_plan, build_problem, dump_config, parse_c
 from .csvio import (read_snapshots, read_table, write_report_csv,
                     write_snapshots, write_study_csv)
 from .diagnostics import build_report, make_test_bank
+from .grid import make_grid
+from .model import STEPPERS
 from .solver import SolverError, Trajectory, run
 from .study import run_study
 from .svgplot import emit_plot
@@ -45,7 +47,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate a configured problem")
     p_run.add_argument("config")
     p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--stepper", choices=("explicit", "semi-implicit"))
+    p_run.add_argument("--stepper", choices=STEPPERS)
     p_run.add_argument("--eps", type=float, help="artificial viscosity override")
 
     p_study = sub.add_parser("study", help="refinement / viscosity campaign")
@@ -53,7 +55,7 @@ def _parser() -> argparse.ArgumentParser:
     p_study.add_argument("--out")
     p_study.add_argument("--levels", type=int)
     p_study.add_argument("--eps", type=float)
-    p_study.add_argument("--stepper", choices=("explicit", "semi-implicit"))
+    p_study.add_argument("--stepper", choices=STEPPERS)
 
     p_diag = sub.add_parser("diagnose", help="recompute diagnostics from snapshots")
     p_diag.add_argument("trajdir")
@@ -132,9 +134,8 @@ def _cmd_diagnose(args) -> int:
     if not cfg_path.exists():
         raise ConfigError(f"no run.cfg in {traj_dir}")
     cfg = parse_config(cfg_path.read_text())
-    snapshots = read_snapshots(traj_dir, build_problem(cfg).grid)
-    times = tuple(s.t for s in snapshots)
-    problem = build_problem(cfg, snapshot_times=times)
+    snapshots = read_snapshots(traj_dir, make_grid(cfg.n_cells))
+    problem = build_problem(cfg, snapshot_times=tuple(s.t for s in snapshots))
     report = _report(cfg, Trajectory(problem, tuple(snapshots), ()))
     out = Path(args.out) if args.out else traj_dir / "diagnose"
     write_report_csv(report, out, cfg.precision)
@@ -175,3 +176,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

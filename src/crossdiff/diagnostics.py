@@ -73,10 +73,9 @@ def dissipation_beta(state: State, problem: ProblemSpec, beta: float) -> Dissipa
 def bv_norms(state: State, problem: ProblemSpec) -> tuple[float, float]:
     """(bv_r, bv_u): total variation of the log-ratio and the L1 norm of the
     shifted log-ratio gradient."""
-    sr = to_sum_ratio(state.rho, state.mu)
-    r = sr.r.values
+    S, r = to_sum_ratio(state.rho, state.mu)
     bv_r = float(np.sum(np.abs(np.roll(r, -1) - r)))
-    u = shifted_gradient(sr, problem.potentials, problem.nonlinearity).values
+    u = shifted_gradient(S, r, problem.potentials, problem.nonlinearity)
     bv_u = float(np.sum(np.abs(u)) * state.grid.dx)
     return bv_r, bv_u
 

@@ -3,8 +3,9 @@
 Cells are indexed 0..n-1 with centers x_i = (i + 1/2)*dx.  Interface i sits
 at x = (i+1)*dx, between cells i and i+1 (indices wrap), so cell-centered
 fields and interface fields both hold n values.  grad, div and
-interface_mean act on raw arrays and are the only copies of these stencils;
-grad_interface and div_cell wrap them for Fields.  grad and div are exact
+interface_mean act on raw float64 arrays and are the only copies of these
+stencils; Field (a validated, read-only copy) is for data entering or
+leaving the solver, not for its inner loop.  grad and div are exact
 summation-by-parts partners: sum_i a_i div(g)_i dx = -sum_i grad(a)_i g_i dx
 up to roundoff, and div telescopes to zero over the torus.
 """
@@ -81,14 +82,6 @@ def div(g: np.ndarray, dx: float) -> np.ndarray:
 def interface_mean(v: np.ndarray) -> np.ndarray:
     """Mean of the two cells beside interface i: (v[i] + v[i+1])/2."""
     return 0.5 * (v + np.roll(v, -1))
-
-
-def grad_interface(f: Field) -> Field:
-    return Field(f.grid, grad(f.values, f.grid.dx))
-
-
-def div_cell(g: Field) -> Field:
-    return Field(g.grid, div(g.values, g.grid.dx))
 
 
 def integrate(f: Field) -> float:

@@ -8,19 +8,21 @@ with S = rho + mu.  The scheme advances the species pair (conservation and
 positivity are then structural); the S and r equations are verified as
 diagnostics, not used for stepping.
 
-Flux convention: with velocity a = grad(pressure(S)) + V' at interfaces,
-the update is rho <- rho + dt * div(F),  F = rho_up * a + eps * grad(rho),
-where rho_up is the donor cell of the transport direction -a (rho_i when
-a < 0, rho_{i+1} otherwise).  The semi-implicit stepper keeps only the
-potential drift explicit and solves the stiff aggregate diffusion
-S - dt * Lap(kirchhoff(S) + eps S) = S_drift by damped Newton, splitting
-the diffusive interface flux between the species by their donor-cell
-mobility fractions (exactly conservative per species).
+Flux convention: with velocity a = grad(pressure(S)) + V' at interfaces
+(interface_velocities), the update is rho <- rho + dt * div(F),
+F = rho_up * a + eps * grad(rho), where rho_up is the donor cell of the
+transport direction -a (rho_i when a < 0, rho_{i+1} otherwise).  The
+semi-implicit stepper keeps only the potential drift explicit and solves
+the stiff aggregate diffusion S - dt * Lap(kirchhoff(S) + eps S) = S_drift
+by damped Newton, splitting the diffusive interface flux between the
+species by their donor-cell mobility fractions (exactly conservative per
+species).  cfl_dt and advance act on plain float64 cell arrays of rho and
+mu; run builds a State of Fields only for each snapshot it keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,27 +79,24 @@ def _donor(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.where(a < 0.0, v, np.roll(v, -1))
 
 
-def interface_velocities(state: State, problem: ProblemSpec) -> tuple[Field, Field]:
+def interface_velocities(rho: np.ndarray, mu: np.ndarray,
+                         problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Species velocities a_rho = grad(pressure(S)) + V', a_mu likewise with W'."""
     nl, pot = problem.nonlinearity, problem.potentials
-    dx = problem.grid.dx
-    S = state.rho.values + state.mu.values
-    dp = grad(nl.pressure(S), dx)
-    return (Field(problem.grid, dp + pot.dV_int),
-            Field(problem.grid, dp + pot.dW_int))
+    dp = grad(nl.pressure(rho + mu), problem.grid.dx)
+    return dp + pot.dV_int, dp + pot.dW_int
 
 
-def cfl_dt(state: State, problem: ProblemSpec) -> float:
+def cfl_dt(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec) -> float:
     """Stable step: advective dx/max|a|, plus the diffusive dx^2 bound for
     the explicit stepper (the semi-implicit one is advectively limited only)."""
     nl = problem.nonlinearity
     dx = problem.grid.dx
-    a_rho, a_mu = interface_velocities(state, problem)
-    amax = max(np.max(np.abs(a_rho.values)), np.max(np.abs(a_mu.values)), _VEL_FLOOR)
+    a_rho, a_mu = interface_velocities(rho, mu, problem)
+    amax = max(np.max(np.abs(a_rho)), np.max(np.abs(a_mu)), _VEL_FLOOR)
     dt = dx / amax
     if problem.stepper == "explicit":
-        S = state.rho.values + state.mu.values
-        diff_max = float(np.max(nl.diffusivity(S))) + problem.eps_viscosity
+        diff_max = float(np.max(nl.diffusivity(rho + mu))) + problem.eps_viscosity
         dt = min(dt, dx * dx / (2.0 * diff_max))
     return problem.cfl_safety * dt
 
@@ -110,24 +109,17 @@ def _check_positive(v: np.ndarray, t: float, name: str) -> None:
         raise SolverError(f"positivity violated: {name} at cell {i}, t={t:.6g}")
 
 
-def _explicit_update(state: State, dt: float, problem: ProblemSpec):
-    nl, pot = problem.nonlinearity, problem.potentials
+def _explicit_update(rho, mu, t_new: float, dt: float, problem: ProblemSpec):
     dx = problem.grid.dx
     eps = problem.eps_viscosity
-    rho, mu = state.rho.values, state.mu.values
-    S = rho + mu
-    clamps = nl.clamp_count(S)
-    dp = grad(nl.pressure(S), dx)
+    clamps = problem.nonlinearity.clamp_count(rho + mu)
     new = []
-    for v, dpot in ((rho, pot.dV_int), (mu, pot.dW_int)):
-        a = dp + dpot
+    for v, a in zip((rho, mu), interface_velocities(rho, mu, problem)):
         flux = _donor(v, a) * a + eps * grad(v, dx)
         new.append(v + dt * div(flux, dx))
-    t_new = state.t + dt
     _check_positive(new[0], t_new, "rho")
     _check_positive(new[1], t_new, "mu")
-    g = problem.grid
-    return State(t_new, Field(g, new[0]), Field(g, new[1])), clamps, 0
+    return new[0], new[1], clamps, 0
 
 
 def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
@@ -174,12 +166,10 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     raise SolverError(f"newton did not converge, residual {norm:.3e}")
 
 
-def _semi_implicit_update(state: State, dt: float, problem: ProblemSpec):
+def _semi_implicit_update(rho, mu, t_new: float, dt: float, problem: ProblemSpec):
     nl, pot = problem.nonlinearity, problem.potentials
     dx = problem.grid.dx
     eps = problem.eps_viscosity
-    rho, mu = state.rho.values, state.mu.values
-    t_new = state.t + dt
 
     # explicit upwind potential drift
     rho_s = rho + dt * div(_donor(rho, pot.dV_int) * pot.dV_int, dx)
@@ -199,40 +189,39 @@ def _semi_implicit_update(state: State, dt: float, problem: ProblemSpec):
     mu_new = mu_s + dt * div((_donor(mu_s, g_diff) / s_up) * g_diff, dx)
     _check_positive(rho_new, t_new, "rho")
     _check_positive(mu_new, t_new, "mu")
-    g = problem.grid
-    return State(t_new, Field(g, rho_new), Field(g, mu_new)), clamps, iters
+    return rho_new, mu_new, clamps, iters
 
 
-def advance(state: State, dt: float, problem: ProblemSpec):
-    """One step with the problem's stepper; returns (state, StepRecord)."""
+def advance(rho: np.ndarray, mu: np.ndarray, t: float, dt: float,
+            problem: ProblemSpec):
+    """One step from time t with the problem's stepper; returns the new
+    (rho, mu) arrays and the StepRecord."""
     if dt <= 0.0:
         raise SolverError(f"nonpositive dt {dt}")
-    if problem.stepper == "explicit":
-        new, clamps, iters = _explicit_update(state, dt, problem)
-    else:
-        new, clamps, iters = _semi_implicit_update(state, dt, problem)
-    return new, StepRecord(state.t, dt, clamps, iters)
+    update = _explicit_update if problem.stepper == "explicit" else _semi_implicit_update
+    rho_new, mu_new, clamps, iters = update(rho, mu, t + dt, dt, problem)
+    return rho_new, mu_new, StepRecord(t, dt, clamps, iters)
 
 
 def run(problem: ProblemSpec) -> Trajectory:
     """Integrate from t = 0 to t_final with adaptive CFL steps, truncating
     dt to land exactly on every snapshot time (never interpolating)."""
-    state = State(0.0, problem.initial.rho0, problem.initial.mu0)
-    snapshots = [state]
+    g = problem.grid
+    t, rho, mu = 0.0, problem.initial.rho0.values, problem.initial.mu0.values
+    snapshots = [State(t, problem.initial.rho0, problem.initial.mu0)]
     log: list[StepRecord] = []
     for target in problem.snapshot_times[1:]:
-        while state.t < target:
-            remaining = target - state.t
-            dt = cfl_dt(state, problem)
+        while t < target:
+            remaining = target - t
+            dt = cfl_dt(rho, mu, problem)
             landing = dt >= remaining
             if landing:
                 dt = remaining
             try:
-                state, rec = advance(state, dt, problem)
+                rho, mu, rec = advance(rho, mu, t, dt, problem)
             except SolverError as err:
                 raise SolverError(f"{err} (while integrating to t={target:.6g})") from err
             log.append(rec)
-            if landing:
-                state = replace(state, t=target)
-        snapshots.append(state)
+            t = target if landing else t + dt
+        snapshots.append(State(t, Field(g, rho), Field(g, mu)))
     return Trajectory(problem, tuple(snapshots), tuple(log))

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 import crossdiff as cd
 from crossdiff.diagnostics import make_test_bank
-from crossdiff.grid import Field, grad_interface
+from crossdiff.grid import Field, grad
 from crossdiff.transforms import shifted_gradient, to_sum_ratio
 
 from scenarios import (fast_problem, heat_problem, heat_reference,
@@ -152,9 +152,9 @@ def test_criterion_07_shift_collapse_alpha_one():
     for _ in range(100):
         rho = Field(g, rng.uniform(0.2, 2.0, 64))
         mu = Field(g, rng.uniform(0.2, 2.0, 64))
-        sr = to_sum_ratio(rho, mu)
-        u = shifted_gradient(sr, pot, nl).values
-        target = grad_interface(Field(g, sr.r.values + combined)).values
+        S, r = to_sum_ratio(rho, mu)
+        u = shifted_gradient(S, r, pot, nl)
+        target = grad(r + combined, g.dx)
         scale = max(1.0, float(np.max(np.abs(target))))
         worst = max(worst, float(np.max(np.abs(u - target))) / scale)
     assert worst <= 1e-12

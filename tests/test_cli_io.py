@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crossdiff
+import crossdiff.cli
 from crossdiff.cli import main
 from crossdiff.config import (ConfigError, build_plan, build_problem,
                               dump_config, parse_config)
@@ -275,6 +282,31 @@ def test_main_diagnose_round_trip(tmp_path):
     for name in ("scalars.csv", "omega_space.csv", "omega_time.csv",
                  "residuals.csv"):
         assert (out / name).read_bytes() == (re_out / name).read_bytes()
+
+
+def test_main_diagnose_builds_problem_once(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path, FAST)
+    out = tmp_path / "run_out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return build_problem(*args, **kwargs)
+
+    monkeypatch.setattr(crossdiff.cli, "build_problem", counted)
+    assert main(["diagnose", str(out), "--out", str(tmp_path / "rediag")]) == 0
+    assert len(calls) == 1
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(crossdiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossdiff.cli", "diagnose", str(tmp_path / "absent")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: 2:")
 
 
 def _corrupt_snapshots(traj_dir, defect):

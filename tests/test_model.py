@@ -24,6 +24,11 @@ def oracle_pressure(alpha: float, s: float) -> float:
     return -val
 
 
+def test_public_names_resolve():
+    for name in cd.__all__:
+        assert getattr(cd, name) is not None, name
+
+
 def test_alpha_validation():
     with pytest.raises(ValueError, match=r"alpha out of range \(0,1\]"):
         cd.Nonlinearity(1.5)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import crossdiff as cd
-from crossdiff.grid import Field, div_cell, grad_interface, integrate
-from crossdiff.solver import SolverError, State
+import crossdiff.solver
+from crossdiff.grid import Field, div, grad, integrate
+from crossdiff.solver import SolverError
 
 from scenarios import fast_problem, heat_problem, heat_reference, stationary_problem
 
@@ -25,21 +26,19 @@ def _problem(grid, alpha=0.5, modes_V=(), modes_W=(), stepper="explicit",
 def test_velocities_vanish_for_constant_data():
     g = cd.make_grid(64)
     prob = _problem(g)
-    st = State(0.0, Field.constant(g, 0.4), Field.constant(g, 0.6))
-    a_rho, a_mu = cd.interface_velocities(st, prob)
-    assert np.all(a_rho.values == 0.0) and np.all(a_mu.values == 0.0)
+    a_rho, a_mu = cd.interface_velocities(np.full(64, 0.4), np.full(64, 0.6), prob)
+    assert np.all(a_rho == 0.0) and np.all(a_mu == 0.0)
 
 
 def test_velocities_pure_drift():
     g = cd.make_grid(64)
     prob = _problem(g, modes_V=[(1, 0.0, 1.0)])  # V = sin(2 pi x)
-    st = State(0.0, Field.constant(g, 0.4), Field.constant(g, 0.6))
-    a_rho, a_mu = cd.interface_velocities(st, prob)
-    assert np.allclose(a_rho.values, 2 * np.pi * np.cos(2 * np.pi * g.interfaces()),
+    a_rho, a_mu = cd.interface_velocities(np.full(64, 0.4), np.full(64, 0.6), prob)
+    assert np.allclose(a_rho, 2 * np.pi * np.cos(2 * np.pi * g.interfaces()),
                        atol=1e-12)
-    assert np.all(a_mu.values == 0.0)
+    assert np.all(a_mu == 0.0)
     # the seam interface sits at x = 0
-    assert a_rho.values[-1] == pytest.approx(2 * np.pi, abs=1e-12)
+    assert a_rho[-1] == pytest.approx(2 * np.pi, abs=1e-12)
 
 
 def test_velocities_match_analytic_log_gradient():
@@ -47,11 +46,10 @@ def test_velocities_match_analytic_log_gradient():
     x = g.cell_centers()
     half = Field(g, 0.5 * (1 + 0.5 * np.cos(2 * np.pi * x)))
     prob = _problem(g, alpha=1.0, rho0=half, mu0=half)
-    st = State(0.0, half, half)
-    a_rho, _ = cd.interface_velocities(st, prob)
+    a_rho, _ = cd.interface_velocities(half.values, half.values, prob)
     xi = g.interfaces()
     exact = -np.pi * np.sin(2 * np.pi * xi) / (1 + 0.5 * np.cos(2 * np.pi * xi))
-    assert np.max(np.abs(a_rho.values - exact)) <= 2.5e-4
+    assert np.max(np.abs(a_rho - exact)) <= 2.5e-4
 
 
 def test_step_explicit_stationary():
@@ -60,10 +58,9 @@ def test_step_explicit_stationary():
     rho0 = Field(g, 0.5 + 0.25 * np.cos(2 * np.pi * x))
     mu0 = Field(g, 1.0 - rho0.values)
     prob = _problem(g, alpha=0.5, rho0=rho0, mu0=mu0)
-    st = State(0.0, rho0, mu0)
-    new = cd.advance(st, 1e-5, prob)[0]
-    assert np.max(np.abs(new.rho.values - rho0.values)) <= 1e-15
-    assert np.max(np.abs(new.mu.values - mu0.values)) <= 1e-15
+    rho, mu, _ = cd.advance(rho0.values, mu0.values, 0.0, 1e-5, prob)
+    assert np.max(np.abs(rho - rho0.values)) <= 1e-15
+    assert np.max(np.abs(mu - mu0.values)) <= 1e-15
 
 
 def test_step_explicit_conserves_mass():
@@ -73,11 +70,10 @@ def test_step_explicit_conserves_mass():
     mu0 = Field(g, rng.uniform(0.3, 2.0, 64))
     prob = _problem(g, alpha=0.5, modes_V=[(1, 0.2, 0.0)],
                     modes_W=[(2, 0.0, 0.3)], rho0=rho0, mu0=mu0, eps=0.01)
-    st = State(0.0, rho0, mu0)
-    dt = cd.cfl_dt(st, prob)
-    new = cd.advance(st, dt, prob)[0]
-    assert abs(integrate(new.rho) - integrate(rho0)) <= 1e-14
-    assert abs(integrate(new.mu) - integrate(mu0)) <= 1e-14
+    dt = cd.cfl_dt(rho0.values, mu0.values, prob)
+    rho, mu, _ = cd.advance(rho0.values, mu0.values, 0.0, dt, prob)
+    assert abs(integrate(Field(g, rho)) - integrate(rho0)) <= 1e-14
+    assert abs(integrate(Field(g, mu)) - integrate(mu0)) <= 1e-14
 
 
 def test_step_explicit_positivity_error():
@@ -85,9 +81,8 @@ def test_step_explicit_positivity_error():
     x = g.cell_centers()
     rho0 = Field(g, 0.01 + 0.009 * np.cos(2 * np.pi * x))
     prob = _problem(g, alpha=1.0, modes_V=[(1, 2.0, 0.0)], rho0=rho0)
-    st = State(0.0, rho0, Field.constant(g, 1.0))
     with pytest.raises(SolverError, match="positivity violated"):
-        cd.advance(st, 0.5, prob)  # far beyond the CFL bound
+        cd.advance(rho0.values, np.ones(32), 0.0, 0.5, prob)  # far beyond the CFL bound
 
 
 def test_heat_scenario_matches_fourier_solution():
@@ -107,10 +102,9 @@ def test_heat_scenario_matches_fourier_solution():
 def test_semi_implicit_constant_fixed_point():
     g = cd.make_grid(64)
     prob = _problem(g, alpha=0.5, stepper="semi-implicit")
-    st = State(0.0, Field.constant(g, 0.7), Field.constant(g, 0.7))
-    new = cd.advance(st, 1e-3, prob)[0]
-    assert np.max(np.abs(new.rho.values - 0.7)) <= 1e-13
-    assert np.max(np.abs(new.mu.values - 0.7)) <= 1e-13
+    rho, mu, _ = cd.advance(np.full(64, 0.7), np.full(64, 0.7), 0.0, 1e-3, prob)
+    assert np.max(np.abs(rho - 0.7)) <= 1e-13
+    assert np.max(np.abs(mu - 0.7)) <= 1e-13
 
 
 def test_semi_implicit_agrees_with_explicit_at_small_dt():
@@ -121,14 +115,13 @@ def test_semi_implicit_agrees_with_explicit_at_small_dt():
                      rho0=f0, mu0=f0, t_final=1.0)
     probI = dataclasses.replace(probE, stepper="semi-implicit")
     dt = g.dx**2 / 8
-    state = State(0.0, f0, f0)
+    rho, mu = f0.values, f0.values
     max_diff = 0.0
     for _ in range(100):
-        nxt_e = cd.advance(state, dt, probE)[0]
-        nxt_i = cd.advance(state, dt, probI)[0]
-        max_diff = max(max_diff, float(np.max(np.abs(nxt_e.rho.values
-                                                     - nxt_i.rho.values))))
-        state = nxt_e
+        rho_e, mu_e, _ = cd.advance(rho, mu, 0.0, dt, probE)
+        rho_i = cd.advance(rho, mu, 0.0, dt, probI)[0]
+        max_diff = max(max_diff, float(np.max(np.abs(rho_e - rho_i))))
+        rho, mu = rho_e, mu_e
     c_measured = max_diff / dt**2
     assert np.isfinite(c_measured)
     assert max_diff <= 1e-5  # measured 3.1e-6 at this resolution
@@ -159,13 +152,13 @@ def test_cfl_formula():
     rho0 = Field(g, 0.5 + 0.25 * np.cos(2 * np.pi * x))
     mu0 = Field(g, 1.0 - rho0.values)
     prob = _problem(g, alpha=1.0, rho0=rho0, mu0=mu0)
-    st = State(0.0, rho0, mu0)
-    assert cd.cfl_dt(st, prob) == pytest.approx(0.5 * g.dx**2 / 2.0, rel=1e-12)
-    assert cd.cfl_dt(st, prob) == pytest.approx(1.526e-5, rel=1e-3)
+    st = (rho0.values, mu0.values)
+    assert cd.cfl_dt(*st, prob) == pytest.approx(0.5 * g.dx**2 / 2.0, rel=1e-12)
+    assert cd.cfl_dt(*st, prob) == pytest.approx(1.526e-5, rel=1e-3)
     # eps = 1 doubles the diffusive denominator
     prob_eps = dataclasses.replace(prob, eps_viscosity=1.0)
-    assert cd.cfl_dt(st, prob_eps) == pytest.approx(0.5 * cd.cfl_dt(st, prob),
-                                                    rel=1e-12)
+    assert cd.cfl_dt(*st, prob_eps) == pytest.approx(0.5 * cd.cfl_dt(*st, prob),
+                                                     rel=1e-12)
 
 
 def test_cfl_fast_diffusion_scaling():
@@ -173,10 +166,10 @@ def test_cfl_fast_diffusion_scaling():
     # diffusivity is 0.5 * (1e-4)^(-1/2) = 50 against 1 for alpha = 1
     g = cd.make_grid(128)
     f = Field.constant(g, 5e-5)
-    st = State(0.0, f, f)
     prob_half = _problem(g, alpha=0.5, rho0=f, mu0=f)
     prob_one = _problem(g, alpha=1.0, rho0=f, mu0=f)
-    ratio = cd.cfl_dt(st, prob_half) / cd.cfl_dt(st, prob_one)
+    ratio = (cd.cfl_dt(f.values, f.values, prob_half)
+             / cd.cfl_dt(f.values, f.values, prob_one))
     assert ratio == pytest.approx(1.0 / 50.0, rel=1e-12)
 
 
@@ -279,14 +272,14 @@ def test_sum_equation_residual_first_order():
             S = 0.5 * (S0 + S1)
             r = 0.5 * (np.log(s0.rho.values / s0.mu.values)
                        + np.log(s1.rho.values / s1.mu.values))
-            lap = div_cell(grad_interface(Field(prob.grid, nl.kirchhoff(S)))).values
+            lap = div(grad(nl.kirchhoff(S), dx), dx)
             s_int = 0.5 * (S + np.roll(S, -1))
             r_int = 0.5 * (r + np.roll(r, -1))
             h_int = np.tanh(0.5 * r_int)
             v_int = 0.5 * (pot.dV_int + pot.dW_int)
             w_int = 0.5 * (pot.dV_int - pot.dW_int)
             flux = s_int * v_int + s_int * h_int * w_int
-            drift = div_cell(Field(prob.grid, flux)).values
+            drift = div(flux, dx)
             worst = max(worst, float(np.max(np.abs(d_dt - lap - drift))))
         return worst
 
@@ -295,17 +288,49 @@ def test_sum_equation_residual_first_order():
     assert r64 / r128 >= 1.4  # roughly first order in (dt, dx)
 
 
-def test_run_annotates_solver_errors():
+def test_run_annotates_solver_errors(monkeypatch):
     g = cd.make_grid(32)
-    x = g.cell_centers()
-    rho0 = Field(g, 0.01 + 0.0099 * np.cos(2 * np.pi * x))
-    prob = _problem(g, alpha=1.0, modes_V=[(1, 3.0, 0.0)], rho0=rho0,
-                    t_final=0.05, cfl=1.0)
-    prob = dataclasses.replace(prob, snapshot_times=(0.0, 0.05))
-    try:
+    prob = _problem(g, t_final=0.05)
+    real_advance = crossdiff.solver.advance
+    original = SolverError("positivity violated: rho at cell 3, t=0.001")
+    calls = []
+
+    def advance(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise original
+        return real_advance(*args)
+
+    monkeypatch.setattr(crossdiff.solver, "advance", advance)
+    with pytest.raises(SolverError) as info:
         cd.run(prob)
-    except SolverError as err:
-        assert "while integrating" in str(err)
+    assert len(calls) == 3
+    assert str(info.value) == f"{original} (while integrating to t=0.05)"
+    assert info.value.__cause__ is original
+
+
+@pytest.mark.parametrize("stepper", ("explicit", "semi-implicit"))
+@pytest.mark.parametrize("make", (fast_problem, heat_problem))
+def test_hand_stepping_reproduces_run(make, stepper):
+    """The public cfl_dt/advance pair, with dt truncated at each snapshot
+    time, is exactly what run does."""
+    prob = dataclasses.replace(make(64), stepper=stepper)
+    traj = cd.run(prob)
+    t, rho, mu = 0.0, prob.initial.rho0.values, prob.initial.mu0.values
+    log = []
+    for target, snap in zip(prob.snapshot_times[1:], traj.snapshots[1:]):
+        while t < target:
+            dt = cd.cfl_dt(rho, mu, prob)
+            landing = dt >= target - t
+            if landing:
+                dt = target - t
+            rho, mu, rec = cd.advance(rho, mu, t, dt, prob)
+            log.append(rec)
+            t = target if landing else t + dt
+        assert snap.t == t
+        assert np.array_equal(snap.rho.values, rho)
+        assert np.array_equal(snap.mu.values, mu)
+    assert tuple(log) == traj.step_log
 
 
 def test_small_alpha_run_stays_positive():
