@@ -19,6 +19,7 @@ Failures print a single line `error: <code>: <message>` to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -79,6 +80,8 @@ def _load_config(path: str, args):
     if getattr(args, "stepper", None):
         cfg = replace(cfg, stepper=args.stepper)
     if getattr(args, "eps", None) is not None:
+        if not math.isfinite(args.eps):
+            raise ConfigError(f"--eps must be a finite number, got {args.eps}")
         if args.eps < 0.0:
             raise ConfigError("--eps must be nonnegative")
         cfg = replace(cfg, eps=args.eps)

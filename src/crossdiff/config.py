@@ -22,6 +22,7 @@ snapshots=11, dir=out, precision=17.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +79,12 @@ class RunConfig:
 
 def _float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: not a finite number: {raw!r}")
+    return value
 
 
 def _int(raw: str, where: str) -> int:

@@ -3,11 +3,13 @@
 Cells are indexed 0..n-1 with centers x_i = (i + 1/2)*dx.  Interface i sits
 at x = (i+1)*dx, between cells i and i+1 (indices wrap), so cell-centered
 fields and interface fields both hold n values.  grad, div and
-interface_mean act on raw float64 arrays and are the only copies of these
-stencils; Field (a validated, read-only copy) is for data entering or
-leaving the solver, not for its inner loop.  grad and div are exact
-summation-by-parts partners: sum_i a_i div(g)_i dx = -sum_i grad(a)_i g_i dx
-up to roundoff, and div telescopes to zero over the torus.
+interface_mean act on raw 1-D float64 arrays and are the only copies of
+these stencils; each is one slice operation into a fresh output plus the
+wrap cell, bitwise equal to the same formula on a rolled copy.  Field
+(a validated, read-only copy) is for data entering or leaving the solver,
+not for its inner loop.  grad and div are exact summation-by-parts
+partners: sum_i a_i div(g)_i dx = -sum_i grad(a)_i g_i dx up to roundoff,
+and div telescopes to zero over the torus.
 """
 
 from __future__ import annotations
@@ -71,17 +73,29 @@ class Field:
 
 def grad(v: np.ndarray, dx: float) -> np.ndarray:
     """Two-point gradient at interfaces: (v[i+1] - v[i])/dx at interface i."""
-    return (np.roll(v, -1) - v) / dx
+    out = np.empty_like(v)
+    np.subtract(v[1:], v[:-1], out=out[:-1])
+    out[-1] = v[0] - v[-1]
+    out /= dx
+    return out
 
 
 def div(g: np.ndarray, dx: float) -> np.ndarray:
     """Conservative divergence: (g[i] - g[i-1])/dx in cell i."""
-    return (g - np.roll(g, 1)) / dx
+    out = np.empty_like(g)
+    np.subtract(g[1:], g[:-1], out=out[1:])
+    out[0] = g[0] - g[-1]
+    out /= dx
+    return out
 
 
 def interface_mean(v: np.ndarray) -> np.ndarray:
     """Mean of the two cells beside interface i: (v[i] + v[i+1])/2."""
-    return 0.5 * (v + np.roll(v, -1))
+    out = np.empty_like(v)
+    np.add(v[:-1], v[1:], out=out[:-1])
+    out[-1] = v[-1] + v[0]
+    out *= 0.5
+    return out
 
 
 def integrate(f: Field) -> float:

@@ -57,6 +57,15 @@ class Nonlinearity:
             return np.log(s)
         return -(self.alpha / (1.0 - self.alpha)) * s ** (self.alpha - 1.0)
 
+    def pressure_diffusivity(self, s):
+        """(pressure(s), diffusivity(s)) from one power evaluation; each is
+        bitwise equal to the separate call."""
+        s = self._clamped(s)
+        if self.alpha == 1.0:
+            return np.log(s), np.ones_like(s)  # alpha * s**0 is exactly 1
+        power = s ** (self.alpha - 1.0)
+        return -(self.alpha / (1.0 - self.alpha)) * power, self.alpha * power
+
     def pressure_slope(self, s):
         s = self._clamped(s)
         return self.alpha * s ** (self.alpha - 2.0)
@@ -202,8 +211,12 @@ class ProblemSpec:
     cfl_safety: float = 0.5
 
     def __post_init__(self):
+        if not np.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < 0.0:
             raise ValueError("t_final must be nonnegative")
+        if not np.isfinite(self.eps_viscosity):
+            raise ValueError(f"eps_viscosity must be finite, got {self.eps_viscosity}")
         if self.eps_viscosity < 0.0:
             raise ValueError("eps_viscosity must be nonnegative")
         if self.stepper not in STEPPERS:

@@ -11,13 +11,20 @@ diagnostics, not used for stepping.
 Flux convention: with velocity a = grad(pressure(S)) + V' at interfaces
 (interface_velocities), the update is rho <- rho + dt * div(F),
 F = rho_up * a + eps * grad(rho), where rho_up is the donor cell of the
-transport direction -a (rho_i when a < 0, rho_{i+1} otherwise).  The
+transport direction -a (rho_i when a < 0, rho_{i+1} otherwise); the eps
+term is skipped at eps = 0, where it would add +-0.0.  The
 semi-implicit stepper keeps only the potential drift explicit and solves
 the stiff aggregate diffusion S - dt * Lap(kirchhoff(S) + eps S) = S_drift
 by damped Newton, splitting the diffusive interface flux between the
 species by their donor-cell mobility fractions (exactly conservative per
-species).  cfl_dt and advance act on plain float64 cell arrays of rho and
-mu; run builds a State of Fields only for each snapshot it keeps.
+species).
+
+cfl_dt and advance act on plain float64 cell arrays of rho and mu, and a
+step evaluates the velocities once: cfl_dt(rho, mu, problem) returns
+(dt, velocities), with the same pressure power giving the diffusive bound,
+and advance(rho, mu, velocities, t, dt, problem) transports with them.
+run calls the pair once per step and builds a State of Fields only for
+each snapshot it keeps.
 """
 
 from __future__ import annotations
@@ -76,32 +83,48 @@ class Trajectory:
 
 def _donor(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     # donor cell of the transport direction -a at interface i
-    return np.where(a < 0.0, v, np.roll(v, -1))
+    up = np.empty_like(v)
+    up[:-1] = v[1:]
+    up[-1] = v[0]
+    np.putmask(up, a < 0.0, v)
+    return up
+
+
+def _velocities(pressure: np.ndarray, problem: ProblemSpec):
+    pot = problem.potentials
+    dp = grad(pressure, problem.grid.dx)
+    return dp + pot.dV_int, dp + pot.dW_int
 
 
 def interface_velocities(rho: np.ndarray, mu: np.ndarray,
                          problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Species velocities a_rho = grad(pressure(S)) + V', a_mu likewise with W'."""
-    nl, pot = problem.nonlinearity, problem.potentials
-    dp = grad(nl.pressure(rho + mu), problem.grid.dx)
-    return dp + pot.dV_int, dp + pot.dW_int
+    return _velocities(problem.nonlinearity.pressure(rho + mu), problem)
 
 
-def cfl_dt(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec) -> float:
+def cfl_dt(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec
+           ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Stable step: advective dx/max|a|, plus the diffusive dx^2 bound for
-    the explicit stepper (the semi-implicit one is advectively limited only)."""
+    the explicit stepper (the semi-implicit one is advectively limited only).
+
+    Returns (dt, velocities), velocities being interface_velocities(rho,
+    mu, problem), which advance takes so a step computes them once."""
     nl = problem.nonlinearity
     dx = problem.grid.dx
-    a_rho, a_mu = interface_velocities(rho, mu, problem)
-    amax = max(np.max(np.abs(a_rho)), np.max(np.abs(a_mu)), _VEL_FLOOR)
+    pressure, diffusivity = nl.pressure_diffusivity(rho + mu)
+    velocities = _velocities(pressure, problem)
+    a_rho, a_mu = velocities
+    amax = max(np.abs(a_rho).max(), np.abs(a_mu).max(), _VEL_FLOOR)
     dt = dx / amax
     if problem.stepper == "explicit":
-        diff_max = float(np.max(nl.diffusivity(rho + mu))) + problem.eps_viscosity
+        diff_max = float(diffusivity.max()) + problem.eps_viscosity
         dt = min(dt, dx * dx / (2.0 * diff_max))
-    return problem.cfl_safety * dt
+    return problem.cfl_safety * dt, velocities
 
 
 def _check_positive(v: np.ndarray, t: float, name: str) -> None:
+    if v.min() > 0.0 and v.max() < np.inf:  # NaN fails both: bad data goes on
+        return
     if not np.all(np.isfinite(v)):
         raise SolverError(f"positivity violated: non-finite {name} at t={t:.6g}")
     if np.any(v <= 0.0):
@@ -109,14 +132,21 @@ def _check_positive(v: np.ndarray, t: float, name: str) -> None:
         raise SolverError(f"positivity violated: {name} at cell {i}, t={t:.6g}")
 
 
-def _explicit_update(rho, mu, t_new: float, dt: float, problem: ProblemSpec):
+def _explicit_update(rho, mu, velocities, t_new: float, dt: float,
+                     problem: ProblemSpec):
     dx = problem.grid.dx
     eps = problem.eps_viscosity
     clamps = problem.nonlinearity.clamp_count(rho + mu)
     new = []
-    for v, a in zip((rho, mu), interface_velocities(rho, mu, problem)):
-        flux = _donor(v, a) * a + eps * grad(v, dx)
-        new.append(v + dt * div(flux, dx))
+    for v, a in zip((rho, mu), velocities):
+        flux = _donor(v, a)
+        flux *= a
+        if eps != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of v
+            flux += eps * grad(v, dx)
+        v_new = div(flux, dx)
+        v_new *= dt
+        v_new += v
+        new.append(v_new)
     _check_positive(new[0], t_new, "rho")
     _check_positive(new[1], t_new, "mu")
     return new[0], new[1], clamps, 0
@@ -135,7 +165,8 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
 
     def residual(s):
         q = nl.kirchhoff(s) + eps * s
-        return s - c * (np.roll(q, -1) - 2.0 * q + np.roll(q, 1)) - s_rhs
+        q_wrap = np.concatenate((q[-1:], q, q[:1]))  # one periodic ghost cell a side
+        return s - c * (q_wrap[2:] - 2.0 * q + q_wrap[:-2]) - s_rhs
 
     s = s_rhs.copy()
     res = residual(s)
@@ -166,7 +197,9 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     raise SolverError(f"newton did not converge, residual {norm:.3e}")
 
 
-def _semi_implicit_update(rho, mu, t_new: float, dt: float, problem: ProblemSpec):
+def _semi_implicit_update(rho, mu, velocities, t_new: float, dt: float,
+                          problem: ProblemSpec):
+    # velocities go unused: pressure is implicit here, the drift is V', W'
     nl, pot = problem.nonlinearity, problem.potentials
     dx = problem.grid.dx
     eps = problem.eps_viscosity
@@ -192,14 +225,15 @@ def _semi_implicit_update(rho, mu, t_new: float, dt: float, problem: ProblemSpec
     return rho_new, mu_new, clamps, iters
 
 
-def advance(rho: np.ndarray, mu: np.ndarray, t: float, dt: float,
+def advance(rho: np.ndarray, mu: np.ndarray, velocities, t: float, dt: float,
             problem: ProblemSpec):
-    """One step from time t with the problem's stepper; returns the new
-    (rho, mu) arrays and the StepRecord."""
+    """One step from time t with the problem's stepper; velocities are the
+    ones cfl_dt returned for (rho, mu).  Returns the new (rho, mu) arrays
+    and the StepRecord."""
     if dt <= 0.0:
         raise SolverError(f"nonpositive dt {dt}")
     update = _explicit_update if problem.stepper == "explicit" else _semi_implicit_update
-    rho_new, mu_new, clamps, iters = update(rho, mu, t + dt, dt, problem)
+    rho_new, mu_new, clamps, iters = update(rho, mu, velocities, t + dt, dt, problem)
     return rho_new, mu_new, StepRecord(t, dt, clamps, iters)
 
 
@@ -213,12 +247,12 @@ def run(problem: ProblemSpec) -> Trajectory:
     for target in problem.snapshot_times[1:]:
         while t < target:
             remaining = target - t
-            dt = cfl_dt(rho, mu, problem)
+            dt, velocities = cfl_dt(rho, mu, problem)
             landing = dt >= remaining
             if landing:
                 dt = remaining
             try:
-                rho, mu, rec = advance(rho, mu, t, dt, problem)
+                rho, mu, rec = advance(rho, mu, velocities, t, dt, problem)
             except SolverError as err:
                 raise SolverError(f"{err} (while integrating to t={target:.6g})") from err
             log.append(rec)

@@ -404,3 +404,31 @@ def test_main_study_levels_flag(tmp_path):
     assert main(["study", cfg, "--out", str(out), "--levels", "3"]) == 0
     rows = (out / "levels.csv").read_text().strip().split("\n")
     assert len(rows) == 4  # header + 3 levels
+
+
+@pytest.mark.parametrize("edit, args", [
+    # t_final = nan with one snapshot used to finish "run complete" with exit 0
+    (("t_final = 0.05", "t_final = nan\nsnapshots = 1"), ()),
+    # eps = nan used to die at the first step ("non-finite rho"), exit 3
+    (("t_final = 0.05", "t_final = 0.05\neps = nan"), ()),
+    (None, ("--eps", "nan")),
+    # eps = inf used to die with "nonpositive dt 0.0", exit 3
+    (("t_final = 0.05", "t_final = 0.05\neps = inf"), ()),
+    (None, ("--eps", "inf")),
+])
+def test_main_rejects_non_finite_floats(tmp_path, capsys, edit, args):
+    cfg = _write_cfg(tmp_path, MINIMAL.replace(*edit) if edit else MINIMAL)
+    code = main(["run", cfg, "--out", str(tmp_path / "o"), *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: 2:") and "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("raw", ("nan", "inf", "-inf", "NaN", "Infinity"))
+def test_parse_rejects_non_finite_values(raw):
+    for old, new in (("alpha = 1.0", f"alpha = {raw}"),
+                     ("rho_offset = 0.5", f"rho_offset = {raw}"),
+                     ("t_final = 0.05", f"t_final = 0.05\ncfl_safety = {raw}")):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            parse_config(MINIMAL.replace(old, new))

@@ -124,3 +124,31 @@ def test_shift_isometry_and_commutation():
             integrate(Field(g, np.abs(f.values))), abs=1e-14)
         assert np.array_equal(grad(shifted.values, g.dx),
                               np.roll(grad(f.values, g.dx), m))
+
+
+def _grad_roll(v, dx):
+    return (np.roll(v, -1) - v) / dx
+
+
+def _div_roll(g, dx):
+    return (g - np.roll(g, 1)) / dx
+
+
+def _interface_mean_roll(v):
+    return 0.5 * (v + np.roll(v, -1))
+
+
+@pytest.mark.parametrize("n", (4, 5, 512))
+def test_slice_stencils_match_roll_formulas_bitwise(n):
+    """The slice stencils compute the np.roll formulas above bit for bit,
+    the wrap cell and signed zeros included."""
+    rng = np.random.default_rng(n)
+    dx = cd.make_grid(n).dx
+    for v in (rng.normal(size=n), rng.uniform(1e-8, 1e3, n) * 10.0 ** rng.integers(-8, 8, n),
+              np.where(rng.random(n) < 0.5, 0.0, -0.0)):
+        v.setflags(write=False)  # stencils must not write to their input
+        for got, want in ((grad(v, dx), _grad_roll(v, dx)),
+                          (div(v, dx), _div_roll(v, dx)),
+                          (interface_mean(v), _interface_mean_roll(v))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -187,3 +187,20 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError, match="stepper"):
         cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, initial=init,
                        t_final=1.0, snapshot_times=(0.0, 1.0), stepper="rk4")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, initial=init,
+                           t_final=bad, snapshot_times=(0.0,))
+        with pytest.raises(ValueError, match="eps_viscosity must be finite"):
+            cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, initial=init,
+                           t_final=1.0, snapshot_times=(0.0, 1.0), eps_viscosity=bad)
+
+
+@pytest.mark.parametrize("alpha", (0.01, 0.3, 0.5, 0.999, 1.0))
+def test_pressure_diffusivity_equals_separate_calls_bitwise(alpha):
+    nl = cd.Nonlinearity(alpha, s_floor=1e-3)
+    s = np.random.default_rng(4).uniform(0.0, 5.0, 257)
+    s[:3] = (0.0, 1e-6, 1e-3)  # clamped, clamped, at the floor
+    pressure, diffusivity = nl.pressure_diffusivity(s)
+    assert pressure.tobytes() == nl.pressure(s).tobytes()
+    assert diffusivity.tobytes() == nl.diffusivity(s).tobytes()

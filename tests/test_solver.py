@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossdiff as cd
 import crossdiff.solver
@@ -21,6 +23,11 @@ def _problem(grid, alpha=0.5, modes_V=(), modes_W=(), stepper="explicit",
         initial=cd.validate_initial(rho0, mu0),
         t_final=t_final, snapshot_times=(0.0, t_final),
         stepper=stepper, eps_viscosity=eps, cfl_safety=cfl)
+
+
+def _step(rho, mu, t, dt, prob):
+    """advance with the velocities of (rho, mu), at a dt of the caller's choosing."""
+    return cd.advance(rho, mu, cd.interface_velocities(rho, mu, prob), t, dt, prob)
 
 
 def test_velocities_vanish_for_constant_data():
@@ -58,7 +65,7 @@ def test_step_explicit_stationary():
     rho0 = Field(g, 0.5 + 0.25 * np.cos(2 * np.pi * x))
     mu0 = Field(g, 1.0 - rho0.values)
     prob = _problem(g, alpha=0.5, rho0=rho0, mu0=mu0)
-    rho, mu, _ = cd.advance(rho0.values, mu0.values, 0.0, 1e-5, prob)
+    rho, mu, _ = _step(rho0.values, mu0.values, 0.0, 1e-5, prob)
     assert np.max(np.abs(rho - rho0.values)) <= 1e-15
     assert np.max(np.abs(mu - mu0.values)) <= 1e-15
 
@@ -70,8 +77,8 @@ def test_step_explicit_conserves_mass():
     mu0 = Field(g, rng.uniform(0.3, 2.0, 64))
     prob = _problem(g, alpha=0.5, modes_V=[(1, 0.2, 0.0)],
                     modes_W=[(2, 0.0, 0.3)], rho0=rho0, mu0=mu0, eps=0.01)
-    dt = cd.cfl_dt(rho0.values, mu0.values, prob)
-    rho, mu, _ = cd.advance(rho0.values, mu0.values, 0.0, dt, prob)
+    dt, velocities = cd.cfl_dt(rho0.values, mu0.values, prob)
+    rho, mu, _ = cd.advance(rho0.values, mu0.values, velocities, 0.0, dt, prob)
     assert abs(integrate(Field(g, rho)) - integrate(rho0)) <= 1e-14
     assert abs(integrate(Field(g, mu)) - integrate(mu0)) <= 1e-14
 
@@ -82,7 +89,7 @@ def test_step_explicit_positivity_error():
     rho0 = Field(g, 0.01 + 0.009 * np.cos(2 * np.pi * x))
     prob = _problem(g, alpha=1.0, modes_V=[(1, 2.0, 0.0)], rho0=rho0)
     with pytest.raises(SolverError, match="positivity violated"):
-        cd.advance(rho0.values, np.ones(32), 0.0, 0.5, prob)  # far beyond the CFL bound
+        _step(rho0.values, np.ones(32), 0.0, 0.5, prob)  # far beyond the CFL bound
 
 
 def test_heat_scenario_matches_fourier_solution():
@@ -102,7 +109,7 @@ def test_heat_scenario_matches_fourier_solution():
 def test_semi_implicit_constant_fixed_point():
     g = cd.make_grid(64)
     prob = _problem(g, alpha=0.5, stepper="semi-implicit")
-    rho, mu, _ = cd.advance(np.full(64, 0.7), np.full(64, 0.7), 0.0, 1e-3, prob)
+    rho, mu, _ = _step(np.full(64, 0.7), np.full(64, 0.7), 0.0, 1e-3, prob)
     assert np.max(np.abs(rho - 0.7)) <= 1e-13
     assert np.max(np.abs(mu - 0.7)) <= 1e-13
 
@@ -118,8 +125,8 @@ def test_semi_implicit_agrees_with_explicit_at_small_dt():
     rho, mu = f0.values, f0.values
     max_diff = 0.0
     for _ in range(100):
-        rho_e, mu_e, _ = cd.advance(rho, mu, 0.0, dt, probE)
-        rho_i = cd.advance(rho, mu, 0.0, dt, probI)[0]
+        rho_e, mu_e, _ = _step(rho, mu, 0.0, dt, probE)
+        rho_i = _step(rho, mu, 0.0, dt, probI)[0]
         max_diff = max(max_diff, float(np.max(np.abs(rho_e - rho_i))))
         rho, mu = rho_e, mu_e
     c_measured = max_diff / dt**2
@@ -153,12 +160,12 @@ def test_cfl_formula():
     mu0 = Field(g, 1.0 - rho0.values)
     prob = _problem(g, alpha=1.0, rho0=rho0, mu0=mu0)
     st = (rho0.values, mu0.values)
-    assert cd.cfl_dt(*st, prob) == pytest.approx(0.5 * g.dx**2 / 2.0, rel=1e-12)
-    assert cd.cfl_dt(*st, prob) == pytest.approx(1.526e-5, rel=1e-3)
+    assert cd.cfl_dt(*st, prob)[0] == pytest.approx(0.5 * g.dx**2 / 2.0, rel=1e-12)
+    assert cd.cfl_dt(*st, prob)[0] == pytest.approx(1.526e-5, rel=1e-3)
     # eps = 1 doubles the diffusive denominator
     prob_eps = dataclasses.replace(prob, eps_viscosity=1.0)
-    assert cd.cfl_dt(*st, prob_eps) == pytest.approx(0.5 * cd.cfl_dt(*st, prob),
-                                                     rel=1e-12)
+    assert cd.cfl_dt(*st, prob_eps)[0] == pytest.approx(0.5 * cd.cfl_dt(*st, prob)[0],
+                                                        rel=1e-12)
 
 
 def test_cfl_fast_diffusion_scaling():
@@ -168,8 +175,8 @@ def test_cfl_fast_diffusion_scaling():
     f = Field.constant(g, 5e-5)
     prob_half = _problem(g, alpha=0.5, rho0=f, mu0=f)
     prob_one = _problem(g, alpha=1.0, rho0=f, mu0=f)
-    ratio = (cd.cfl_dt(f.values, f.values, prob_half)
-             / cd.cfl_dt(f.values, f.values, prob_one))
+    ratio = (cd.cfl_dt(f.values, f.values, prob_half)[0]
+             / cd.cfl_dt(f.values, f.values, prob_one)[0])
     assert ratio == pytest.approx(1.0 / 50.0, rel=1e-12)
 
 
@@ -320,11 +327,11 @@ def test_hand_stepping_reproduces_run(make, stepper):
     log = []
     for target, snap in zip(prob.snapshot_times[1:], traj.snapshots[1:]):
         while t < target:
-            dt = cd.cfl_dt(rho, mu, prob)
+            dt, velocities = cd.cfl_dt(rho, mu, prob)
             landing = dt >= target - t
             if landing:
                 dt = target - t
-            rho, mu, rec = cd.advance(rho, mu, t, dt, prob)
+            rho, mu, rec = cd.advance(rho, mu, velocities, t, dt, prob)
             log.append(rec)
             t = target if landing else t + dt
         assert snap.t == t
@@ -347,3 +354,96 @@ def test_small_alpha_run_stays_positive():
         assert min(np.min(s.rho.values) for s in traj.snapshots) > 0
         assert abs(integrate(traj.snapshots[-1].rho)
                    - integrate(traj.snapshots[0].rho)) <= 1e-13
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "positivity violated: non-finite rho at t=0.25"),
+    (np.inf, "positivity violated: non-finite rho at t=0.25"),
+    (-np.inf, "positivity violated: non-finite rho at t=0.25"),
+    (0.0, "positivity violated: rho at cell 3, t=0.25"),
+    (-0.0, "positivity violated: rho at cell 3, t=0.25"),
+    (-1e-300, "positivity violated: rho at cell 3, t=0.25"),
+])
+def test_positivity_check_messages(bad, message):
+    v = np.linspace(0.5, 1.5, 16)
+    v[3] = bad
+    v[9] = -1.0  # a later bad cell: the message names the first one
+    with pytest.raises(SolverError) as info:
+        crossdiff.solver._check_positive(v, 0.25, "rho")
+    assert str(info.value) == message
+
+
+def test_positivity_check_accepts_extreme_positive_values():
+    v = np.array([5e-324, 1e-300, 1.0, np.finfo(float).max])
+    crossdiff.solver._check_positive(v, 0.0, "mu")
+
+
+def _reference_explicit_step(rho, mu, t, prob):
+    """cfl_dt followed by one explicit advance, as written with np.roll and
+    two velocity evaluations before the slice stencils; kept as the oracle."""
+    nl, pot = prob.nonlinearity, prob.potentials
+    dx, eps = prob.grid.dx, prob.eps_viscosity
+
+    def grad_(v):
+        return (np.roll(v, -1) - v) / dx
+
+    def div_(g):
+        return (g - np.roll(g, 1)) / dx
+
+    def velocities():
+        dp = grad_(nl.pressure(rho + mu))
+        return dp + pot.dV_int, dp + pot.dW_int
+
+    a_rho, a_mu = velocities()
+    amax = max(np.max(np.abs(a_rho)), np.max(np.abs(a_mu)), 1e-30)
+    dt = dx / amax
+    diff_max = float(np.max(nl.diffusivity(rho + mu))) + eps
+    dt = prob.cfl_safety * min(dt, dx * dx / (2.0 * diff_max))
+    clamps = nl.clamp_count(rho + mu)
+    new = []
+    for v, a in zip((rho, mu), velocities()):
+        flux = np.where(a < 0.0, v, np.roll(v, -1)) * a + eps * grad_(v)
+        new.append(v + dt * div_(flux))
+    positive = all(np.all(np.isfinite(v)) and np.all(v > 0.0) for v in new)
+    return dt, new[0], new[1], cd.StepRecord(t, dt, clamps, 0), positive
+
+
+@st.composite
+def _explicit_cases(draw):
+    n = draw(st.integers(4, 64))
+    kmax = n // 4
+    coef = st.floats(-1.0, 1.0, allow_subnormal=False)
+    modes = st.lists(st.tuples(st.integers(0, kmax), coef, coef), min_size=1, max_size=2)
+    density = st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n)
+    return dict(n=n, alpha=draw(st.floats(0.01, 1.0, exclude_max=True) | st.just(1.0)),
+                eps=draw(st.just(0.0) | st.floats(1e-6, 0.5)),
+                s_floor=draw(st.sampled_from((1e-12, 2.0))),
+                cfl=draw(st.sampled_from((0.5, 1.0))),
+                modes_V=draw(modes), modes_W=draw(modes),
+                rho=np.array(draw(density)), mu=np.array(draw(density)),
+                t=draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_explicit_cases())
+def test_explicit_step_bitwise_equals_roll_reference(case):
+    g = cd.make_grid(case["n"])
+    rho, mu = case["rho"], case["mu"]
+    prob = cd.ProblemSpec(
+        grid=g, nonlinearity=cd.Nonlinearity(case["alpha"], case["s_floor"]),
+        potentials=cd.build_potentials(case["modes_V"], case["modes_W"], g),
+        initial=cd.validate_initial(Field(g, rho), Field(g, mu)),
+        t_final=1.0, snapshot_times=(0.0, 1.0), eps_viscosity=case["eps"],
+        cfl_safety=case["cfl"])
+    dt_ref, rho_ref, mu_ref, rec_ref, positive = _reference_explicit_step(
+        rho, mu, case["t"], prob)
+    dt, velocities = cd.cfl_dt(rho, mu, prob)
+    assert dt == dt_ref
+    if not positive:
+        with pytest.raises(SolverError, match="positivity violated"):
+            cd.advance(rho, mu, velocities, case["t"], dt, prob)
+        return
+    rho_new, mu_new, rec = cd.advance(rho, mu, velocities, case["t"], dt, prob)
+    assert rho_new.tobytes() == rho_ref.tobytes()
+    assert mu_new.tobytes() == mu_ref.tobytes()
+    assert rec == rec_ref
