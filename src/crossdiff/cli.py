@@ -88,6 +88,9 @@ def _load_config(path: str, args):
     if getattr(args, "levels", None) is not None:
         if args.levels < 2:
             raise ConfigError("--levels must be >= 2")
+        if cfg.study_viscosity and len(cfg.study_viscosity) != args.levels:
+            raise ConfigError(f"--levels {args.levels} does not match the "
+                              f"{len(cfg.study_viscosity)} [study] viscosity entries")
         cfg = replace(cfg, study_levels=args.levels)
     return cfg
 

@@ -235,6 +235,11 @@ def parse_config(text: str) -> RunConfig:
     if levels < 2:
         raise ConfigError("[study] levels must be >= 2")
     viscosity = _floats(opt("study", "viscosity", ""), "[study] viscosity")
+    if any(e < 0.0 for e in viscosity):
+        raise ConfigError("[study] viscosity entries must be nonnegative")
+    if viscosity and len(viscosity) != levels:
+        raise ConfigError(f"[study] viscosity needs one entry per level "
+                          f"({levels}), got {len(viscosity)}")
 
     return RunConfig(
         n_cells=n, alpha=alpha, s_floor=s_floor,

@@ -17,7 +17,9 @@ semi-implicit stepper keeps only the potential drift explicit and solves
 the stiff aggregate diffusion S - dt * Lap(kirchhoff(S) + eps S) = S_drift
 by damped Newton, splitting the diffusive interface flux between the
 species by their donor-cell mobility fractions (exactly conservative per
-species).
+species).  Each Newton iteration is one O(n) periodic tridiagonal solve:
+LAPACK gtsv on the Jacobian without its corners, plus a Sherman-Morrison
+correction for them.
 
 cfl_dt and advance act on plain float64 cell arrays of rho and mu, and a
 step evaluates the velocities once: cfl_dt(rho, mu, problem) returns
@@ -32,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgtsv
 
 from .grid import Field, div, grad
 from .model import ProblemSpec
@@ -152,16 +153,40 @@ def _explicit_update(rho, mu, velocities, t_new: float, dt: float,
     return new[0], new[1], clamps, 0
 
 
+def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve J x = rhs for the cyclic tridiagonal J[i, i] = 1 + 2 cd[i],
+    J[i, i -+ 1] = -cd[i -+ 1] (indices mod n) in O(n).
+
+    J = T + u v^T, u = gamma e_0 + J[n-1, 0] e_{n-1}, v = e_0 + (J[0, n-1] /
+    gamma) e_{n-1} with gamma = -J[0, 0], leaves T tridiagonal.  One LAPACK
+    gtsv call solves T y = rhs and T z = u, and Sherman-Morrison gives
+    x = y - (v.y) / (1 + v.z) z.  With cd >= 0 both J and T are strictly
+    diagonally dominant by columns, hence nonsingular."""
+    n = cd.size
+    diag = 1.0 + 2.0 * cd
+    gamma = -diag[0]
+    lower, upper = -cd[0], -cd[-1]  # the corners J[n-1, 0] and J[0, n-1]
+    diag[0] -= gamma
+    diag[-1] -= lower * upper / gamma
+    b = np.zeros((n, 2), order="F")
+    b[:, 0] = rhs
+    b[0, 1] = gamma
+    b[-1, 1] = lower
+    _, _, _, yz, info = dgtsv(-cd[:-1], diag, -cd[1:], b, overwrite_dl=True,
+                              overwrite_d=True, overwrite_du=True, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"tridiagonal solve failed, LAPACK gtsv info {info}")
+    y, z = yz[:, 0], yz[:, 1]
+    ratio = upper / gamma
+    return y - (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]) * z
+
+
 def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     """Solve S - dt * Lap(kirchhoff(S) + eps S) = s_rhs by damped Newton."""
     nl = problem.nonlinearity
     eps = problem.eps_viscosity
     dx = problem.grid.dx
-    n = s_rhs.size
     c = dt / (dx * dx)
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([(idx - 1) % n, idx, (idx + 1) % n])
 
     def residual(s):
         q = nl.kirchhoff(s) + eps * s
@@ -175,12 +200,7 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     for it in range(NEWTON_MAXIT):
         if norm <= NEWTON_TOL:
             return s, it, clamps
-        d = nl.diffusivity(s) + eps
-        vals = np.concatenate([-c * d[(idx - 1) % n],
-                               1.0 + 2.0 * c * d,
-                               -c * d[(idx + 1) % n]])
-        jac = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        delta = spsolve(jac, -res)
+        delta = _solve_periodic_tridiagonal(c * (nl.diffusivity(s) + eps), -res)
         lam = 1.0
         for _ in range(30):
             trial = s + lam * delta

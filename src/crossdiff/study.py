@@ -41,6 +41,8 @@ class StudyPlan:
             raise ValueError("viscosity_schedule length must equal levels")
         object.__setattr__(self, "viscosity_schedule",
                            tuple(float(e) for e in self.viscosity_schedule))
+        if not all(0.0 <= e < np.inf for e in self.viscosity_schedule):
+            raise ValueError("viscosity_schedule entries must be finite and nonnegative")
         times = self.comparison_times or self.base.snapshot_times
         bad = [t for t in times if t not in self.base.snapshot_times]
         if bad:

@@ -124,6 +124,17 @@ def test_parse_nonpositive_initial_rejected():
         build_problem(parse_config(text))
 
 
+@pytest.mark.parametrize("study, message", [
+    ("levels = 2\nviscosity = 1e-3", r"one entry per level \(2\), got 1"),
+    ("levels = 2\nviscosity = 1e-3, 5e-4, 2.5e-4", r"one entry per level \(2\), got 3"),
+    ("levels = 2\nviscosity = -1e-3, 1e-3", "must be nonnegative"),
+    ("levels = 2\nviscosity = 1e-3, nan", "not a finite number"),
+])
+def test_parse_rejects_bad_viscosity_schedule(study, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(FAST + "\n[study]\n" + study + "\n")
+
+
 def test_dump_config_round_trip():
     for text in (MINIMAL, FAST):
         cfg = parse_config(text)
@@ -309,6 +320,19 @@ def test_module_entry_point(tmp_path):
     assert proc.stderr.startswith("error: 2:")
 
 
+def test_cli_import_loads_no_sparse_modules():
+    # scipy.sparse costs setup time and resident memory; the solver needs only
+    # scipy.linalg.lapack
+    src = str(Path(crossdiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import crossdiff.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _corrupt_snapshots(traj_dir, defect):
     paths = sorted(traj_dir.glob("snapshot_*.csv"))
     if defect == "header":
@@ -404,6 +428,21 @@ def test_main_study_levels_flag(tmp_path):
     assert main(["study", cfg, "--out", str(out), "--levels", "3"]) == 0
     rows = (out / "levels.csv").read_text().strip().split("\n")
     assert len(rows) == 4  # header + 3 levels
+
+
+@pytest.mark.parametrize("study, args", [
+    # both used to fail inside run_study and exit 3 (runtime)
+    ("levels = 2\nviscosity = 1e-3", ()),
+    ("levels = 2\nviscosity = -1e-3, 1e-3", ()),
+    ("levels = 2\nviscosity = 1e-3, 5e-4", ("--levels", "3")),
+])
+def test_main_study_rejects_bad_viscosity_schedule(tmp_path, capsys, study, args):
+    cfg = _write_cfg(tmp_path, MINIMAL.replace("n = 128", "n = 16")
+                     + "\n[study]\n" + study + "\n")
+    code = main(["study", cfg, "--out", str(tmp_path / "s"), *args])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: 2:")
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("edit, args", [

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 import crossdiff as cd
 import crossdiff.solver
@@ -447,3 +449,129 @@ def test_explicit_step_bitwise_equals_roll_reference(case):
     assert rho_new.tobytes() == rho_ref.tobytes()
     assert mu_new.tobytes() == mu_ref.tobytes()
     assert rec == rec_ref
+
+
+def _dense_cyclic_jacobian(cd_):
+    """J[i, i] = 1 + 2 cd[i], J[i, i -+ 1] = -cd[i -+ 1], indices mod n."""
+    n = cd_.size
+    jac = np.diag(1.0 + 2.0 * cd_)
+    for i in range(n):
+        jac[i, (i - 1) % n] -= cd_[(i - 1) % n]
+        jac[i, (i + 1) % n] -= cd_[(i + 1) % n]
+    return jac
+
+
+def _relative_residual(jac, x, rhs):
+    norm = np.linalg.norm
+    return norm(jac @ x - rhs, np.inf) / (norm(jac, np.inf) * norm(x, np.inf)
+                                          + norm(rhs, np.inf))
+
+
+@st.composite
+def _tridiagonal_cases(draw):
+    n = draw(st.integers(4, 64))
+    coef = st.just(0.0) | st.floats(-6.0, 10.0).map(lambda e: 10.0**e)
+    rhs = st.floats(-1e3, 1e3, allow_subnormal=False)
+    return (np.array(draw(st.lists(coef, min_size=n, max_size=n))),
+            np.array(draw(st.lists(rhs, min_size=n, max_size=n).filter(any))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_tridiagonal_cases())
+@example((np.zeros(4), np.arange(1.0, 5.0)))
+@example((np.array([1e10, 0.0, 1e-6, 3.0]), np.array([1.0, -2.0, 0.5, 1e3])))
+def test_periodic_tridiagonal_solve_matches_dense(case):
+    cd_, rhs = case
+    x = crossdiff.solver._solve_periodic_tridiagonal(cd_, rhs)
+    jac = _dense_cyclic_jacobian(cd_)
+    x_ref = np.linalg.solve(jac, rhs)
+    assert _relative_residual(jac, x, rhs) <= 1e-12
+    assert _relative_residual(jac, x_ref, rhs) <= 1e-12
+    # equal up to the conditioning of J, as two backward-stable solves are
+    bound = 1e-12 * np.linalg.cond(jac, np.inf) * np.abs(x_ref).max()
+    assert np.abs(x - x_ref).max() <= bound
+
+
+def _reference_implicit_diffusion(s_rhs, dt, problem):
+    """The damped Newton with a COO -> CSR Jacobian and scipy's spsolve per
+    iteration, as before the periodic tridiagonal solve; kept as the oracle."""
+    nl = problem.nonlinearity
+    eps = problem.eps_viscosity
+    dx = problem.grid.dx
+    n = s_rhs.size
+    c = dt / (dx * dx)
+    idx = np.arange(n)
+    rows = np.concatenate([idx, idx, idx])
+    cols = np.concatenate([(idx - 1) % n, idx, (idx + 1) % n])
+
+    def residual(s):
+        q = nl.kirchhoff(s) + eps * s
+        q_wrap = np.concatenate((q[-1:], q, q[:1]))
+        return s - c * (q_wrap[2:] - 2.0 * q + q_wrap[:-2]) - s_rhs
+
+    s = s_rhs.copy()
+    res = residual(s)
+    norm = float(np.max(np.abs(res)))
+    clamps = 0
+    for it in range(crossdiff.solver.NEWTON_MAXIT):
+        if norm <= crossdiff.solver.NEWTON_TOL:
+            return s, it, clamps
+        d = nl.diffusivity(s) + eps
+        vals = np.concatenate([-c * d[(idx - 1) % n],
+                               1.0 + 2.0 * c * d,
+                               -c * d[(idx + 1) % n]])
+        jac = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        delta = spsolve(jac, -res)
+        lam = 1.0
+        for _ in range(30):
+            trial = s + lam * delta
+            clamps += nl.clamp_count(trial)
+            res_t = residual(trial)
+            norm_t = float(np.max(np.abs(res_t)))
+            if norm_t < norm:
+                s, res, norm = trial, res_t, norm_t
+                break
+            lam *= 0.5
+        else:
+            raise SolverError(
+                f"newton stalled, residual {norm:.3e} after {it + 1} iterations")
+    raise SolverError(f"newton did not converge, residual {norm:.3e}")
+
+
+@st.composite
+def _newton_cases(draw):
+    n = draw(st.integers(4, 64))
+    return dict(n=n, alpha=draw(st.floats(0.01, 1.0)),
+                eps=draw(st.just(0.0) | st.floats(1e-6, 0.5)),
+                s_floor=draw(st.sampled_from((1e-12, 1.0))),
+                dt=10.0 ** draw(st.floats(-7.0, 0.0)),
+                s_rhs=10.0 ** np.array(draw(st.lists(st.floats(-4.0, 0.7),
+                                                     min_size=n, max_size=n))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_newton_cases())
+def test_newton_matches_sparse_reference(case):
+    g = cd.make_grid(case["n"])
+    prob = dataclasses.replace(
+        _problem(g, stepper="semi-implicit", eps=case["eps"]),
+        nonlinearity=cd.Nonlinearity(case["alpha"], case["s_floor"]))
+    s_rhs = case["s_rhs"]
+    try:
+        s_ref, iters_ref, clamps_ref = _reference_implicit_diffusion(s_rhs, case["dt"], prob)
+    except SolverError as err:
+        with pytest.raises(SolverError, match=str(err).split(",")[0]):
+            crossdiff.solver._implicit_diffusion(s_rhs, case["dt"], prob)
+        return
+    s, iters, clamps = crossdiff.solver._implicit_diffusion(s_rhs, case["dt"], prob)
+    assert (iters, clamps) == (iters_ref, clamps_ref)
+    assert np.abs(s - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
+
+
+def test_periodic_tridiagonal_solve_reports_lapack_failure(monkeypatch):
+    def failing_gtsv(dl, d, du, b, **_):
+        return dl, d, du, b, 2
+
+    monkeypatch.setattr(crossdiff.solver, "dgtsv", failing_gtsv)
+    with pytest.raises(SolverError, match="gtsv info 2"):
+        crossdiff.solver._solve_periodic_tridiagonal(np.ones(4), np.ones(4))

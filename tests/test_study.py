@@ -40,6 +40,9 @@ def test_plan_validation():
         cd.StudyPlan(base=base, levels=1)
     with pytest.raises(ValueError, match="viscosity_schedule length"):
         cd.StudyPlan(base=base, levels=3, viscosity_schedule=(1e-2, 5e-3))
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cd.StudyPlan(base=base, levels=2, viscosity_schedule=(1e-3, bad))
     with pytest.raises(ValueError, match="not a snapshot time"):
         cd.StudyPlan(base=base, levels=2, comparison_times=(0.017,))
 
