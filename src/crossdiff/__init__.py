@@ -6,8 +6,8 @@ from .grid import Field, GridSpec, integrate, make_grid
 from .model import (InitialData, Nonlinearity, PotentialPair, ProblemSpec,
                     build_potentials, validate_initial)
 from .transforms import shifted_gradient, to_sum_ratio
-from .solver import (SolverError, State, StepRecord, Trajectory, advance,
-                     cfl_dt, interface_velocities, run)
+from .solver import (SolverError, StepRecord, Trajectory, advance, cfl_dt,
+                     interface_velocities, run)
 from .diagnostics import (DiagnosticsReport, TestFunctionBank, build_report,
                           bv_norms, dissipation_beta, energy, entropy,
                           equicontinuity_moduli, lebesgue_norms,
@@ -21,7 +21,7 @@ __all__ = [
     "InitialData", "Nonlinearity", "PotentialPair", "ProblemSpec",
     "build_potentials", "validate_initial",
     "shifted_gradient", "to_sum_ratio",
-    "SolverError", "State", "StepRecord", "Trajectory", "advance", "cfl_dt",
+    "SolverError", "StepRecord", "Trajectory", "advance", "cfl_dt",
     "interface_velocities", "run",
     "DiagnosticsReport", "TestFunctionBank", "build_report", "bv_norms",
     "dissipation_beta", "energy", "entropy", "equicontinuity_moduli",

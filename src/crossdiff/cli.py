@@ -114,7 +114,7 @@ def _cmd_run(args) -> int:
     (out / "run.cfg").write_text(dump_config(cfg))
     write_snapshots(traj, out, cfg.precision)
     write_report_csv(report, out, cfg.precision)
-    print(f"run complete: {len(traj.snapshots)} snapshots, "
+    print(f"run complete: {len(traj.times)} snapshots, "
           f"{len(traj.step_log)} steps, clamp_events={report.clamp_events}, "
           f"output in {out}")
     return EXIT_OK
@@ -140,12 +140,12 @@ def _cmd_diagnose(args) -> int:
     if not cfg_path.exists():
         raise ConfigError(f"no run.cfg in {traj_dir}")
     cfg = parse_config(cfg_path.read_text())
-    snapshots = read_snapshots(traj_dir, make_grid(cfg.n_cells))
-    problem = build_problem(cfg, snapshot_times=tuple(s.t for s in snapshots))
-    report = _report(cfg, Trajectory(problem, tuple(snapshots), ()))
+    times, states = read_snapshots(traj_dir, make_grid(cfg.n_cells))
+    problem = build_problem(cfg, snapshot_times=tuple(times.tolist()))
+    report = _report(cfg, Trajectory(problem, times, states, ()))
     out = Path(args.out) if args.out else traj_dir / "diagnose"
     write_report_csv(report, out, cfg.precision)
-    print(f"diagnose complete: {len(snapshots)} snapshots, output in {out}")
+    print(f"diagnose complete: {len(times)} snapshots, output in {out}")
     return EXIT_OK
 
 

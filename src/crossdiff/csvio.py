@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import SCALAR_COLUMNS, DiagnosticsReport
-from .solver import State, Trajectory
+from .solver import Trajectory
 from .study import StudyReport
-from .grid import Field, GridSpec
+from .grid import GridSpec
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -72,31 +72,49 @@ def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path
     out = Path(out_dir)
     written = []
     xc = traj.problem.grid.cell_centers()
-    for snap in traj.snapshots:
+    for t, (rho, mu) in zip(traj.times, traj.states):
         lines = ["x,rho,mu"]
-        for x, r, m in zip(xc, snap.rho.values, snap.mu.values):
+        for x, r, m in zip(xc, rho, mu):
             lines.append(",".join(_fmt(v, precision) for v in (x, r, m)))
-        path = out / snapshot_filename(snap.t)
+        path = out / snapshot_filename(t)
         _write_atomic(path, lines)
         written.append(path)
     return written
 
 
-def read_snapshots(traj_dir, grid: GridSpec) -> list[State]:
-    """Load snapshot_<t>.csv files back into states, sorted by time."""
-    found = []
+def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Load snapshot_<t>.csv files, sorted by time, as (times, states): a
+    (T,) array and a read-only (T, 2, n) array with rho in [:, 0] and mu in
+    [:, 1].  Every density must parse, be finite and be positive."""
+    stamped = []
     for path in Path(traj_dir).glob("snapshot_*.csv"):
-        t = float(path.stem[len("snapshot_"):])
-        header, data = read_table(path)
-        if header != ["x", "rho", "mu"]:
-            raise ValueError(f"{path}: unexpected snapshot header {','.join(header)!r}")
-        if data.shape[0] != grid.n_cells:
-            raise ValueError(f"{path}: expected {grid.n_cells} rows, got {data.shape[0]}")
-        found.append(State(t, Field(grid, data[:, 1]), Field(grid, data[:, 2])))
-    if not found:
+        try:
+            stamped.append((float(path.stem[len("snapshot_"):]), path))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    if not stamped:
         raise ValueError(f"no snapshot_*.csv files in {traj_dir}")
-    found.sort(key=lambda s: s.t)
-    return found
+    stamped.sort(key=lambda item: item[0])
+    states = np.empty((len(stamped), 2, grid.n_cells))
+    for state, (_, path) in zip(states, stamped):
+        try:
+            header, data = read_table(path)
+            if header != ["x", "rho", "mu"]:
+                raise ValueError(f"unexpected snapshot header {','.join(header)!r}")
+            if data.shape[0] != grid.n_cells:
+                raise ValueError(f"expected {grid.n_cells} rows, got {data.shape[0]}")
+            if data.shape[1] != 3:
+                raise ValueError(f"expected 3 values a row, got {data.shape[1]}")
+            state[...] = data[:, 1:].T
+            if not np.all(np.isfinite(state)):
+                raise ValueError("non-finite density value")
+            bad = np.argwhere(state <= 0.0)
+            if bad.size:
+                raise ValueError(f"nonpositive density at cell {bad[0, -1]}")
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    states.setflags(write=False)
+    return np.array([t for t, _ in stamped]), states
 
 
 def write_study_csv(report: StudyReport, out_dir, precision: int = 17) -> list[Path]:

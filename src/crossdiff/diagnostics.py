@@ -13,6 +13,10 @@ with a = alpha, b = beta (the two branches agree in the limit a+b -> 1);
 its companion bound is C int S^(b+1-a) with C = b(1-b) M^2 / (2a) and
 M the grid sup of |V'|, |W'|.  The negative H^-1 diagnostic uses the
 standard Fourier multiplier with exponent one.
+
+Each functional takes (rho, mu, problem) with cells on the last axis and
+returns one value per leading index: build_report calls it once on the
+(T, n) rows of a trajectory's states, bitwise equal to T per-row calls.
 """
 
 from __future__ import annotations
@@ -22,86 +26,99 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, grad, integrate, interface_mean
+from .grid import GridSpec, cell_mean, grad, integrate, interface_mean
 from .model import ProblemSpec
-from .solver import State, Trajectory
+from .solver import Trajectory
 from .transforms import shifted_gradient, to_sum_ratio
 
 
-def entropy(state: State) -> float:
-    rho, mu = state.rho.values, state.mu.values
-    return float(np.sum(rho * np.log(rho) + mu * np.log(mu)) * state.grid.dx)
+def entropy(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec) -> np.ndarray:
+    return integrate(rho * np.log(rho) + mu * np.log(mu), problem.grid.dx)
 
 
-def energy(state: State, problem: ProblemSpec) -> float:
+def energy(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec) -> np.ndarray:
     """Gradient-flow energy int energy_density(S) + rho V + mu W."""
     nl, pot = problem.nonlinearity, problem.potentials
-    rho, mu = state.rho.values, state.mu.values
     dens = nl.energy_density(rho + mu) + rho * pot.V_cells + mu * pot.W_cells
-    return float(np.sum(dens) * state.grid.dx)
+    return integrate(dens, problem.grid.dx)
 
 
 class DissipationBeta(NamedTuple):
-    beta_entropy: float   # -int S^beta, the functional whose rate is bounded
-    dissipation: float
-    rhs_bound: float
+    beta_entropy: np.ndarray  # -int S^beta, the functional whose rate is bounded
+    dissipation: np.ndarray
+    rhs_bound: np.ndarray
 
 
-def dissipation_beta(state: State, problem: ProblemSpec, beta: float) -> DissipationBeta:
+def dissipation_beta(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec,
+                     beta: float) -> DissipationBeta:
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta out of range [0,1]: got {beta}")
     nl, pot = problem.nonlinearity, problem.potentials
     alpha = nl.alpha
-    dx = state.grid.dx
-    S = state.rho.values + state.mu.values
-    beta_entropy = -float(np.sum(S**beta) * dx)
+    dx = problem.grid.dx
+    S = rho + mu
+    beta_entropy = -integrate(S**beta, dx)
     m = alpha + beta - 1.0
     if beta in (0.0, 1.0):
-        diss = 0.0
+        diss = np.zeros(S.shape[:-1])
     elif m == 0.0:
         g = grad(np.log(S), dx)
-        diss = (alpha * beta * (1.0 - beta) / 2.0) * float(np.sum(g * g) * dx)
+        diss = (alpha * beta * (1.0 - beta) / 2.0) * integrate(g * g, dx)
     else:
         g = grad(S ** (m / 2.0), dx)
-        diss = (2.0 * alpha * beta * (1.0 - beta) / m**2) * float(np.sum(g * g) * dx)
+        diss = (2.0 * alpha * beta * (1.0 - beta) / m**2) * integrate(g * g, dx)
     sup_drift = max(pot.sup_dV, pot.sup_dW)
     c_young = beta * (1.0 - beta) * sup_drift**2 / (2.0 * alpha)
-    rhs = c_young * float(np.sum(S ** (beta + 1.0 - alpha)) * dx)
+    rhs = c_young * integrate(S ** (beta + 1.0 - alpha), dx)
     return DissipationBeta(beta_entropy, diss, rhs)
 
 
-def bv_norms(state: State, problem: ProblemSpec) -> tuple[float, float]:
+def bv_norms(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec
+             ) -> tuple[np.ndarray, np.ndarray]:
     """(bv_r, bv_u): total variation of the log-ratio and the L1 norm of the
     shifted log-ratio gradient."""
-    S, r = to_sum_ratio(state.rho, state.mu)
-    bv_r = float(np.sum(np.abs(np.roll(r, -1) - r)))
+    S, r = to_sum_ratio(rho, mu)
+    bv_r = np.sum(np.abs(grad(r, 1.0)), axis=-1)
     u = shifted_gradient(S, r, problem.potentials, problem.nonlinearity)
-    bv_u = float(np.sum(np.abs(u)) * state.grid.dx)
+    bv_u = integrate(np.abs(u), problem.grid.dx)
     return bv_r, bv_u
 
 
 class LebesgueNorms(NamedTuple):
-    norm_S_2ma: float   # int S^(2-alpha)
-    sup_S_pow: float    # max S^(1-alpha)
-    fisher_log: float   # int |grad log S|^2
-    h_minus_one: float  # ||S - mean(S)||_{H^-1}
+    norm_S_2ma: np.ndarray   # int S^(2-alpha)
+    sup_S_pow: np.ndarray    # max S^(1-alpha)
+    fisher_log: np.ndarray   # int |grad log S|^2
+    h_minus_one: np.ndarray  # ||S - mean(S)||_{H^-1}
 
 
-def lebesgue_norms(state: State, problem: ProblemSpec) -> LebesgueNorms:
+def lebesgue_norms(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec
+                   ) -> LebesgueNorms:
     alpha = problem.nonlinearity.alpha
-    dx = state.grid.dx
-    n = state.grid.n_cells
-    S = state.rho.values + state.mu.values
-    norm_2ma = float(np.sum(S ** (2.0 - alpha)) * dx)
-    sup_pow = float(np.max(S) ** (1.0 - alpha))
+    dx = problem.grid.dx
+    n = problem.grid.n_cells
+    S = rho + mu
+    norm_2ma = integrate(S ** (2.0 - alpha), dx)
+    # a scalar pow per row: numpy's array power can differ from it in the last bit
+    sup = np.max(S, axis=-1)
+    sup_pow = np.reshape([m ** (1.0 - alpha) for m in sup.ravel().tolist()], sup.shape)
     g = grad(np.log(S), dx)
-    fisher = float(np.sum(g * g) * dx)
+    fisher = integrate(g * g, dx)
     # Fourier coefficients at the cell centers (phase-corrected rfft)
     k = np.arange(1, n // 2 + 1)
-    spec = np.fft.rfft(S)[1:n // 2 + 1] * np.exp(-1j * np.pi * k / n)
+    spec = np.fft.rfft(S, axis=-1)[..., 1:n // 2 + 1] * np.exp(-1j * np.pi * k / n)
     coef_sq = (2.0 * dx) ** 2 * np.abs(spec) ** 2
-    h_m1 = float(np.sqrt(np.sum(coef_sq / (2.0 * (2.0 * np.pi * k) ** 2))))
+    h_m1 = np.sqrt(np.sum(coef_sq / (2.0 * (2.0 * np.pi * k) ** 2), axis=-1))
     return LebesgueNorms(norm_2ma, sup_pow, fisher, h_m1)
+
+
+def diss_entropy_rate(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec
+                      ) -> np.ndarray:
+    """Entropy dissipation int pressure_slope(S) |grad S|^2 with S averaged
+    onto interfaces."""
+    dx = problem.grid.dx
+    S = rho + mu
+    g = grad(S, dx)
+    return integrate(problem.nonlinearity.pressure_slope(interface_mean(S)) * g * g, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +200,17 @@ def weak_residual(traj: Trajectory, bank: TestFunctionBank
     densities with exact chi increments (discrete integration by parts), so
     a constant zero-flux state telescopes to residual zero exactly.
     """
-    if len(traj.snapshots) < 2:
+    times = traj.times
+    if len(times) < 2:
         raise ValueError("weak residual needs at least 2 snapshots")
     problem = traj.problem
     nl, pot = problem.nonlinearity, problem.potentials
     dx = problem.grid.dx
-    times = traj.times
     w_trap = _trapezoid_weights(times)
 
-    rho = np.stack([s.rho.values for s in traj.snapshots])
-    mu = np.stack([s.mu.values for s in traj.snapshots])
-    S = rho + mu
+    rho, mu = traj.states[:, 0], traj.states[:, 1]
     # centered pressure gradient at cells: mean of the two interface values
-    dp_int = np.stack([grad(nl.pressure(s), dx) for s in S])
-    dp_cells = 0.5 * (dp_int + np.roll(dp_int, 1, axis=1))
+    dp_cells = cell_mean(grad(nl.pressure(rho + mu), dx))
 
     flux_rho = rho * (dp_cells + pot.dV_cells)
     flux_mu = mu * (dp_cells + pot.dW_cells)
@@ -222,11 +236,8 @@ def weak_residual(traj: Trajectory, bank: TestFunctionBank
 
 
 def _dyadic_lags(limit: int) -> list[int]:
-    lags, m = [], 1
-    while m <= limit:
-        lags.append(m)
-        m *= 2
-    return lags
+    """1, 2, 4, ... up to limit."""
+    return [2**j for j in range(limit.bit_length())]
 
 
 def equicontinuity_moduli(traj: Trajectory):
@@ -241,36 +252,32 @@ def equicontinuity_moduli(traj: Trajectory):
     grid = traj.problem.grid
     n, dx = grid.n_cells, grid.dx
     times = traj.times
-    rho = np.stack([s.rho.values for s in traj.snapshots])
-    mu = np.stack([s.mu.values for s in traj.snapshots])
+    rho, mu = traj.states[:, 0], traj.states[:, 1]
     w_trap = _trapezoid_weights(times)
 
     space_lags = _dyadic_lags(n // 4)
-    h_vals = np.array([m * dx for m in space_lags])
-    om_space = {"rho": [], "mu": []}
-    for m in space_lags:
-        for name, dens in (("rho", rho), ("mu", mu)):
-            diff = np.sum(np.abs(np.roll(dens, -m, axis=1) - dens), axis=1) * dx
-            om_space[name].append(float(np.sum(w_trap * diff)))
+    om_space = np.empty((2, len(space_lags)))  # rows rho, mu
+    shifted = np.empty_like(rho)  # dens(x + m dx) - dens(x), one row per time
+    for i, m in enumerate(space_lags):
+        for om, dens in zip(om_space, (rho, mu)):
+            np.subtract(dens[:, m:], dens[:, :n - m], out=shifted[:, :n - m])
+            np.subtract(dens[:, :m], dens[:, n - m:], out=shifted[:, n - m:])
+            diff = np.sum(np.abs(shifted, out=shifted), axis=1) * dx
+            om[i] = np.sum(w_trap * diff)
 
     nt = len(times)
     uniform = nt > 1 and np.allclose(np.diff(times), times[1] - times[0],
                                      rtol=1e-9, atol=1e-12)
-    if uniform:
-        spacing = times[1] - times[0]
-        t_lags = _dyadic_lags(nt - 1)
-        k_vals = np.array([ell * spacing for ell in t_lags])
-        om_time = {"rho": [], "mu": []}
-        for ell in t_lags:
-            for name, dens in (("rho", rho), ("mu", mu)):
-                diff = np.sum(np.abs(dens[ell:] - dens[:-ell]), axis=1) * dx
-                om_time[name].append(float(np.sum(diff) * spacing))
-    else:
-        k_vals = np.zeros(0)
-        om_time = {"rho": [], "mu": []}
+    spacing = times[1] - times[0] if uniform else 0.0
+    t_lags = _dyadic_lags(nt - 1) if uniform else []
+    om_time = np.empty((2, len(t_lags)))
+    for i, ell in enumerate(t_lags):
+        for om, dens in zip(om_time, (rho, mu)):
+            diff = np.sum(np.abs(dens[ell:] - dens[:-ell]), axis=1) * dx
+            om[i] = np.sum(diff) * spacing
 
-    return ((h_vals, np.array(om_space["rho"]), np.array(om_space["mu"])),
-            (k_vals, np.array(om_time["rho"]), np.array(om_time["mu"])))
+    return ((np.array([m * dx for m in space_lags]), *om_space),
+            (np.array([ell * spacing for ell in t_lags]), *om_time))
 
 
 # ---------------------------------------------------------------------------
@@ -310,46 +317,19 @@ class DiagnosticsReport:
     clamp_events: int
 
 
-def diss_entropy_rate(state: State, problem: ProblemSpec) -> float:
-    """Entropy dissipation int pressure_slope(S) |grad S|^2 with S averaged
-    onto interfaces."""
-    nl = problem.nonlinearity
-    dx = state.grid.dx
-    S = state.rho.values + state.mu.values
-    g = grad(S, dx)
-    return float(np.sum(nl.pressure_slope(interface_mean(S)) * g * g) * dx)
-
-
 def build_report(traj: Trajectory, bank: TestFunctionBank | None = None,
                  with_residuals: bool = True, with_moduli: bool = True
                  ) -> DiagnosticsReport:
     problem = traj.problem
     alpha = problem.nonlinearity.alpha
-    cols = {name: [] for name in SCALAR_COLUMNS}
-    for s in traj.snapshots:
-        cols["mass_rho"].append(integrate(s.rho))
-        cols["mass_mu"].append(integrate(s.mu))
-        cols["entropy"].append(entropy(s))
-        cols["energy"].append(energy(s, problem))
-        cols["diss_entropy"].append(diss_entropy_rate(s, problem))
-        cols["diss_beta_a"].append(dissipation_beta(s, problem, alpha).dissipation)
-        cols["diss_beta_1ma"].append(
-            dissipation_beta(s, problem, 1.0 - alpha).dissipation)
-        r, u = bv_norms(s, problem)
-        cols["bv_r"].append(r)
-        cols["bv_u"].append(u)
-        leb = lebesgue_norms(s, problem)
-        cols["norm_S_2ma"].append(leb.norm_S_2ma)
-        cols["sup_S_pow"].append(leb.sup_S_pow)
-        cols["fisher_log"].append(leb.fisher_log)
-        cols["h_minus_one"].append(leb.h_minus_one)
-
+    dx = problem.grid.dx
+    rho, mu = traj.states[:, 0], traj.states[:, 1]
     if with_moduli:
         (h, osr, osm), (k, otr, otm) = equicontinuity_moduli(traj)
     else:
         h = osr = osm = k = otr = otm = np.zeros(0)
 
-    if with_residuals and len(traj.snapshots) >= 2:
+    if with_residuals and len(traj.times) >= 2:
         if bank is None:
             bank = make_test_bank(problem.grid, problem.t_final,
                                   k_max=min(8, problem.grid.n_cells // 4))
@@ -357,11 +337,21 @@ def build_report(traj: Trajectory, bank: TestFunctionBank | None = None,
     else:
         rows, res_max = (), float("nan")
 
+    # one call per functional over all rows; each frees its (T, n) temporaries
+    bv_r, bv_u = bv_norms(rho, mu, problem)
+    leb = lebesgue_norms(rho, mu, problem)
     return DiagnosticsReport(
         times=traj.times,
+        mass_rho=integrate(rho, dx), mass_mu=integrate(mu, dx),
+        entropy=entropy(rho, mu, problem), energy=energy(rho, mu, problem),
+        diss_entropy=diss_entropy_rate(rho, mu, problem),
+        diss_beta_a=dissipation_beta(rho, mu, problem, alpha).dissipation,
+        diss_beta_1ma=dissipation_beta(rho, mu, problem, 1.0 - alpha).dissipation,
+        fisher_log=leb.fisher_log, bv_r=bv_r, bv_u=bv_u,
+        norm_S_2ma=leb.norm_S_2ma, sup_S_pow=leb.sup_S_pow,
+        h_minus_one=leb.h_minus_one,
         omega_space_h=h, omega_space_rho=osr, omega_space_mu=osm,
         omega_time_k=k, omega_time_rho=otr, omega_time_mu=otm,
         residuals=rows, residual_max=res_max,
         clamp_events=int(sum(rec.clamps for rec in traj.step_log)),
-        **{name: np.array(vals) for name, vals in cols.items()},
     )

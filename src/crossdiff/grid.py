@@ -2,14 +2,13 @@
 
 Cells are indexed 0..n-1 with centers x_i = (i + 1/2)*dx.  Interface i sits
 at x = (i+1)*dx, between cells i and i+1 (indices wrap), so cell-centered
-fields and interface fields both hold n values.  grad, div and
-interface_mean act on raw 1-D float64 arrays and are the only copies of
-these stencils; each is one slice operation into a fresh output plus the
-wrap cell, bitwise equal to the same formula on a rolled copy.  Field
-(a validated, read-only copy) is for data entering or leaving the solver,
-not for its inner loop.  grad and div are exact summation-by-parts
-partners: sum_i a_i div(g)_i dx = -sum_i grad(a)_i g_i dx up to roundoff,
-and div telescopes to zero over the torus.
+fields and interface fields both hold n values.  The stencils and integrate
+act on float64 arrays along the last axis, so one copy serves a state (n,)
+and a trajectory's rows (T, n); each stencil is one slice operation plus
+the wrap cell, bitwise equal to the same formula on a rolled copy.  Field
+(a validated, read-only copy) is for initial data, not for the inner loop.
+grad and div are exact summation-by-parts partners: sum_i a_i div(g)_i dx =
+-sum_i grad(a)_i g_i dx up to roundoff, and div telescopes to zero.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ class Field:
 def grad(v: np.ndarray, dx: float) -> np.ndarray:
     """Two-point gradient at interfaces: (v[i+1] - v[i])/dx at interface i."""
     out = np.empty_like(v)
-    np.subtract(v[1:], v[:-1], out=out[:-1])
-    out[-1] = v[0] - v[-1]
+    np.subtract(v[..., 1:], v[..., :-1], out=out[..., :-1])
+    out[..., -1] = v[..., 0] - v[..., -1]
     out /= dx
     return out
 
@@ -83,8 +82,8 @@ def grad(v: np.ndarray, dx: float) -> np.ndarray:
 def div(g: np.ndarray, dx: float) -> np.ndarray:
     """Conservative divergence: (g[i] - g[i-1])/dx in cell i."""
     out = np.empty_like(g)
-    np.subtract(g[1:], g[:-1], out=out[1:])
-    out[0] = g[0] - g[-1]
+    np.subtract(g[..., 1:], g[..., :-1], out=out[..., 1:])
+    out[..., 0] = g[..., 0] - g[..., -1]
     out /= dx
     return out
 
@@ -92,12 +91,22 @@ def div(g: np.ndarray, dx: float) -> np.ndarray:
 def interface_mean(v: np.ndarray) -> np.ndarray:
     """Mean of the two cells beside interface i: (v[i] + v[i+1])/2."""
     out = np.empty_like(v)
-    np.add(v[:-1], v[1:], out=out[:-1])
-    out[-1] = v[-1] + v[0]
+    np.add(v[..., :-1], v[..., 1:], out=out[..., :-1])
+    out[..., -1] = v[..., -1] + v[..., 0]
     out *= 0.5
     return out
 
 
-def integrate(f: Field) -> float:
-    """Midpoint quadrature over the torus, exact for trig polynomials of degree < n."""
-    return float(np.sum(f.values) * f.grid.dx)
+def cell_mean(g: np.ndarray) -> np.ndarray:
+    """Mean of the two interfaces beside cell i: (g[i-1] + g[i])/2."""
+    out = np.empty_like(g)
+    np.add(g[..., 1:], g[..., :-1], out=out[..., 1:])
+    out[..., 0] = g[..., 0] + g[..., -1]
+    out *= 0.5
+    return out
+
+
+def integrate(v: np.ndarray, dx: float) -> np.ndarray:
+    """Midpoint quadrature over the torus of each row, exact for trig
+    polynomials of degree < n."""
+    return np.sum(v, axis=-1) * dx

@@ -25,8 +25,10 @@ cfl_dt and advance act on plain float64 cell arrays of rho and mu, and a
 step evaluates the velocities once: cfl_dt(rho, mu, problem) returns
 (dt, velocities), with the same pressure power giving the diffusive bound,
 and advance(rho, mu, velocities, t, dt, problem) transports with them.
-run calls the pair once per step and builds a State of Fields only for
-each snapshot it keeps.
+run calls the pair once per step and copies each snapshot it keeps into
+one preallocated (T, 2, n) array, rho in [:, 0] and mu in [:, 1]; the
+stencils of grid act on the last axis, so the diagnostics evaluate those
+rows directly.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .grid import Field, div, grad
+from .grid import div, grad
 from .model import ProblemSpec
 
 NEWTON_TOL = 1e-11
@@ -49,21 +51,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class State:
-    t: float
-    rho: Field
-    mu: Field
-
-    def __post_init__(self):
-        if self.rho.grid != self.mu.grid:
-            raise ValueError("rho and mu live on different grids")
-
-    @property
-    def grid(self):
-        return self.rho.grid
-
-
-@dataclass(frozen=True)
 class StepRecord:
     t: float
     dt: float
@@ -73,13 +60,13 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    problem: ProblemSpec
-    snapshots: tuple[State, ...]
-    step_log: tuple[StepRecord, ...]
+    """Snapshot times (T,), the read-only (T, 2, n) array of the states at
+    those times (rho in [:, 0], mu in [:, 1]) and the log of the steps."""
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
+    problem: ProblemSpec
+    times: np.ndarray
+    states: np.ndarray
+    step_log: tuple[StepRecord, ...]
 
 
 def _donor(v: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -182,7 +169,9 @@ def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
-    """Solve S - dt * Lap(kirchhoff(S) + eps S) = s_rhs by damped Newton."""
+    """Solve S - dt * Lap(kirchhoff(S) + eps S) = s_rhs by damped Newton.
+
+    Returns S, its q = kirchhoff(S) + eps S, the iterations and the clamps."""
     nl = problem.nonlinearity
     eps = problem.eps_viscosity
     dx = problem.grid.dx
@@ -191,24 +180,24 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     def residual(s):
         q = nl.kirchhoff(s) + eps * s
         q_wrap = np.concatenate((q[-1:], q, q[:1]))  # one periodic ghost cell a side
-        return s - c * (q_wrap[2:] - 2.0 * q + q_wrap[:-2]) - s_rhs
+        return s - c * (q_wrap[2:] - 2.0 * q + q_wrap[:-2]) - s_rhs, q
 
     s = s_rhs.copy()
-    res = residual(s)
+    res, q = residual(s)
     norm = float(np.max(np.abs(res)))
     clamps = 0
     for it in range(NEWTON_MAXIT):
         if norm <= NEWTON_TOL:
-            return s, it, clamps
+            return s, q, it, clamps
         delta = _solve_periodic_tridiagonal(c * (nl.diffusivity(s) + eps), -res)
         lam = 1.0
         for _ in range(30):
             trial = s + lam * delta
             clamps += nl.clamp_count(trial)
-            res_t = residual(trial)
+            res_t, q_t = residual(trial)
             norm_t = float(np.max(np.abs(res_t)))
             if norm_t < norm:
-                s, res, norm = trial, res_t, norm_t
+                s, res, q, norm = trial, res_t, q_t, norm_t
                 break
             lam *= 0.5
         else:
@@ -222,7 +211,6 @@ def _semi_implicit_update(rho, mu, velocities, t_new: float, dt: float,
     # velocities go unused: pressure is implicit here, the drift is V', W'
     nl, pot = problem.nonlinearity, problem.potentials
     dx = problem.grid.dx
-    eps = problem.eps_viscosity
 
     # explicit upwind potential drift
     rho_s = rho + dt * div(_donor(rho, pot.dV_int) * pot.dV_int, dx)
@@ -232,11 +220,11 @@ def _semi_implicit_update(rho, mu, velocities, t_new: float, dt: float,
 
     s_star = rho_s + mu_s
     clamps = nl.clamp_count(s_star)
-    s_new, iters, nclamps = _implicit_diffusion(s_star, dt, problem)
+    _, q_new, iters, nclamps = _implicit_diffusion(s_star, dt, problem)
     clamps += nclamps
 
     # split the aggregate diffusive flux by donor-cell mobility fractions
-    g_diff = grad(nl.kirchhoff(s_new) + eps * s_new, dx)
+    g_diff = grad(q_new, dx)
     s_up = _donor(s_star, g_diff)
     rho_new = rho_s + dt * div((_donor(rho_s, g_diff) / s_up) * g_diff, dx)
     mu_new = mu_s + dt * div((_donor(mu_s, g_diff) / s_up) * g_diff, dx)
@@ -260,11 +248,12 @@ def advance(rho: np.ndarray, mu: np.ndarray, velocities, t: float, dt: float,
 def run(problem: ProblemSpec) -> Trajectory:
     """Integrate from t = 0 to t_final with adaptive CFL steps, truncating
     dt to land exactly on every snapshot time (never interpolating)."""
-    g = problem.grid
     t, rho, mu = 0.0, problem.initial.rho0.values, problem.initial.mu0.values
-    snapshots = [State(t, problem.initial.rho0, problem.initial.mu0)]
+    times = np.zeros(len(problem.snapshot_times))
+    states = np.empty((times.size, 2, problem.grid.n_cells))
+    states[0] = rho, mu
     log: list[StepRecord] = []
-    for target in problem.snapshot_times[1:]:
+    for j, target in enumerate(problem.snapshot_times[1:], 1):
         while t < target:
             remaining = target - t
             dt, velocities = cfl_dt(rho, mu, problem)
@@ -277,5 +266,8 @@ def run(problem: ProblemSpec) -> Trajectory:
                 raise SolverError(f"{err} (while integrating to t={target:.6g})") from err
             log.append(rec)
             t = target if landing else t + dt
-        snapshots.append(State(t, Field(g, rho), Field(g, mu)))
-    return Trajectory(problem, tuple(snapshots), tuple(log))
+        times[j] = t
+        states[j] = rho, mu
+    times.setflags(write=False)
+    states.setflags(write=False)
+    return Trajectory(problem, times, states, tuple(log))

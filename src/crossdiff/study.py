@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Field, GridSpec, grad, make_grid
+from .grid import Field, GridSpec, grad, integrate, make_grid
 from .model import ProblemSpec, build_potentials, validate_initial
 from .diagnostics import DiagnosticsReport, build_report, make_test_bank
 from .solver import Trajectory, run
@@ -78,8 +78,8 @@ class StudyReport:
 
 
 def prolong(values: np.ndarray, factor: int) -> np.ndarray:
-    """Piecewise-constant injection onto a grid refined by `factor`."""
-    return np.repeat(values, factor)
+    """Piecewise-constant injection of each row onto a grid refined by `factor`."""
+    return np.repeat(values, factor, axis=-1)
 
 
 def fit_rate(pairs) -> float:
@@ -97,10 +97,7 @@ def fit_rate(pairs) -> float:
 
 def _level_problem(plan: StudyPlan, level: int) -> ProblemSpec:
     base = plan.base
-    if plan.refine_space:
-        grid = make_grid(base.grid.n_cells * 2**level)
-    else:
-        grid = base.grid
+    grid = make_grid(base.grid.n_cells * 2**level) if plan.refine_space else base.grid
     pot = build_potentials(base.potentials.modes_V, base.potentials.modes_W, grid)
     if plan.initial_sampler is not None:
         rho0, mu0 = plan.initial_sampler(grid)
@@ -112,10 +109,8 @@ def _level_problem(plan: StudyPlan, level: int) -> ProblemSpec:
         factor = grid.n_cells // base.grid.n_cells
         rho0 = Field(grid, prolong(base.initial.rho0.values, factor))
         mu0 = Field(grid, prolong(base.initial.mu0.values, factor))
-    if plan.viscosity_schedule:
-        eps = plan.viscosity_schedule[level]
-    else:
-        eps = base.eps_viscosity * 0.5**level
+    eps = (plan.viscosity_schedule[level] if plan.viscosity_schedule
+           else base.eps_viscosity * 0.5**level)
     return ProblemSpec(
         grid=grid, nonlinearity=base.nonlinearity, potentials=pot,
         initial=validate_initial(rho0, mu0), t_final=base.t_final,
@@ -127,11 +122,8 @@ def _int_diss(traj: Trajectory) -> float:
     """Trapezoid-in-time of int |grad S^(alpha/2)|^2 over the snapshots."""
     alpha = traj.problem.nonlinearity.alpha
     dx = traj.problem.grid.dx
-    vals = []
-    for s in traj.snapshots:
-        g = grad((s.rho.values + s.mu.values) ** (alpha / 2.0), dx)
-        vals.append(np.sum(g * g) * dx)
-    return float(np.trapezoid(vals, traj.times))
+    g = grad((traj.states[:, 0] + traj.states[:, 1]) ** (alpha / 2.0), dx)
+    return float(np.trapezoid(integrate(g * g, dx), traj.times))
 
 
 def run_study(plan: StudyPlan,
@@ -168,13 +160,8 @@ def run_study(plan: StudyPlan,
     cauchy_rho, cauchy_mu = [], []
     for coarse, fine in zip(trajectories, trajectories[1:]):
         factor = fine.problem.grid.n_cells // coarse.problem.grid.n_cells
-        dx_f = fine.problem.grid.dx
-        dr = dm = 0.0
-        for j in compare:
-            cr = prolong(coarse.snapshots[j].rho.values, factor)
-            cm = prolong(coarse.snapshots[j].mu.values, factor)
-            dr = max(dr, float(np.sum(np.abs(fine.snapshots[j].rho.values - cr)) * dx_f))
-            dm = max(dm, float(np.sum(np.abs(fine.snapshots[j].mu.values - cm)) * dx_f))
+        diff = np.abs(fine.states[compare] - prolong(coarse.states[compare], factor))
+        dr, dm = np.max(integrate(diff, fine.problem.grid.dx), axis=0).tolist()
         cauchy_rho.append(dr)
         cauchy_mu.append(dm)
 
@@ -189,7 +176,7 @@ def run_study(plan: StudyPlan,
         errs = []
         for traj in trajectories:
             xc = traj.problem.grid.cell_centers()
-            err = max(float(np.max(np.abs(traj.snapshots[j].rho.values
+            err = max(float(np.max(np.abs(traj.states[j, 0]
                                           - reference(traj.times[j], xc))))
                       for j in compare)
             errs.append(err)

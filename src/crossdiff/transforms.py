@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, grad, interface_mean, make_grid
+from .grid import grad, interface_mean
 from .model import Nonlinearity, PotentialPair
 
 
-def to_sum_ratio(rho: Field, mu: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Cell arrays (S, r) of a positive species pair."""
-    if rho.grid != mu.grid:
-        raise ValueError("rho and mu live on different grids")
-    bad = np.flatnonzero((rho.values <= 0.0) | (mu.values <= 0.0))
+def to_sum_ratio(rho: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell arrays (S, r) of a positive species pair, cells on the last axis."""
+    bad = np.argwhere((rho <= 0.0) | (mu <= 0.0))
     if bad.size:
-        raise ValueError(f"nonpositive density at cell {bad[0]}")
-    return rho.values + mu.values, np.log(rho.values) - np.log(mu.values)
+        raise ValueError(f"nonpositive density at cell {bad[0, -1]}")
+    return rho + mu, np.log(rho) - np.log(mu)
 
 
 def shifted_gradient(S: np.ndarray, r: np.ndarray, pot: PotentialPair,
@@ -32,5 +30,5 @@ def shifted_gradient(S: np.ndarray, r: np.ndarray, pot: PotentialPair,
     difference w_fd_int, so for alpha = 1 (where y = -1) the result equals
     grad(r + V - W) exactly.
     """
-    g_r = grad(r, make_grid(r.size).dx)
+    g_r = grad(r, pot.grid.dx)
     return g_r - 2.0 * pot.w_fd_int * nl.shift_profile(interface_mean(S))

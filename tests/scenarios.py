@@ -60,8 +60,8 @@ def stationary_problem(n: int = 128, t_final: float = 0.1,
         t_final=t_final, snapshot_times=tuple(np.linspace(0.0, t_final, snaps)))
 
 
-def random_positive_state(grid: cd.GridSpec, rng: np.random.Generator,
-                          lo: float = 0.2, hi: float = 2.0) -> cd.State:
-    rho = cd.Field(grid, rng.uniform(lo, hi, grid.n_cells))
-    mu = cd.Field(grid, rng.uniform(lo, hi, grid.n_cells))
-    return cd.State(0.0, rho, mu)
+def random_positive_pair(grid: cd.GridSpec, rng: np.random.Generator,
+                         lo: float = 0.2, hi: float = 2.0
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Cell arrays (rho, mu) drawn uniformly from [lo, hi)."""
+    return rng.uniform(lo, hi, grid.n_cells), rng.uniform(lo, hi, grid.n_cells)

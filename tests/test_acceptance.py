@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 import crossdiff as cd
 from crossdiff.diagnostics import make_test_bank
-from crossdiff.grid import Field, grad
+from crossdiff.grid import grad
 from crossdiff.transforms import shifted_gradient, to_sum_ratio
 
 from scenarios import (fast_problem, heat_problem, heat_reference,
@@ -64,10 +64,9 @@ def _entropy_energy_budget(traj, quantity):
     for j in range(len(times) - 1):
         if quantity == "entropy":
             rhs = 0.0
-            for jj in (j, j + 1):  # trapezoid of int rho V'' + mu W''
-                s = traj.snapshots[jj]
-                rhs += 0.5 * np.sum(s.rho.values * problem.potentials.d2V_cells
-                                    + s.mu.values * problem.potentials.d2W_cells
+            for rho, mu in traj.states[j:j + 2]:  # trapezoid of int rho V'' + mu W''
+                rhs += 0.5 * np.sum(rho * problem.potentials.d2V_cells
+                                    + mu * problem.potentials.d2W_cells
                                     ) * problem.grid.dx
             rhs *= times[j + 1] - times[j]
         else:
@@ -80,19 +79,15 @@ def _entropy_energy_budget(traj, quantity):
 def test_criterion_01_mass_conservation(stationary_traj, heat_trajs, fast_trajs):
     worst = 0.0
     for traj in [stationary_traj, *heat_trajs.values(), *fast_trajs.values()]:
-        m_rho0 = cd.integrate(traj.snapshots[0].rho)
-        m_mu0 = cd.integrate(traj.snapshots[0].mu)
-        for s in traj.snapshots:
-            worst = max(worst, abs(cd.integrate(s.rho) - m_rho0),
-                        abs(cd.integrate(s.mu) - m_mu0))
+        mass = cd.integrate(traj.states, traj.problem.grid.dx)  # (T, 2): rho, mu
+        worst = max(worst, float(np.max(np.abs(mass - mass[0]))))
     assert worst <= 1e-12
     print(f"\n[criterion 01] PASS mass conservation: max drift {worst:.3e} <= 1e-12")
 
 
 def test_criterion_02_stationary_oracle(stationary_traj):
     rho0 = stationary_traj.problem.initial.rho0.values
-    dev = max(float(np.max(np.abs(s.rho.values - rho0)))
-              for s in stationary_traj.snapshots)
+    dev = float(np.max(np.abs(stationary_traj.states[:, 0] - rho0)))
     assert dev <= 1e-10
     print(f"\n[criterion 02] PASS stationary state: max deviation {dev:.3e} <= 1e-10")
 
@@ -100,11 +95,9 @@ def test_criterion_02_stationary_oracle(stationary_traj):
 def test_criterion_03_linear_diffusion_exactness(heat_trajs):
     traj = heat_trajs[256]
     xc = traj.problem.grid.cell_centers()
-    err = max(float(np.max(np.abs(s.rho.values + s.mu.values
-                                  - heat_reference(s.t, xc))))
-              for s in traj.snapshots)
-    r_dev = max(float(np.max(np.abs(np.log(s.rho.values / s.mu.values))))
-                for s in traj.snapshots)
+    err = max(float(np.max(np.abs(rho + mu - heat_reference(t, xc))))
+              for t, (rho, mu) in zip(traj.times, traj.states))
+    r_dev = float(np.max(np.abs(np.log(traj.states[:, 0] / traj.states[:, 1]))))
     assert err <= 5e-3
     assert r_dev <= 1e-12
     print(f"\n[criterion 03] PASS heat-equation limit: Linf {err:.3e} <= 5e-3, "
@@ -150,8 +143,8 @@ def test_criterion_07_shift_collapse_alpha_one():
     combined = pot.V_cells - pot.W_cells
     worst = 0.0
     for _ in range(100):
-        rho = Field(g, rng.uniform(0.2, 2.0, 64))
-        mu = Field(g, rng.uniform(0.2, 2.0, 64))
+        rho = rng.uniform(0.2, 2.0, 64)
+        mu = rng.uniform(0.2, 2.0, 64)
         S, r = to_sum_ratio(rho, mu)
         u = shifted_gradient(S, r, pot, nl)
         target = grad(r + combined, g.dx)
@@ -225,8 +218,7 @@ def test_criterion_11_oracle_identities(fast_trajs):
     # dissipation against adaptive quadrature of the two-point integrand
     traj = fast_trajs[256]
     prob = traj.problem
-    st = traj.snapshots[0]
-    got = cd.dissipation_beta(st, prob, 0.5).dissipation
+    got = cd.dissipation_beta(*traj.states[0], prob, 0.5).dissipation
     dx = prob.grid.dx
     S_fun = lambda z: 1.0 + 0.4 * np.cos(2 * np.pi * z)
     oracle = (0.5 * 0.25 / 2.0) * quad(
@@ -238,19 +230,18 @@ def test_criterion_11_oracle_identities(fast_trajs):
     g = cd.make_grid(256)
     x = g.cell_centers()
     r = np.sin(2 * np.pi * x)
-    bv_r, _ = cd.bv_norms(
-        cd.State(0.0, Field(g, np.exp(r)), Field.constant(g, 1.0)), prob)
+    bv_r, _ = cd.bv_norms(np.exp(r), np.ones(256), prob)
     brute = sum(abs(r[(i + 1) % 256] - r[i]) for i in range(256))
     checks.append(("bv_r brute force", abs(bv_r - brute), 1e-12))
     checks.append(("bv_r analytic TV 4", abs(bv_r - 4.0), 1e-3))
 
     # omega_space against the closed-form translate of a frozen cosine
-    from crossdiff.solver import State, Trajectory
-    one = Field(g, np.cos(2 * np.pi * x))
+    one = np.cos(2 * np.pi * x)
     shell = dataclasses.replace(
         heat_problem(256, snaps=3, t_final=1.0), t_final=1.0,
         snapshot_times=(0.0, 0.5, 1.0))
-    frozen = Trajectory(shell, tuple(State(t, one, one) for t in (0, 0.5, 1.0)), ())
+    frozen = cd.Trajectory(shell, np.array([0.0, 0.5, 1.0]),
+                           np.broadcast_to(one, (3, 2, 256)), ())
     (h, om, _), _ = cd.equicontinuity_moduli(frozen)
     idx = int(np.argmin(np.abs(h - 0.25)))
     checks.append(("omega_space closed form",

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -341,27 +342,59 @@ def _corrupt_snapshots(traj_dir, defect):
     elif defect == "rows":
         rows = paths[-1].read_text().strip().split("\n")
         paths[-1].write_text("\n".join(rows[:-1]) + "\n")
-    else:
+    elif defect == "none":
         for path in paths:
             path.unlink()
+    elif defect == "columns":  # every row lost its mu value
+        rows = paths[-1].read_text().strip().split("\n")
+        paths[-1].write_text("\n".join(rows[:1] + [r.rsplit(",", 1)[0] for r in rows[1:]]))
+    elif defect == "name":
+        (traj_dir / "snapshot_late.csv").write_text(paths[-1].read_text())
+    else:  # a bad mu value in cell 2 of the last snapshot
+        rows = paths[-1].read_text().split("\n")
+        x, rho, _ = rows[3].split(",")
+        rows[3] = ",".join((x, rho, defect))
+        paths[-1].write_text("\n".join(rows))
 
 
 @pytest.mark.parametrize("defect, message", [
     ("header", "unexpected snapshot header 'x,rho,nu'"),
     ("rows", "expected 128 rows, got 127"),
     ("none", r"no snapshot_\*\.csv files in "),
+    ("nan", "non-finite density value"),
+    ("inf", "non-finite density value"),
+    ("0", "nonpositive density at cell 2"),
+    ("-0.1", "nonpositive density at cell 2"),
+    ("abc", "could not convert string to float: 'abc'"),
+    ("columns", "expected 3 values a row, got 2"),
+    ("name", "could not convert string to float: 'late'"),
 ])
 def test_read_snapshots_errors(tmp_path, capsys, defect, message):
     out = tmp_path / "run_out"
     assert main(["run", _write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 0
     grid = build_problem(parse_config(MINIMAL)).grid
     _corrupt_snapshots(out, defect)
+    if defect != "none":  # each per-file error names its file
+        message = r"snapshot_[^ ]*\.csv: .*" + message
     with pytest.raises(ValueError, match=message):
         read_snapshots(out, grid)
     capsys.readouterr()
-    assert main(["diagnose", str(out)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any diagnostic runs
+        assert main(["diagnose", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: 3:") and err.count("\n") == 1
+
+
+def test_read_snapshots_array(tmp_path):
+    out = tmp_path / "run_out"
+    assert main(["run", _write_cfg(tmp_path, FAST), "--out", str(out)]) == 0
+    problem = build_problem(parse_config(FAST))
+    traj = crossdiff.run(problem)
+    times, states = read_snapshots(out, problem.grid)
+    assert np.array_equal(times, traj.times)  # 17g is lossless
+    assert np.array_equal(states, traj.states)
+    assert states.shape == (5, 2, 64) and not states.flags.writeable
 
 
 def test_main_stepper_and_eps_overrides(tmp_path):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import crossdiff as cd
-from crossdiff.diagnostics import diss_entropy_rate, make_test_bank
+from crossdiff.diagnostics import SCALAR_COLUMNS, diss_entropy_rate, make_test_bank
 from crossdiff.grid import Field
-from crossdiff.solver import State, Trajectory
+from crossdiff.solver import Trajectory
 
 from scenarios import fast_problem, heat_problem, stationary_problem
 
@@ -23,9 +26,12 @@ def _standing_problem(n=256, t_final=1.0):
         t_final=t_final, snapshot_times=(0.0, t_final))
 
 
-def _state(problem, rho_vals, mu_vals, t=0.0):
-    g = problem.grid
-    return State(t, Field(g, rho_vals), Field(g, mu_vals))
+def _frozen(problem, times, rho_vals, mu_vals):
+    """Trajectory holding the same (rho, mu) at every time."""
+    times = np.array(times, dtype=float)
+    states = np.empty((times.size, 2, problem.grid.n_cells))
+    states[:] = rho_vals, mu_vals
+    return Trajectory(problem, times, states, ())
 
 
 def _cos_S(x):
@@ -38,10 +44,9 @@ def _cos_S(x):
 
 def test_entropy_examples():
     prob = _standing_problem(64)
-    g = prob.grid
-    assert cd.entropy(_state(prob, np.ones(64), np.ones(64))) == pytest.approx(
+    assert cd.entropy(np.ones(64), np.ones(64), prob) == pytest.approx(
         0.0, abs=1e-15)
-    assert cd.entropy(_state(prob, 3 * np.ones(64), np.ones(64))) == pytest.approx(
+    assert cd.entropy(3 * np.ones(64), np.ones(64), prob) == pytest.approx(
         3 * np.log(3.0), abs=1e-13)
 
 
@@ -49,7 +54,7 @@ def test_entropy_quadrature_oracle():
     prob = _standing_problem(256)
     x = prob.grid.cell_centers()
     half = 0.5 * _cos_S(x)
-    got = cd.entropy(_state(prob, half, half))
+    got = cd.entropy(half, half, prob)
     oracle, err = quad(lambda z: _cos_S(z) * np.log(0.5 * _cos_S(z)), 0.0, 1.0,
                        epsabs=1e-13, epsrel=1e-13, limit=200)
     assert err < 1e-10
@@ -58,16 +63,16 @@ def test_entropy_quadrature_oracle():
 
 def test_energy_closed_forms():
     prob = _standing_problem(64)
-    st = _state(prob, np.ones(64), np.ones(64))
+    st = np.ones(64), np.ones(64)
     prob1 = dataclasses.replace(_standing_problem(64),
                                 nonlinearity=cd.Nonlinearity(1.0))
-    assert cd.energy(st, prob1) == pytest.approx(2 * np.log(2) - 2, abs=1e-13)
-    assert cd.energy(st, prob) == pytest.approx(-2 * np.sqrt(2), abs=1e-13)
+    assert cd.energy(*st, prob1) == pytest.approx(2 * np.log(2) - 2, abs=1e-13)
+    assert cd.energy(*st, prob) == pytest.approx(-2 * np.sqrt(2), abs=1e-13)
 
 
 def test_energy_descends_without_potentials():
     traj = cd.run(heat_problem(128, snaps=9))
-    e = [cd.energy(s, traj.problem) for s in traj.snapshots]
+    e = cd.energy(traj.states[:, 0], traj.states[:, 1], traj.problem)
     assert np.all(np.diff(e) <= 1e-12)
 
 
@@ -75,13 +80,12 @@ def test_dissipation_beta_degenerate_endpoints():
     prob = _standing_problem(64)
     x = prob.grid.cell_centers()
     half = 0.5 * _cos_S(x)
-    st = _state(prob, half, half)
     for beta in (0.0, 1.0):
-        out = cd.dissipation_beta(st, prob, beta)
+        out = cd.dissipation_beta(half, half, prob, beta)
         assert out.dissipation == 0.0
         assert out.rhs_bound == 0.0
     with pytest.raises(ValueError, match="beta out of range"):
-        cd.dissipation_beta(st, prob, 1.5)
+        cd.dissipation_beta(half, half, prob, 1.5)
 
 
 def _two_point_quad(fn, dx):
@@ -96,8 +100,7 @@ def test_dissipation_beta_log_branch_oracle():
     prob = _standing_problem(256)
     x = prob.grid.cell_centers()
     half = 0.5 * _cos_S(x)
-    st = _state(prob, half, half)
-    got = cd.dissipation_beta(st, prob, 0.5).dissipation
+    got = cd.dissipation_beta(half, half, prob, 0.5).dissipation
     dx = prob.grid.dx
     coeff = 0.5 * 0.5 * 0.5 / 2.0
     oracle = coeff * _two_point_quad(
@@ -111,8 +114,7 @@ def test_dissipation_beta_power_branch_oracle():
                                 nonlinearity=cd.Nonlinearity(1.0))
     x = prob.grid.cell_centers()
     half = 0.5 * _cos_S(x)
-    st = _state(prob, half, half)
-    got = cd.dissipation_beta(st, prob, 0.5).dissipation
+    got = cd.dissipation_beta(half, half, prob, 0.5).dissipation
     dx = prob.grid.dx
     coeff = 2.0 * 1.0 * 0.5 * 0.5 / 0.5**2
     oracle = coeff * _two_point_quad(
@@ -125,17 +127,16 @@ def test_dissipation_beta_branches_agree_near_log_case():
     prob = _standing_problem(256)
     x = prob.grid.cell_centers()
     half = 0.5 * _cos_S(x)
-    st = _state(prob, half, half)
-    log_val = cd.dissipation_beta(st, prob, 0.5).dissipation
-    near_val = cd.dissipation_beta(st, prob, 0.5 + 1e-6).dissipation
+    log_val = cd.dissipation_beta(half, half, prob, 0.5).dissipation
+    near_val = cd.dissipation_beta(half, half, prob, 0.5 + 1e-6).dissipation
     assert near_val == pytest.approx(log_val, rel=1e-4)
 
 
 def test_dissipation_beta_rhs_bound():
     prob = fast_problem(128, snaps=3)
-    st = State(0.0, prob.initial.rho0, prob.initial.mu0)
     beta = 0.25
-    out = cd.dissipation_beta(st, prob, beta)
+    out = cd.dissipation_beta(prob.initial.rho0.values, prob.initial.mu0.values,
+                              prob, beta)
     sup = max(prob.potentials.sup_dV, prob.potentials.sup_dW)
     c = beta * (1 - beta) * sup**2 / (2 * 0.5)
     oracle, err = quad(lambda z: (1.0 + 0.4 * np.cos(2 * np.pi * z)) ** (beta + 0.5),
@@ -146,8 +147,7 @@ def test_dissipation_beta_rhs_bound():
 
 def test_bv_norms_constant():
     prob = _standing_problem(64)
-    st = _state(prob, np.full(64, 2.0), np.full(64, 0.5))
-    bv_r, bv_u = cd.bv_norms(st, prob)
+    bv_r, bv_u = cd.bv_norms(np.full(64, 2.0), np.full(64, 0.5), prob)
     assert bv_r == 0.0
     assert bv_u == 0.0  # no potentials, constant log-ratio
 
@@ -158,7 +158,7 @@ def test_bv_r_sine_total_variation():
     x = prob.grid.cell_centers()
     mu = np.ones(256)
     rho = np.exp(np.sin(2 * np.pi * x))
-    bv_r, _ = cd.bv_norms(_state(prob, rho, mu), prob)
+    bv_r, _ = cd.bv_norms(rho, mu, prob)
     assert bv_r == pytest.approx(4.0, abs=1e-3)
     # brute-force oracle over the same samples
     r = np.sin(2 * np.pi * x)
@@ -176,7 +176,7 @@ def test_bv_u_drift_l1_oracle():
         potentials=cd.build_potentials([(1, 0.0, 1.0)], [], g),
         initial=cd.validate_initial(one, one),
         t_final=1.0, snapshot_times=(0.0, 1.0))
-    _, bv_u = cd.bv_norms(State(0.0, one, one), prob)
+    _, bv_u = cd.bv_norms(one.values, one.values, prob)
     oracle, err = quad(lambda z: np.abs(2 * np.pi * np.cos(2 * np.pi * z)),
                        0.0, 1.0, points=[0.25, 0.75], limit=200)
     assert oracle == pytest.approx(4.0, abs=1e-10)
@@ -185,8 +185,7 @@ def test_bv_u_drift_l1_oracle():
 
 def test_lebesgue_norms_constant():
     prob = _standing_problem(64)
-    st = _state(prob, 0.5 * np.ones(64), 0.5 * np.ones(64))
-    out = cd.lebesgue_norms(st, prob)
+    out = cd.lebesgue_norms(0.5 * np.ones(64), 0.5 * np.ones(64), prob)
     assert out.norm_S_2ma == pytest.approx(1.0, abs=1e-14)
     assert out.sup_S_pow == pytest.approx(1.0, abs=1e-14)
     assert out.fisher_log == 0.0
@@ -197,7 +196,7 @@ def test_h_minus_one_single_mode():
     prob = _standing_problem(256)
     x = prob.grid.cell_centers()
     half = 0.5 * _cos_S(x)
-    out = cd.lebesgue_norms(_state(prob, half, half), prob)
+    out = cd.lebesgue_norms(half, half, prob)
     closed_form = 0.5 / (2 * np.pi * np.sqrt(2.0))  # mode c1 = 1/2
     assert closed_form == pytest.approx(0.05627, abs=5e-6)
     assert out.h_minus_one == pytest.approx(closed_form, rel=1e-12)
@@ -210,7 +209,7 @@ def test_h_minus_one_zero_iff_constant():
     for vals in (1.0 + 0.3 * np.sin(2 * np.pi * 5 * x),
                  1.0 + 0.1 * (-1.0) ** np.arange(64),  # pure Nyquist mode
                  rng.uniform(0.5, 2.0, 64)):
-        out = cd.lebesgue_norms(_state(prob, vals / 2, vals / 2), prob)
+        out = cd.lebesgue_norms(vals / 2, vals / 2, prob)
         assert out.h_minus_one > 1e-8
 
 
@@ -218,7 +217,7 @@ def test_lebesgue_power_integral_oracle():
     prob = _standing_problem(256)
     x = prob.grid.cell_centers()
     half = 0.5 * _cos_S(x)
-    out = cd.lebesgue_norms(_state(prob, half, half), prob)
+    out = cd.lebesgue_norms(half, half, prob)
     oracle, _ = quad(lambda z: _cos_S(z) ** 1.5, 0.0, 1.0,
                      epsabs=1e-12, epsrel=1e-12)
     assert out.norm_S_2ma == pytest.approx(oracle, abs=1e-8)
@@ -229,7 +228,7 @@ def test_diss_entropy_rate_oracle():
     prob = _standing_problem(256)
     x = prob.grid.cell_centers()
     half = 0.5 * _cos_S(x)
-    got = diss_entropy_rate(_state(prob, half, half), prob)
+    got = diss_entropy_rate(half, half, prob)
     dx = prob.grid.dx
     alpha = 0.5
 
@@ -249,9 +248,7 @@ def test_diss_entropy_rate_oracle():
 def test_weak_residual_stationary_constant():
     prob = _standing_problem(128, t_final=0.5)
     g = prob.grid
-    states = tuple(State(t, Field.constant(g, 0.7), Field.constant(g, 0.7))
-                   for t in np.linspace(0, 0.5, 6))
-    traj = Trajectory(prob, states, ())
+    traj = _frozen(prob, np.linspace(0, 0.5, 6), np.full(128, 0.7), np.full(128, 0.7))
     bank = make_test_bank(g, 0.5, k_max=6)
     rows, res_max = cd.weak_residual(traj, bank)
     assert res_max <= 1e-12
@@ -270,7 +267,7 @@ def test_weak_residual_mass_identity():
 
 def test_weak_residual_requires_two_snapshots():
     prob = _standing_problem(64)
-    traj = Trajectory(prob, (State(0.0, prob.initial.rho0, prob.initial.mu0),), ())
+    traj = _frozen(prob, [0.0], prob.initial.rho0.values, prob.initial.mu0.values)
     bank = make_test_bank(prob.grid, 1.0, k_max=2)
     with pytest.raises(ValueError, match="at least 2 snapshots"):
         cd.weak_residual(traj, bank)
@@ -303,11 +300,8 @@ def test_bank_validation():
 
 def test_moduli_constant_trajectory():
     prob = _standing_problem(64)
-    g = prob.grid
-    states = tuple(State(t, Field.constant(g, 1.0), Field.constant(g, 1.0))
-                   for t in (0.0, 0.5, 1.0))
     (h, osr, osm), (k, otr, otm) = cd.equicontinuity_moduli(
-        Trajectory(prob, states, ()))
+        _frozen(prob, (0.0, 0.5, 1.0), np.ones(64), np.ones(64)))
     assert np.all(osr == 0.0) and np.all(osm == 0.0)
     assert np.all(otr == 0.0) and np.all(otm == 0.0)
 
@@ -318,8 +312,7 @@ def test_moduli_frozen_cosine_closed_form():
     g = prob.grid
     x = g.cell_centers()
     vals = np.cos(2 * np.pi * x)
-    states = tuple(State(t, Field(g, vals), Field(g, vals)) for t in (0.0, 0.5, 1.0))
-    traj = Trajectory(prob, states, ())
+    traj = _frozen(prob, (0.0, 0.5, 1.0), vals, vals)
     (h, osr, _), _ = cd.equicontinuity_moduli(traj)
     idx = int(np.argmin(np.abs(h - 0.25)))
     assert h[idx] == pytest.approx(0.25, abs=1e-14)
@@ -341,7 +334,7 @@ def test_moduli_bounds_and_time_curve():
     traj = cd.run(fast_problem(64, snaps=9))
     (h, osr, osm), (k, otr, otm) = cd.equicontinuity_moduli(traj)
     assert np.all(osr >= 0.0) and np.all(otr >= 0.0)
-    sup_mass = max(cd.integrate(s.rho) for s in traj.snapshots)
+    sup_mass = np.max(cd.integrate(traj.states[:, 0], traj.problem.grid.dx))
     t_span = traj.times[-1] - traj.times[0]
     assert np.all(osr <= 2.0 * sup_mass * t_span + 1e-12)
     assert len(k) > 0 and k[0] == pytest.approx(traj.times[1] - traj.times[0])
@@ -353,7 +346,7 @@ def test_moduli_bounds_and_time_curve():
 
 def test_report_single_snapshot():
     prob = _standing_problem(64)
-    traj = Trajectory(prob, (State(0.0, prob.initial.rho0, prob.initial.mu0),), ())
+    traj = _frozen(prob, [0.0], prob.initial.rho0.values, prob.initial.mu0.values)
     rep = cd.build_report(traj)
     assert len(rep.times) == 1
     assert rep.omega_time_k.size == 0
@@ -379,8 +372,152 @@ def test_report_heat_entropy_decreases():
 
 def test_moduli_nonuniform_spacing_skips_time_curve():
     prob = _standing_problem(64)
-    g = prob.grid
-    states = tuple(State(t, Field.constant(g, 1.0), Field.constant(g, 1.0))
-                   for t in (0.0, 0.3, 1.0))
-    _, (k, otr, otm) = cd.equicontinuity_moduli(Trajectory(prob, states, ()))
+    _, (k, otr, otm) = cd.equicontinuity_moduli(
+        _frozen(prob, (0.0, 0.3, 1.0), np.ones(64), np.ones(64)))
     assert k.size == 0 and otr.size == 0 and otm.size == 0
+
+
+# --------------------------------------------------------------------------
+# row-wise report against the per-snapshot oracle
+#
+# The functions below are the diagnostics as they were computed one snapshot
+# at a time, on 1-D arrays, with np.roll stencils, np.stack copies and a
+# scalar pow for sup_S_pow.  build_report must reproduce them bit for bit.
+
+
+def _roll_grad(v, dx):
+    return (np.roll(v, -1) - v) / dx
+
+
+def _roll_interface_mean(v):
+    return 0.5 * (v + np.roll(v, -1))
+
+
+def _oracle_scalars(rho, mu, problem):
+    nl, pot = problem.nonlinearity, problem.potentials
+    alpha, dx, n = nl.alpha, problem.grid.dx, problem.grid.n_cells
+    S = rho + mu
+    out = {"mass_rho": float(np.sum(rho) * dx), "mass_mu": float(np.sum(mu) * dx),
+           "entropy": float(np.sum(rho * np.log(rho) + mu * np.log(mu)) * dx)}
+    dens = nl.energy_density(S) + rho * pot.V_cells + mu * pot.W_cells
+    out["energy"] = float(np.sum(dens) * dx)
+    g = _roll_grad(S, dx)
+    out["diss_entropy"] = float(
+        np.sum(nl.pressure_slope(_roll_interface_mean(S)) * g * g) * dx)
+    for col, beta in (("diss_beta_a", alpha), ("diss_beta_1ma", 1.0 - alpha)):
+        m = alpha + beta - 1.0
+        if beta in (0.0, 1.0):
+            out[col] = 0.0
+        elif m == 0.0:
+            g = _roll_grad(np.log(S), dx)
+            out[col] = (alpha * beta * (1.0 - beta) / 2.0) * float(np.sum(g * g) * dx)
+        else:
+            g = _roll_grad(S ** (m / 2.0), dx)
+            out[col] = (2.0 * alpha * beta * (1.0 - beta) / m**2) * float(np.sum(g * g) * dx)
+    r = np.log(rho) - np.log(mu)
+    out["bv_r"] = float(np.sum(np.abs(np.roll(r, -1) - r)))
+    u = _roll_grad(r, dx) - 2.0 * pot.w_fd_int * nl.shift_profile(_roll_interface_mean(S))
+    out["bv_u"] = float(np.sum(np.abs(u)) * dx)
+    out["norm_S_2ma"] = float(np.sum(S ** (2.0 - alpha)) * dx)
+    out["sup_S_pow"] = float(np.max(S) ** (1.0 - alpha))  # np.float64 scalar pow
+    g = _roll_grad(np.log(S), dx)
+    out["fisher_log"] = float(np.sum(g * g) * dx)
+    k = np.arange(1, n // 2 + 1)
+    spec = np.fft.rfft(S)[1:n // 2 + 1] * np.exp(-1j * np.pi * k / n)
+    coef_sq = (2.0 * dx) ** 2 * np.abs(spec) ** 2
+    out["h_minus_one"] = float(np.sqrt(np.sum(coef_sq / (2.0 * (2.0 * np.pi * k) ** 2))))
+    return out
+
+
+def _oracle_trapezoid_weights(times):
+    widths = np.diff(times)
+    w = np.zeros_like(times)
+    w[:-1] += 0.5 * widths
+    w[1:] += 0.5 * widths
+    return w
+
+
+def _oracle_residual(times, rhos, mus, problem, bank):
+    nl, pot = problem.nonlinearity, problem.potentials
+    dx = problem.grid.dx
+    w_trap = _oracle_trapezoid_weights(times)
+    rho, mu = np.stack(rhos), np.stack(mus)
+    dp_int = np.stack([_roll_grad(nl.pressure(s), dx) for s in rho + mu])
+    dp_cells = 0.5 * (dp_int + np.roll(dp_int, 1, axis=1))
+    flux_rho = rho * (dp_cells + pot.dV_cells)
+    flux_mu = mu * (dp_cells + pot.dW_cells)
+    rows = []
+    for phi in bank.phis:
+        chi_t = np.array([phi.chi(t) for t in times])
+        dchi = np.diff(chi_t)
+        for species, dens, flux in (("rho", rho, flux_rho), ("mu", mu, flux_mu)):
+            space_mass = dens @ phi.x_vals * dx
+            space_flux = flux @ phi.dx_vals * dx
+            dt_term = -float(np.sum(0.5 * (space_mass[:-1] + space_mass[1:]) * dchi))
+            flux_term = float(np.sum(w_trap * chi_t * space_flux))
+            init_term = float(space_mass[0] * chi_t[0])
+            rows.append((phi.phi_id, species, dt_term + flux_term - init_term))
+    return rows
+
+
+def _oracle_moduli(times, rhos, mus, problem):
+    n, dx = problem.grid.n_cells, problem.grid.dx
+    rho, mu = np.stack(rhos), np.stack(mus)
+    w_trap = _oracle_trapezoid_weights(times)
+    lags = [m for m in (1, 2, 4, 8, 16, 32) if m <= n // 4]
+    om_space = [[float(np.sum(w_trap * (np.sum(np.abs(np.roll(d, -m, axis=1) - d), axis=1)
+                                        * dx))) for m in lags] for d in (rho, mu)]
+    nt = len(times)
+    om_time, k_vals = [[], []], []
+    if np.allclose(np.diff(times), times[1] - times[0], rtol=1e-9, atol=1e-12):
+        spacing = times[1] - times[0]
+        t_lags = [ell for ell in (1, 2, 4, 8) if ell <= nt - 1]
+        k_vals = [ell * spacing for ell in t_lags]
+        om_time = [[float(np.sum(np.sum(np.abs(d[ell:] - d[:-ell]), axis=1) * dx) * spacing)
+                    for ell in t_lags] for d in (rho, mu)]
+    return ([m * dx for m in lags], *om_space), (k_vals, *om_time)
+
+
+@st.composite
+def _trajectory_cases(draw):
+    n_times, n = draw(st.integers(2, 12)), draw(st.integers(4, 64))
+    alpha = draw(st.sampled_from((1.0, 0.5)) | st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n_times - 1,
+                              max_size=n_times - 1, unique=True))
+    else:  # uniform spacing, so the time moduli are not empty
+        steps = [draw(st.floats(1e-3, 1.0))] * (n_times - 1)
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = 10.0 ** rng.uniform(-2.0, 1.0, (n_times, 2, n))
+    modes = [(1, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))]
+    return alpha, times, states, modes
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_trajectory_cases())
+def test_report_rows_match_per_snapshot_oracle(case):
+    alpha, times, states, modes = case
+    n = states.shape[-1]
+    g = cd.make_grid(n)
+    prob = cd.ProblemSpec(
+        grid=g, nonlinearity=cd.Nonlinearity(alpha),
+        potentials=cd.build_potentials(modes, [(1, 0.3, -0.2)], g),
+        initial=cd.validate_initial(Field(g, states[0, 0]), Field(g, states[0, 1])),
+        t_final=float(times[-1]), snapshot_times=tuple(times.tolist()))
+    states.setflags(write=False)
+    bank = make_test_bank(g, prob.t_final, k_max=min(2, n // 4))
+    rep = cd.build_report(Trajectory(prob, times, states, ()), bank)
+
+    oracle = [_oracle_scalars(rho, mu, prob) for rho, mu in states]
+    for col in SCALAR_COLUMNS:
+        assert np.array_equal(getattr(rep, col), [o[col] for o in oracle]), col
+    rhos, mus = list(states[:, 0]), list(states[:, 1])
+    (h, osr, osm), (k, otr, otm) = _oracle_moduli(times, rhos, mus, prob)
+    for got, want in ((rep.omega_space_h, h), (rep.omega_space_rho, osr),
+                      (rep.omega_space_mu, osm), (rep.omega_time_k, k),
+                      (rep.omega_time_rho, otr), (rep.omega_time_mu, otm)):
+        assert np.array_equal(got, want)
+    rows = _oracle_residual(times, rhos, mus, prob, bank)
+    assert [tuple(r) for r in rep.residuals] == rows
+    assert rep.residual_max == max(abs(r[2]) for r in rows)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import crossdiff as cd
-from crossdiff.grid import Field, div, grad, integrate, interface_mean
+from crossdiff.grid import Field, cell_mean, div, grad, integrate, interface_mean
 
 
 def test_make_grid_basic():
@@ -72,7 +72,7 @@ def test_div_telescopes_to_zero():
     g = cd.make_grid(64)
     for _ in range(20):
         gf = rng.normal(size=64)
-        total = integrate(Field(g, div(gf, g.dx)))
+        total = integrate(div(gf, g.dx), g.dx)
         assert abs(total) <= 1e-14 * max(1.0, np.max(np.abs(gf)))
 
 
@@ -89,10 +89,14 @@ def test_div_unit_spike():
 def test_integrate_examples():
     g = cd.make_grid(64)
     x = g.cell_centers()
-    assert integrate(Field.constant(g, 4.2)) == pytest.approx(4.2, abs=1e-14)
-    assert abs(integrate(Field(g, np.sin(2 * np.pi * x)))) <= 1e-15
-    assert integrate(Field(g, 1 + 0.5 * np.cos(2 * np.pi * x))) == pytest.approx(
+    assert integrate(np.full(64, 4.2), g.dx) == pytest.approx(4.2, abs=1e-14)
+    assert abs(integrate(np.sin(2 * np.pi * x), g.dx)) <= 1e-15
+    assert integrate(1 + 0.5 * np.cos(2 * np.pi * x), g.dx) == pytest.approx(
         1.0, abs=1e-14)
+    # one value per row, each equal to the row's own quadrature
+    rows = np.stack([np.full(64, 4.2), np.sin(2 * np.pi * x)])
+    assert np.array_equal(integrate(rows, g.dx),
+                          [integrate(rows[0], g.dx), integrate(rows[1], g.dx)])
 
 
 def test_interface_mean_two_level_field():
@@ -120,8 +124,8 @@ def test_shift_isometry_and_commutation():
     f = Field(g, rng.normal(size=32))
     for m in (1, 5, 31):
         shifted = Field(g, np.roll(f.values, m))
-        assert integrate(Field(g, np.abs(shifted.values))) == pytest.approx(
-            integrate(Field(g, np.abs(f.values))), abs=1e-14)
+        assert integrate(np.abs(shifted.values), g.dx) == pytest.approx(
+            integrate(np.abs(f.values), g.dx), abs=1e-14)
         assert np.array_equal(grad(shifted.values, g.dx),
                               np.roll(grad(f.values, g.dx), m))
 
@@ -138,6 +142,10 @@ def _interface_mean_roll(v):
     return 0.5 * (v + np.roll(v, -1))
 
 
+def _cell_mean_roll(g):
+    return 0.5 * (g + np.roll(g, 1))
+
+
 @pytest.mark.parametrize("n", (4, 5, 512))
 def test_slice_stencils_match_roll_formulas_bitwise(n):
     """The slice stencils compute the np.roll formulas above bit for bit,
@@ -149,6 +157,24 @@ def test_slice_stencils_match_roll_formulas_bitwise(n):
         v.setflags(write=False)  # stencils must not write to their input
         for got, want in ((grad(v, dx), _grad_roll(v, dx)),
                           (div(v, dx), _div_roll(v, dx)),
-                          (interface_mean(v), _interface_mean_roll(v))):
+                          (interface_mean(v), _interface_mean_roll(v)),
+                          (cell_mean(v), _cell_mean_roll(v))):
             assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", (4, 5, 64))
+def test_stencils_act_on_the_last_axis(n):
+    """On (T, n) rows, and on the strided rho/mu rows of a (T, 2, n) state
+    array, each stencil gives row for row the bits of the 1-D call."""
+    rng = np.random.default_rng(100 + n)
+    dx = cd.make_grid(n).dx
+    states = rng.uniform(0.1, 3.0, (7, 2, n))
+    states.setflags(write=False)
+    for rows in (states[:, 0], states[:, 1], states.reshape(14, n)):
+        for stencil in (lambda v: grad(v, dx), lambda v: div(v, dx),
+                        interface_mean, cell_mean):
+            got = stencil(rows)
+            want = np.stack([stencil(np.ascontiguousarray(r)) for r in rows])
+            assert got.shape == rows.shape
             assert got.tobytes() == want.tobytes()

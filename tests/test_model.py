@@ -5,7 +5,6 @@ from scipy.integrate import quad
 import crossdiff as cd
 from crossdiff.diagnostics import bv_norms, entropy
 from crossdiff.grid import Field
-from crossdiff.solver import State
 
 
 def oracle_shift_profile(alpha: float, s: float) -> float:
@@ -152,17 +151,17 @@ def test_validate_initial_constant():
     one = Field.constant(g, 1.0)
     prob = _initial_problem(one, one)
     assert prob.initial.rho0 is one and prob.initial.mu0 is one
-    st = State(0.0, prob.initial.rho0, prob.initial.mu0)
-    assert entropy(st) == pytest.approx(0.0, abs=1e-15)
-    assert bv_norms(st, prob)[0] == 0.0
+    pair = prob.initial.rho0.values, prob.initial.mu0.values
+    assert entropy(*pair, prob) == pytest.approx(0.0, abs=1e-15)
+    assert bv_norms(*pair, prob)[0] == 0.0
 
 
 def test_validate_initial_closed_form():
     g = cd.make_grid(16)
     prob = _initial_problem(Field.constant(g, 3.0), Field.constant(g, 1.0))
-    st = State(0.0, prob.initial.rho0, prob.initial.mu0)
-    assert entropy(st) == pytest.approx(3.0 * np.log(3.0), abs=1e-13)
-    assert bv_norms(st, prob)[0] == pytest.approx(0.0, abs=1e-15)
+    pair = prob.initial.rho0.values, prob.initial.mu0.values
+    assert entropy(*pair, prob) == pytest.approx(3.0 * np.log(3.0), abs=1e-13)
+    assert bv_norms(*pair, prob)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_validate_initial_rejects_zero_cell():

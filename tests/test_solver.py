@@ -81,8 +81,8 @@ def test_step_explicit_conserves_mass():
                     modes_W=[(2, 0.0, 0.3)], rho0=rho0, mu0=mu0, eps=0.01)
     dt, velocities = cd.cfl_dt(rho0.values, mu0.values, prob)
     rho, mu, _ = cd.advance(rho0.values, mu0.values, velocities, 0.0, dt, prob)
-    assert abs(integrate(Field(g, rho)) - integrate(rho0)) <= 1e-14
-    assert abs(integrate(Field(g, mu)) - integrate(mu0)) <= 1e-14
+    assert abs(integrate(rho, g.dx) - integrate(rho0.values, g.dx)) <= 1e-14
+    assert abs(integrate(mu, g.dx) - integrate(mu0.values, g.dx)) <= 1e-14
 
 
 def test_step_explicit_positivity_error():
@@ -97,13 +97,12 @@ def test_step_explicit_positivity_error():
 def test_heat_scenario_matches_fourier_solution():
     prob = heat_problem(256, snaps=3)
     traj = cd.run(prob)
-    assert [s.t for s in traj.snapshots] == [0.0, 0.025, 0.05]
+    assert list(traj.times) == [0.0, 0.025, 0.05]
     xc = prob.grid.cell_centers()
-    for s in traj.snapshots:
-        S = s.rho.values + s.mu.values
-        assert np.max(np.abs(S - heat_reference(s.t, xc))) <= 5e-3
+    for t, (rho, mu) in zip(traj.times, traj.states):
+        assert np.max(np.abs(rho + mu - heat_reference(t, xc))) <= 5e-3
         # equal species stay equal: log-ratio is identically zero
-        assert np.array_equal(s.rho.values, s.mu.values)
+        assert np.array_equal(rho, mu)
     amp = 0.5 * np.exp(-4 * np.pi**2 * 0.05)
     assert amp == pytest.approx(0.069455, abs=5e-6)
 
@@ -141,8 +140,8 @@ def test_semi_implicit_newton_counts():
     traj = cd.run(prob)
     iters = [rec.newton_iters for rec in traj.step_log]
     assert max(iters) <= 12
-    assert abs(integrate(traj.snapshots[-1].rho)
-               - integrate(traj.snapshots[0].rho)) <= 1e-13
+    mass = integrate(traj.states[:, 0], prob.grid.dx)
+    assert abs(mass[-1] - mass[0]) <= 1e-13
 
 
 def test_semi_implicit_matches_heat_solution():
@@ -150,8 +149,8 @@ def test_semi_implicit_matches_heat_solution():
     prob = dataclasses.replace(prob, stepper="semi-implicit")
     traj = cd.run(prob)
     xc = prob.grid.cell_centers()
-    err = max(np.max(np.abs(s.rho.values + s.mu.values - heat_reference(s.t, xc)))
-              for s in traj.snapshots)
+    err = max(np.max(np.abs(rho + mu - heat_reference(t, xc)))
+              for t, (rho, mu) in zip(traj.times, traj.states))
     assert err <= 1e-2  # advective dt only: larger splitting error than explicit
 
 
@@ -191,10 +190,9 @@ def test_run_zero_horizon():
                                     Field.constant(g, 1.0)),
         t_final=0.0, snapshot_times=(0.0,))
     traj = cd.run(prob)
-    assert len(traj.snapshots) == 1
-    assert traj.snapshots[0].t == 0.0
-    assert np.array_equal(traj.snapshots[0].rho.values,
-                          prob.initial.rho0.values)
+    assert traj.states.shape == (1, 2, 16) and list(traj.times) == [0.0]
+    assert np.array_equal(traj.states[0, 0], prob.initial.rho0.values)
+    assert not traj.states.flags.writeable and not traj.times.flags.writeable
 
 
 def test_run_stationary_snapshots():
@@ -202,20 +200,16 @@ def test_run_stationary_snapshots():
     traj = cd.run(prob)
     assert list(traj.times) == list(prob.snapshot_times)
     rho0 = prob.initial.rho0.values
-    for s in traj.snapshots:
-        assert np.max(np.abs(s.rho.values - rho0)) <= 1e-12
+    assert np.max(np.abs(traj.states[:, 0] - rho0)) <= 1e-12
 
 
 def test_mass_conserved_along_runs():
     for prob in (heat_problem(64, snaps=5), fast_problem(64, snaps=5),
                  fast_problem(64, snaps=5, stepper="semi-implicit")):
         traj = cd.run(prob)
-        m_rho0 = integrate(traj.snapshots[0].rho)
-        m_mu0 = integrate(traj.snapshots[0].mu)
-        for s in traj.snapshots:
-            assert abs(integrate(s.rho) - m_rho0) <= 1e-12
-            assert abs(integrate(s.mu) - m_mu0) <= 1e-12
-            assert np.min(s.rho.values) > 0 and np.min(s.mu.values) > 0
+        mass = integrate(traj.states, prob.grid.dx)  # (T, 2): rho and mu
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12
+        assert np.min(traj.states) > 0
 
 
 def test_species_potential_swap_symmetry():
@@ -226,9 +220,7 @@ def test_species_potential_swap_symmetry():
     mv, mw = [(1, 0.3, 0.0)], [(2, 0.0, 0.2)]
     t1 = cd.run(_problem(g, modes_V=mv, modes_W=mw, rho0=rho0, mu0=mu0))
     t2 = cd.run(_problem(g, modes_V=mw, modes_W=mv, rho0=mu0, mu0=rho0))
-    for s1, s2 in zip(t1.snapshots, t2.snapshots):
-        assert np.array_equal(s1.rho.values, s2.mu.values)
-        assert np.array_equal(s1.mu.values, s2.rho.values)
+    assert np.array_equal(t1.states, t2.states[:, ::-1])
 
 
 def test_translation_equivariance_bitwise():
@@ -248,9 +240,7 @@ def test_translation_equivariance_bitwise():
         initial=cd.validate_initial(Field(g, np.roll(rho0.values, m)),
                                     Field(g, np.roll(mu0.values, m))))
     t1, t2 = cd.run(prob), cd.run(prob_r)
-    for s1, s2 in zip(t1.snapshots, t2.snapshots):
-        assert np.array_equal(np.roll(s1.rho.values, m), s2.rho.values)
-        assert np.array_equal(np.roll(s1.mu.values, m), s2.mu.values)
+    assert np.array_equal(np.roll(t1.states, m, axis=-1), t2.states)
 
 
 def test_equal_species_preserved_with_equal_potentials():
@@ -260,8 +250,7 @@ def test_equal_species_preserved_with_equal_potentials():
     prob = _problem(g, alpha=1.0, modes_V=[(1, 0.0, 0.5)],
                     modes_W=[(1, 0.0, 0.5)], rho0=f0, mu0=f0, t_final=0.02)
     traj = cd.run(prob)
-    for s in traj.snapshots:
-        assert np.max(np.abs(s.rho.values - s.mu.values)) <= 1e-12
+    assert np.max(np.abs(traj.states[:, 0] - traj.states[:, 1])) <= 1e-12
 
 
 def test_sum_equation_residual_first_order():
@@ -273,14 +262,14 @@ def test_sum_equation_residual_first_order():
         nl, pot = prob.nonlinearity, prob.potentials
         dx = prob.grid.dx
         worst = 0.0
-        for s0, s1 in zip(traj.snapshots, traj.snapshots[1:]):
-            S0 = s0.rho.values + s0.mu.values
-            S1 = s1.rho.values + s1.mu.values
-            dt_snap = s1.t - s0.t
+        for j in range(len(traj.times) - 1):
+            (rho0, mu0), (rho1, mu1) = traj.states[j], traj.states[j + 1]
+            S0 = rho0 + mu0
+            S1 = rho1 + mu1
+            dt_snap = traj.times[j + 1] - traj.times[j]
             d_dt = (S1 - S0) / dt_snap
             S = 0.5 * (S0 + S1)
-            r = 0.5 * (np.log(s0.rho.values / s0.mu.values)
-                       + np.log(s1.rho.values / s1.mu.values))
+            r = 0.5 * (np.log(rho0 / mu0) + np.log(rho1 / mu1))
             lap = div(grad(nl.kirchhoff(S), dx), dx)
             s_int = 0.5 * (S + np.roll(S, -1))
             r_int = 0.5 * (r + np.roll(r, -1))
@@ -327,7 +316,7 @@ def test_hand_stepping_reproduces_run(make, stepper):
     traj = cd.run(prob)
     t, rho, mu = 0.0, prob.initial.rho0.values, prob.initial.mu0.values
     log = []
-    for target, snap in zip(prob.snapshot_times[1:], traj.snapshots[1:]):
+    for j, target in enumerate(prob.snapshot_times[1:], 1):
         while t < target:
             dt, velocities = cd.cfl_dt(rho, mu, prob)
             landing = dt >= target - t
@@ -336,9 +325,9 @@ def test_hand_stepping_reproduces_run(make, stepper):
             rho, mu, rec = cd.advance(rho, mu, velocities, t, dt, prob)
             log.append(rec)
             t = target if landing else t + dt
-        assert snap.t == t
-        assert np.array_equal(snap.rho.values, rho)
-        assert np.array_equal(snap.mu.values, mu)
+        assert traj.times[j] == t
+        assert np.array_equal(traj.states[j, 0], rho)
+        assert np.array_equal(traj.states[j, 1], mu)
     assert tuple(log) == traj.step_log
 
 
@@ -353,9 +342,9 @@ def test_small_alpha_run_stays_positive():
         t_final=0.01, snapshot_times=(0.0, 0.005, 0.01))
     for stepper in ("explicit", "semi-implicit"):
         traj = cd.run(dataclasses.replace(prob, stepper=stepper))
-        assert min(np.min(s.rho.values) for s in traj.snapshots) > 0
-        assert abs(integrate(traj.snapshots[-1].rho)
-                   - integrate(traj.snapshots[0].rho)) <= 1e-13
+        assert np.min(traj.states[:, 0]) > 0
+        mass = integrate(traj.states[:, 0], g.dx)
+        assert abs(mass[-1] - mass[0]) <= 1e-13
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -563,8 +552,9 @@ def test_newton_matches_sparse_reference(case):
         with pytest.raises(SolverError, match=str(err).split(",")[0]):
             crossdiff.solver._implicit_diffusion(s_rhs, case["dt"], prob)
         return
-    s, iters, clamps = crossdiff.solver._implicit_diffusion(s_rhs, case["dt"], prob)
+    s, q, iters, clamps = crossdiff.solver._implicit_diffusion(s_rhs, case["dt"], prob)
     assert (iters, clamps) == (iters_ref, clamps_ref)
+    assert np.array_equal(q, prob.nonlinearity.kirchhoff(s) + case["eps"] * s)
     assert np.abs(s - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
 
 

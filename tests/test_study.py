@@ -29,9 +29,11 @@ def test_prolongation_preserves_mass():
     g = cd.make_grid(32)
     g_fine = cd.make_grid(128)
     vals = rng.uniform(0.1, 2.0, 32)
-    coarse = Field(g, vals)
-    fine = Field(g_fine, prolong(vals, 4))
-    assert abs(cd.integrate(fine) - cd.integrate(coarse)) <= 1e-14
+    fine = prolong(vals, 4)
+    assert abs(cd.integrate(fine, g_fine.dx) - cd.integrate(vals, g.dx)) <= 1e-14
+    # rows of a (2, n) state prolong one by one
+    pair = np.stack([vals, 2.0 * vals])
+    assert np.array_equal(prolong(pair, 4), np.stack([fine, 2.0 * fine]))
 
 
 def test_plan_validation():
