@@ -107,6 +107,8 @@ def lebesgue_norms(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec
     k = np.arange(1, n // 2 + 1)
     spec = np.fft.rfft(S, axis=-1)[..., 1:n // 2 + 1] * np.exp(-1j * np.pi * k / n)
     coef_sq = (2.0 * dx) ** 2 * np.abs(spec) ** 2
+    if n % 2 == 0:  # the Nyquist bin is one real mode, of amplitude |X_k|/n
+        coef_sq[..., -1] *= 0.25
     h_m1 = np.sqrt(np.sum(coef_sq / (2.0 * (2.0 * np.pi * k) ** 2), axis=-1))
     return LebesgueNorms(norm_2ma, sup_pow, fisher, h_m1)
 

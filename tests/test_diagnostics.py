@@ -213,6 +213,31 @@ def test_h_minus_one_zero_iff_constant():
         assert out.h_minus_one > 1e-8
 
 
+def test_h_minus_one_nyquist_mode_closed_form():
+    # a mode a sin(2 pi k x) has H^-1 norm a / (sqrt(2) 2 pi k); at even n
+    # the Nyquist mode k = n/2 is one real mode, not a conjugate pair
+    def closed_form(a, k):
+        return a / (np.sqrt(2.0) * 2 * np.pi * k)
+
+    for n in (16, 64):
+        prob = _standing_problem(n)
+        x = prob.grid.cell_centers()
+        k = n // 2
+        S = 1.0 + 0.5 * np.sin(2 * np.pi * k * x)
+        out = cd.lebesgue_norms(S / 2, S / 2, prob)
+        assert out.h_minus_one == pytest.approx(closed_form(0.5, k), rel=1e-12)
+        S = 1.0 + 0.3 * np.sin(2 * np.pi * 3 * x) + 0.5 * np.sin(2 * np.pi * k * x)
+        out = cd.lebesgue_norms(S / 2, S / 2, prob)
+        assert out.h_minus_one == pytest.approx(
+            np.hypot(closed_form(0.3, 3), closed_form(0.5, k)), rel=1e-12)
+    # odd n has no Nyquist bin: its top mode is a conjugate pair
+    prob = _standing_problem(15)
+    x = prob.grid.cell_centers()
+    S = 1.0 + 0.5 * np.sin(2 * np.pi * 7 * x)
+    out = cd.lebesgue_norms(S / 2, S / 2, prob)
+    assert out.h_minus_one == pytest.approx(closed_form(0.5, 7), rel=1e-12)
+
+
 def test_lebesgue_power_integral_oracle():
     prob = _standing_problem(256)
     x = prob.grid.cell_centers()
@@ -425,6 +450,8 @@ def _oracle_scalars(rho, mu, problem):
     k = np.arange(1, n // 2 + 1)
     spec = np.fft.rfft(S)[1:n // 2 + 1] * np.exp(-1j * np.pi * k / n)
     coef_sq = (2.0 * dx) ** 2 * np.abs(spec) ** 2
+    if n % 2 == 0:  # the Nyquist bin's amplitude is |X_k|/n, not 2|X_k|/n
+        coef_sq[-1] *= 0.25
     out["h_minus_one"] = float(np.sqrt(np.sum(coef_sq / (2.0 * (2.0 * np.pi * k) ** 2))))
     return out
 
