@@ -2,8 +2,12 @@
 
 All files are comma-separated, decimal-point, line-feed terminated, with
 floats at a configurable number of significant digits (default 17, which
-round-trips binary64 exactly).  Writes go to a temporary file followed by
-an atomic rename so failed runs never leave partial tables behind.
+round-trips binary64 exactly).  Each file's body is built by one
+%-format of a row template repeated once per row (`_lines`), and
+read_table parses a body with one flat `float` pass.  Snapshots are
+formatted and written one file at a time, so a trajectory's text is never
+held in memory whole.  Writes go to a temporary file followed by an atomic
+rename so failed runs never leave partial tables behind.
 """
 
 from __future__ import annotations
@@ -19,49 +23,44 @@ from .study import StudyReport
 from .grid import GridSpec
 
 
-def _fmt(x: float, precision: int) -> str:
-    return format(float(x), f".{precision}g")
+def _lines(row: str, values: list, precision: int) -> str:
+    """`row`, a %-template whose %g fields print `precision` significant
+    digits, formatted once per line over the row-major `values`."""
+    row = row.replace("%g", f"%.{precision}g") + "\n"
+    return (row * (len(values) // row.count("%"))) % tuple(values)
 
 
-def _write_atomic(path: Path, lines: list[str]) -> None:
+def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_tables(out_dir, tables, precision: int) -> list[Path]:
+    """Write each (file name, header, row template, row-major values) table."""
+    out = Path(out_dir)
+    for name, header, row, values in tables:
+        _write_atomic(out / name, header + "\n" + _lines(row, values, precision))
+    return [out / name for name, *_ in tables]
 
 
 def write_report_csv(report: DiagnosticsReport, out_dir, precision: int = 17) -> list[Path]:
     """Write scalars.csv, omega_space.csv, omega_time.csv and residuals.csv."""
-    out = Path(out_dir)
-    written = []
-
-    lines = ["t," + ",".join(SCALAR_COLUMNS)]
-    for i, t in enumerate(report.times):
-        row = [t] + [getattr(report, col)[i] for col in SCALAR_COLUMNS]
-        lines.append(",".join(_fmt(x, precision) for x in row))
-    _write_atomic(out / "scalars.csv", lines)
-    written.append(out / "scalars.csv")
-
-    for name, (xs, a, b) in (
-            ("omega_space.csv", (report.omega_space_h, report.omega_space_rho,
-                                 report.omega_space_mu)),
-            ("omega_time.csv", (report.omega_time_k, report.omega_time_rho,
-                                report.omega_time_mu))):
-        head = "h,omega_rho,omega_mu" if name.startswith("omega_space") \
-            else "k,omega_rho,omega_mu"
-        lines = [head]
-        for x, ya, yb in zip(xs, a, b):
-            lines.append(",".join(_fmt(v, precision) for v in (x, ya, yb)))
-        _write_atomic(out / name, lines)
-        written.append(out / name)
-
-    lines = ["phi_id,species,residual"]
-    for row in report.residuals:
-        lines.append(f"{row.phi_id},{row.species},{_fmt(row.residual, precision)}")
-    _write_atomic(out / "residuals.csv", lines)
-    written.append(out / "residuals.csv")
-    return written
+    scalars = [report.times] + [getattr(report, col) for col in SCALAR_COLUMNS]
+    return _write_tables(out_dir, [
+        ("scalars.csv", "t," + ",".join(SCALAR_COLUMNS), ",".join(["%g"] * len(scalars)),
+         np.column_stack(scalars).ravel().tolist()),
+        ("omega_space.csv", "h,omega_rho,omega_mu", "%g,%g,%g",
+         np.column_stack((report.omega_space_h, report.omega_space_rho,
+                          report.omega_space_mu)).ravel().tolist()),
+        ("omega_time.csv", "k,omega_rho,omega_mu", "%g,%g,%g",
+         np.column_stack((report.omega_time_k, report.omega_time_rho,
+                          report.omega_time_mu)).ravel().tolist()),
+        ("residuals.csv", "phi_id,species,residual", "%s,%s,%g",
+         [v for row in report.residuals for v in row]),
+    ], precision)
 
 
 def snapshot_filename(t: float) -> str:
@@ -71,13 +70,14 @@ def snapshot_filename(t: float) -> str:
 def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path]:
     out = Path(out_dir)
     written = []
-    xc = traj.problem.grid.cell_centers()
+    xc = traj.problem.grid.cell_centers().tolist()
+    flat = [None] * (3 * len(xc))  # x, rho, mu of each row in turn
+    flat[0::3] = _lines("%g", xc, precision).splitlines()  # the same in every file
     for t, (rho, mu) in zip(traj.times, traj.states):
-        lines = ["x,rho,mu"]
-        for x, r, m in zip(xc, rho, mu):
-            lines.append(",".join(_fmt(v, precision) for v in (x, r, m)))
+        flat[1::3] = rho.tolist()
+        flat[2::3] = mu.tolist()
         path = out / snapshot_filename(t)
-        _write_atomic(path, lines)
+        _write_atomic(path, "x,rho,mu\n" + _lines("%s,%g,%g", flat, precision))
         written.append(path)
     return written
 
@@ -85,7 +85,8 @@ def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path
 def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Load snapshot_<t>.csv files, sorted by time, as (times, states): a
     (T,) array and a read-only (T, 2, n) array with rho in [:, 0] and mu in
-    [:, 1].  Every density must parse, be finite and be positive."""
+    [:, 1].  Every density must parse, be finite and be positive, and no two
+    files may hold the same time."""
     stamped = []
     for path in Path(traj_dir).glob("snapshot_*.csv"):
         try:
@@ -94,7 +95,10 @@ def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"{path}: {err}") from None
     if not stamped:
         raise ValueError(f"no snapshot_*.csv files in {traj_dir}")
-    stamped.sort(key=lambda item: item[0])
+    stamped.sort()
+    for (t, first), (t_next, path) in zip(stamped, stamped[1:]):
+        if t_next == t:
+            raise ValueError(f"{path}: duplicate snapshot time {t!r}, also in {first.name}")
     states = np.empty((len(stamped), 2, grid.n_cells))
     for state, (_, path) in zip(states, stamped):
         try:
@@ -118,39 +122,34 @@ def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_study_csv(report: StudyReport, out_dir, precision: int = 17) -> list[Path]:
-    out = Path(out_dir)
-    written = []
-
-    lines = ["level,n_cells,eps,mass_rho,mass_mu,entropy_min,entropy_max,"
-             "sup_bv_u,int_diss"]
-    for s in report.summaries:
-        lines.append(",".join(
-            [str(s.level), str(s.n_cells)]
-            + [_fmt(v, precision) for v in
-               (s.eps, s.mass_rho, s.mass_mu, s.entropy_min, s.entropy_max,
-                s.sup_bv_u, s.int_diss)]))
-    _write_atomic(out / "levels.csv", lines)
-    written.append(out / "levels.csv")
-
-    lines = ["pair,cauchy_rho,cauchy_mu"]
-    for i, (cr, cm) in enumerate(zip(report.cauchy_rho, report.cauchy_mu)):
-        lines.append(f"{i}-{i + 1},{_fmt(cr, precision)},{_fmt(cm, precision)}")
-    _write_atomic(out / "cauchy_l1.csv", lines)
-    written.append(out / "cauchy_l1.csv")
-
-    lines = ["name,value",
-             f"weak_residual_order,{_fmt(report.rate_weak_residual, precision)}",
-             f"reference_error_order,{_fmt(report.rate_reference_error, precision)}"]
-    _write_atomic(out / "rates.csv", lines)
-    written.append(out / "rates.csv")
-    return written
+    return _write_tables(out_dir, [
+        ("levels.csv", "level,n_cells,eps,mass_rho,mass_mu,entropy_min,entropy_max,"
+         "sup_bv_u,int_diss", "%s,%s,%g,%g,%g,%g,%g,%g,%g",
+         [v for s in report.summaries for v in
+          (s.level, s.n_cells, s.eps, s.mass_rho, s.mass_mu, s.entropy_min,
+           s.entropy_max, s.sup_bv_u, s.int_diss)]),
+        ("cauchy_l1.csv", "pair,cauchy_rho,cauchy_mu", "%d-%d,%g,%g",
+         [v for i, (cr, cm) in enumerate(zip(report.cauchy_rho, report.cauchy_mu))
+          for v in (i, i + 1, cr, cm)]),
+        ("rates.csv", "name,value", "%s,%g",
+         ["weak_residual_order", report.rate_weak_residual,
+          "reference_error_order", report.rate_reference_error]),
+    ], precision)
 
 
 def read_table(path) -> tuple[list[str], np.ndarray]:
-    """Read a numeric CSV written by this package: (column names, data)."""
-    rows = Path(path).read_text().strip().split("\n")
-    header = rows[0].split(",")
-    if len(rows) == 1:
+    """Read a numeric CSV written by this package: (column names, data), with
+    data a (rows, columns) array, (0, len(column names)) for a header-only
+    file.  Every body row must hold the same number of values."""
+    head, _, body = Path(path).read_text().strip().partition("\n")
+    header = head.split(",")
+    if not body:
         return header, np.zeros((0, len(header)))
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    return header, data
+    rows = body.split("\n")
+    commas = [row.count(",") for row in rows]
+    if commas.count(commas[0]) != len(commas):
+        i = next(i for i, c in enumerate(commas) if c != commas[0])
+        raise ValueError(f"ragged rows: line {i + 2} holds {commas[i] + 1} values, "
+                         f"line 2 holds {commas[0] + 1}")
+    data = np.array(list(map(float, body.replace("\n", ",").split(","))))
+    return header, data.reshape(len(rows), commas[0] + 1)

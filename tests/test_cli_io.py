@@ -1,19 +1,25 @@
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossdiff
 import crossdiff.cli
 from crossdiff.cli import main
 from crossdiff.config import (ConfigError, build_plan, build_problem,
                               dump_config, parse_config)
-from crossdiff.csvio import read_snapshots, read_table, write_report_csv
-from crossdiff.diagnostics import DiagnosticsReport, ResidualRow
+from crossdiff.csvio import (read_snapshots, read_table, write_report_csv,
+                             write_snapshots, write_study_csv)
+from crossdiff.diagnostics import SCALAR_COLUMNS, DiagnosticsReport, ResidualRow
+from crossdiff.study import LevelSummary
 from crossdiff.svgplot import emit_plot
 
 MINIMAL = """
@@ -206,6 +212,142 @@ def test_single_row_scalars(tmp_path):
     assert len((tmp_path / "scalars.csv").read_text().strip().split("\n")) == 2
 
 
+# Reference copies of the per-value writers and the per-row parser that the
+# %-template writers and the flat parser in csvio replaced.  The new code must
+# give the same bytes and the same arrays.
+
+def _fmt_ref(x, precision):
+    return format(float(x), f".{precision}g")
+
+
+def _text_ref(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _snapshot_text_ref(xc, rho, mu, precision):
+    return _text_ref(["x,rho,mu"] + [",".join(_fmt_ref(v, precision) for v in row)
+                                     for row in zip(xc, rho, mu)])
+
+
+def _report_texts_ref(report, precision):
+    lines = ["t," + ",".join(SCALAR_COLUMNS)]
+    for i, t in enumerate(report.times):
+        row = [t] + [getattr(report, col)[i] for col in SCALAR_COLUMNS]
+        lines.append(",".join(_fmt_ref(x, precision) for x in row))
+    texts = {"scalars.csv": _text_ref(lines)}
+    for name, head, cols in (
+            ("omega_space.csv", "h,omega_rho,omega_mu",
+             (report.omega_space_h, report.omega_space_rho, report.omega_space_mu)),
+            ("omega_time.csv", "k,omega_rho,omega_mu",
+             (report.omega_time_k, report.omega_time_rho, report.omega_time_mu))):
+        texts[name] = _text_ref([head] + [",".join(_fmt_ref(v, precision) for v in row)
+                                          for row in zip(*cols)])
+    texts["residuals.csv"] = _text_ref(
+        ["phi_id,species,residual"]
+        + [f"{r.phi_id},{r.species},{_fmt_ref(r.residual, precision)}"
+           for r in report.residuals])
+    return texts
+
+
+def _study_texts_ref(report, precision):
+    levels = ["level,n_cells,eps,mass_rho,mass_mu,entropy_min,entropy_max,sup_bv_u,int_diss"]
+    for s in report.summaries:
+        levels.append(",".join(
+            [str(s.level), str(s.n_cells)]
+            + [_fmt_ref(v, precision) for v in
+               (s.eps, s.mass_rho, s.mass_mu, s.entropy_min, s.entropy_max,
+                s.sup_bv_u, s.int_diss)]))
+    cauchy = ["pair,cauchy_rho,cauchy_mu"]
+    for i, (cr, cm) in enumerate(zip(report.cauchy_rho, report.cauchy_mu)):
+        cauchy.append(f"{i}-{i + 1},{_fmt_ref(cr, precision)},{_fmt_ref(cm, precision)}")
+    rates = ["name,value",
+             f"weak_residual_order,{_fmt_ref(report.rate_weak_residual, precision)}",
+             f"reference_error_order,{_fmt_ref(report.rate_reference_error, precision)}"]
+    return {"levels.csv": _text_ref(levels), "cauchy_l1.csv": _text_ref(cauchy),
+            "rates.csv": _text_ref(rates)}
+
+
+def _read_table_ref(path):
+    rows = Path(path).read_text().strip().split("\n")
+    header = rows[0].split(",")
+    if len(rows) == 1:
+        return header, np.zeros((0, len(header)))
+    return header, np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1 / 3,
+               np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _table_cases(draw):
+    """(precision, (3, n) array): positive floats mixed with edge values."""
+    n = draw(st.integers(1, 64))
+    value = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                      st.sampled_from(EDGE_FLOATS))
+    values = draw(st.lists(value, min_size=3 * n, max_size=3 * n))
+    return draw(st.integers(1, 17)), np.array(values).reshape(3, n)
+
+
+def _write_case(out, precision, vals):
+    """Write two snapshots, a report and a study table from one drawn case."""
+    xc, rho, mu = vals
+    n = len(xc)
+    grid = SimpleNamespace(cell_centers=lambda: xc.copy())
+    traj = SimpleNamespace(problem=SimpleNamespace(grid=grid), times=np.array([0.0, 0.5]),
+                           states=np.array([[rho, mu], [mu, rho]]))
+    snapshots = write_snapshots(traj, out, precision)
+    flat = vals.ravel()
+    cols = {name: np.roll(flat, k)[:n] for k, name in enumerate(SCALAR_COLUMNS, 1)}
+    report = DiagnosticsReport(
+        times=xc, omega_space_h=xc, omega_space_rho=rho, omega_space_mu=mu,
+        omega_time_k=mu[::2], omega_time_rho=rho[::2], omega_time_mu=xc[::2],
+        residuals=tuple(ResidualRow(f"cos{i}_chi1", ("rho", "mu")[i % 2], v)
+                        for i, v in enumerate(flat)),
+        residual_max=0.0, clamp_events=0, **cols)
+    summaries = tuple(LevelSummary(i, 16 << i, *np.resize(np.roll(flat, i), 7))
+                      for i in range(min(n, 4)))
+    study = SimpleNamespace(summaries=summaries, cauchy_rho=tuple(rho[1:]),
+                            cauchy_mu=tuple(mu[1:]), rate_weak_residual=xc[0],
+                            rate_reference_error=rho[0])
+    return (snapshots, write_report_csv(report, out, precision),
+            write_study_csv(study, out / "study", precision), (traj, report, study))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_table_cases())
+def test_writers_match_per_value_reference(case):
+    precision, vals = case
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshots, reports, studies, (traj, report, study) = _write_case(
+            Path(tmp), precision, vals)
+        assert [p.name for p in snapshots] == ["snapshot_0.csv", "snapshot_0.5.csv"]
+        for path, (rho, mu) in zip(snapshots, traj.states):
+            assert path.read_text() == _snapshot_text_ref(vals[0], rho, mu, precision)
+        expected = {**_report_texts_ref(report, precision),
+                    **_study_texts_ref(study, precision)}
+        written = {p.name: p.read_text() for p in reports + studies}
+        assert written == expected
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_table_cases())
+def test_read_table_matches_per_row_reference(case):
+    precision, vals = case
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshots, reports, studies, _ = _write_case(Path(tmp), precision, vals)
+        for path in snapshots + reports[:3] + studies[:1]:  # the numeric tables
+            header, data = read_table(path)
+            ref_header, ref_data = _read_table_ref(path)
+            assert header == ref_header
+            assert data.shape == ref_data.shape and data.tobytes() == ref_data.tobytes()
+        empty = Path(tmp) / "empty.csv"
+        for text in ("x,rho,mu\n", "x,rho,mu"):  # header only, as plot may meet it
+            empty.write_text(text)
+            header, data = read_table(empty)
+            assert header == ["x", "rho", "mu"] and data.shape == (0, 3)
+
+
 # --------------------------------------------------------------------------
 # SVG
 
@@ -350,6 +492,14 @@ def _corrupt_snapshots(traj_dir, defect):
         paths[-1].write_text("\n".join(rows[:1] + [r.rsplit(",", 1)[0] for r in rows[1:]]))
     elif defect == "name":
         (traj_dir / "snapshot_late.csv").write_text(paths[-1].read_text())
+    elif defect == "ragged":  # rows of 2 and 4 values, 3 a row on average
+        rows = paths[-1].read_text().split("\n")
+        rows[1] = rows[1].rsplit(",", 1)[0]
+        rows[2] += ",1"
+        paths[-1].write_text("\n".join(rows))
+    elif defect == "duplicate":  # a second name for t = 0.005
+        (traj_dir / "snapshot_0.005.csv").write_text(
+            (traj_dir / "snapshot_0.0050000000000000001.csv").read_text())
     else:  # a bad mu value in cell 2 of the last snapshot
         rows = paths[-1].read_text().split("\n")
         x, rho, _ = rows[3].split(",")
@@ -368,6 +518,8 @@ def _corrupt_snapshots(traj_dir, defect):
     ("abc", "could not convert string to float: 'abc'"),
     ("columns", "expected 3 values a row, got 2"),
     ("name", "could not convert string to float: 'late'"),
+    ("ragged", "ragged rows: line 3 holds 4 values, line 2 holds 2"),
+    ("duplicate", r"duplicate snapshot time 0\.005, also in snapshot_0\.005\.csv"),
 ])
 def test_read_snapshots_errors(tmp_path, capsys, defect, message):
     out = tmp_path / "run_out"
