@@ -152,9 +152,12 @@ def _cmd_diagnose(args) -> int:
 def _cmd_plot(args) -> int:
     out_dir = Path(args.out)
     for csv_path in args.csv:
-        header, data = read_table(csv_path)
-        if data.shape[0] < 2 or len(header) < 2:
-            raise ValueError(f"{csv_path}: plot needs >= 2 rows and >= 2 columns")
+        try:
+            header, data = read_table(csv_path)
+            if data.shape[0] < 2 or len(header) < 2:
+                raise ValueError("plot needs >= 2 rows and >= 2 columns")
+        except ValueError as err:
+            raise ValueError(f"{csv_path}: {err}") from None
         series = [(name, data[:, 0], data[:, j])
                   for j, name in enumerate(header) if j > 0]
         target = out_dir / (Path(csv_path).stem + ".svg")

@@ -123,7 +123,9 @@ def _check_modes(modes, grid: GridSpec, name: str) -> tuple[Mode, ...]:
 class PotentialPair:
     """Two potentials given by finite trigonometric sums, with exact value
     and derivative tables: V, V'' at cell centers, V' at cell centers and
-    interfaces (likewise for W).
+    interfaces (likewise for W).  The interface tables form one read-only
+    (2, n) array drift = [V'; W'], the solver's species drift; dV_int and
+    dW_int are views of its rows.
 
     w_fd_int is the two-point gradient of the cell samples of (V - W)/2; it
     is the interface shift used by the shifted log-ratio gradient so that
@@ -138,13 +140,20 @@ class PotentialPair:
     W_cells: np.ndarray
     dV_cells: np.ndarray
     dW_cells: np.ndarray
-    dV_int: np.ndarray
-    dW_int: np.ndarray
+    drift: np.ndarray
     d2V_cells: np.ndarray
     d2W_cells: np.ndarray
     w_fd_int: np.ndarray
     sup_dV: float
     sup_dW: float
+
+    @property
+    def dV_int(self) -> np.ndarray:
+        return self.drift[0]
+
+    @property
+    def dW_int(self) -> np.ndarray:
+        return self.drift[1]
 
 
 def build_potentials(modes_V, modes_W, grid: GridSpec) -> PotentialPair:
@@ -159,20 +168,20 @@ def build_potentials(modes_V, modes_W, grid: GridSpec) -> PotentialPair:
     for name, modes in (("V", mv), ("W", mw)):
         tables[f"{name}_cells"] = _trig_eval(modes, xc, 0)
         tables[f"d{name}_cells"] = _trig_eval(modes, xc, 1)
-        tables[f"d{name}_int"] = _trig_eval(modes, xi, 1)
         tables[f"d2{name}_cells"] = _trig_eval(modes, xc, 2)
+    drift = np.stack((_trig_eval(mv, xi, 1), _trig_eval(mw, xi, 1)))
 
     w_fd_int = grad(0.5 * (tables["V_cells"] - tables["W_cells"]), grid.dx)
     sup_dV = float(max(np.max(np.abs(tables["dV_cells"]), initial=0.0),
-                       np.max(np.abs(tables["dV_int"]), initial=0.0)))
+                       np.max(np.abs(drift[0]), initial=0.0)))
     sup_dW = float(max(np.max(np.abs(tables["dW_cells"]), initial=0.0),
-                       np.max(np.abs(tables["dW_int"]), initial=0.0)))
+                       np.max(np.abs(drift[1]), initial=0.0)))
 
-    for arr in (*tables.values(), w_fd_int):
+    for arr in (*tables.values(), drift, w_fd_int):
         arr.setflags(write=False)
 
-    return PotentialPair(grid=grid, modes_V=mv, modes_W=mw, w_fd_int=w_fd_int,
-                         sup_dV=sup_dV, sup_dW=sup_dW, **tables)
+    return PotentialPair(grid=grid, modes_V=mv, modes_W=mw, drift=drift,
+                         w_fd_int=w_fd_int, sup_dV=sup_dV, sup_dW=sup_dW, **tables)
 
 
 @dataclass(frozen=True)

@@ -8,27 +8,28 @@ with S = rho + mu.  The scheme advances the species pair (conservation and
 positivity are then structural); the S and r equations are verified as
 diagnostics, not used for stepping.
 
-Flux convention: with velocity a = grad(pressure(S)) + V' at interfaces
-(interface_velocities), the update is rho <- rho + dt * div(F),
-F = rho_up * a + eps * grad(rho), where rho_up is the donor cell of the
-transport direction -a (rho_i when a < 0, rho_{i+1} otherwise); the eps
-term is skipped at eps = 0, where it would add +-0.0.  The
-semi-implicit stepper keeps only the potential drift explicit and solves
-the stiff aggregate diffusion S - dt * Lap(kirchhoff(S) + eps S) = S_drift
-by damped Newton, splitting the diffusive interface flux between the
-species by their donor-cell mobility fractions (exactly conservative per
-species).  Each Newton iteration is one O(n) periodic tridiagonal solve:
+The state is one float64 array u = [rho; mu] of shape (2, n), and every
+stencil acts on its last axis, so each operation of a step runs once for
+both species.  Flux convention: with the (2, n) interface velocities a =
+grad(pressure(S)) + [V'; W'] (interface_velocities), the update is
+u <- u + dt * div(F), F = u_up * a + eps * grad(u), where u_up is the
+donor cell of the transport direction -a (u_i when a < 0, u_{i+1}
+otherwise); the eps term is skipped at eps = 0, where it would add +-0.0.
+The semi-implicit stepper keeps only the potential drift explicit and
+solves the stiff aggregate diffusion S - dt * Lap(kirchhoff(S) + eps S) =
+S_drift by damped Newton, splitting the diffusive interface flux between
+the species by their donor-cell mobility fractions (exactly conservative
+per species).  Each Newton iteration is one O(n) periodic tridiagonal solve:
 LAPACK gtsv on the Jacobian without its corners, plus a Sherman-Morrison
-correction for them.
+correction for them; LAPACK is imported by the first such solve, so an
+explicit run never loads scipy.
 
-cfl_dt and advance act on plain float64 cell arrays of rho and mu, and a
-step evaluates the velocities once: cfl_dt(rho, mu, problem) returns
-(dt, velocities), with the same pressure power giving the diffusive bound,
-and advance(rho, mu, velocities, t, dt, problem) transports with them.
-run calls the pair once per step and copies each snapshot it keeps into
-one preallocated (T, 2, n) array, rho in [:, 0] and mu in [:, 1]; the
-stencils of grid act on the last axis, so the diagnostics evaluate those
-rows directly.
+A step evaluates the velocities once: cfl_dt(u, problem) returns (dt,
+velocities), with the same pressure power giving the diffusive bound, and
+advance(u, velocities, t, dt, problem) transports with them.  run calls
+the pair once per step and copies each snapshot it keeps into one
+preallocated (T, 2, n) array, rho in [:, 0] and mu in [:, 1], whose rows
+the diagnostics evaluate directly.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .grid import div, grad
 from .model import ProblemSpec
@@ -69,75 +69,64 @@ class Trajectory:
     step_log: tuple[StepRecord, ...]
 
 
-def _donor(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # donor cell of the transport direction -a at interface i
-    up = np.empty_like(v)
-    up[:-1] = v[1:]
-    up[-1] = v[0]
-    np.putmask(up, a < 0.0, v)
+def _donor(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # donor cell of the transport direction -a at interface i; an (n,) a
+    # serves both rows of a (2, n) u
+    up = np.empty_like(u)
+    up[..., :-1] = u[..., 1:]
+    up[..., -1] = u[..., 0]
+    np.copyto(up, u, where=a < 0.0)
     return up
 
 
-def _velocities(pressure: np.ndarray, problem: ProblemSpec):
-    pot = problem.potentials
-    dp = grad(pressure, problem.grid.dx)
-    return dp + pot.dV_int, dp + pot.dW_int
+def interface_velocities(u: np.ndarray, problem: ProblemSpec) -> np.ndarray:
+    """The (2, n) species velocities grad(pressure(S)) + [V'; W'], S = rho + mu."""
+    pressure = problem.nonlinearity.pressure(u[0] + u[1])
+    return grad(pressure, problem.grid.dx) + problem.potentials.drift
 
 
-def interface_velocities(rho: np.ndarray, mu: np.ndarray,
-                         problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Species velocities a_rho = grad(pressure(S)) + V', a_mu likewise with W'."""
-    return _velocities(problem.nonlinearity.pressure(rho + mu), problem)
-
-
-def cfl_dt(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec
-           ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+def cfl_dt(u: np.ndarray, problem: ProblemSpec) -> tuple[float, np.ndarray]:
     """Stable step: advective dx/max|a|, plus the diffusive dx^2 bound for
     the explicit stepper (the semi-implicit one is advectively limited only).
 
-    Returns (dt, velocities), velocities being interface_velocities(rho,
-    mu, problem), which advance takes so a step computes them once."""
-    nl = problem.nonlinearity
+    Returns (dt, velocities), velocities being interface_velocities(u,
+    problem), which advance takes so a step computes them once."""
     dx = problem.grid.dx
-    pressure, diffusivity = nl.pressure_diffusivity(rho + mu)
-    velocities = _velocities(pressure, problem)
-    a_rho, a_mu = velocities
-    amax = max(np.abs(a_rho).max(), np.abs(a_mu).max(), _VEL_FLOOR)
-    dt = dx / amax
+    pressure, diffusivity = problem.nonlinearity.pressure_diffusivity(u[0] + u[1])
+    velocities = grad(pressure, dx) + problem.potentials.drift
+    dt = dx / max(np.abs(velocities).max(), _VEL_FLOOR)
     if problem.stepper == "explicit":
         diff_max = float(diffusivity.max()) + problem.eps_viscosity
         dt = min(dt, dx * dx / (2.0 * diff_max))
     return problem.cfl_safety * dt, velocities
 
 
-def _check_positive(v: np.ndarray, t: float, name: str) -> None:
-    if v.min() > 0.0 and v.max() < np.inf:  # NaN fails both: bad data goes on
+def _check_positive(u: np.ndarray, t: float) -> None:
+    if u.min() > 0.0 and u.max() < np.inf:  # NaN fails both: bad data goes on
         return
-    if not np.all(np.isfinite(v)):
-        raise SolverError(f"positivity violated: non-finite {name} at t={t:.6g}")
-    if np.any(v <= 0.0):
-        i = int(np.flatnonzero(v <= 0.0)[0])
-        raise SolverError(f"positivity violated: {name} at cell {i}, t={t:.6g}")
+    for v, name in zip(u, ("rho", "mu")):
+        if not np.all(np.isfinite(v)):
+            raise SolverError(f"positivity violated: non-finite {name} at t={t:.6g}")
+        if np.any(v <= 0.0):
+            i = int(np.flatnonzero(v <= 0.0)[0])
+            raise SolverError(f"positivity violated: {name} at cell {i}, t={t:.6g}")
 
 
-def _explicit_update(rho, mu, velocities, t_new: float, dt: float,
-                     problem: ProblemSpec):
+def _explicit_update(u, velocities, t_new: float, dt: float, problem: ProblemSpec):
     dx = problem.grid.dx
     eps = problem.eps_viscosity
-    clamps = problem.nonlinearity.clamp_count(rho + mu)
-    new = []
-    for v, a in zip((rho, mu), velocities):
-        flux = _donor(v, a)
-        flux *= a
-        if eps != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of v
-            flux += eps * grad(v, dx)
-        v_new = div(flux, dx)
-        v_new *= dt
-        v_new += v
-        new.append(v_new)
-    _check_positive(new[0], t_new, "rho")
-    _check_positive(new[1], t_new, "mu")
-    return new[0], new[1], clamps, 0
+    nl = problem.nonlinearity
+    # rho + mu < s_floor needs a density below s_floor, so S is formed only then
+    clamps = nl.clamp_count(u[0] + u[1]) if u.min() < nl.s_floor else 0
+    flux = _donor(u, velocities)
+    flux *= velocities
+    if eps != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of u
+        flux += eps * grad(u, dx)
+    u_new = div(flux, dx)
+    u_new *= dt
+    u_new += u
+    _check_positive(u_new, t_new)
+    return u_new, clamps, 0
 
 
 def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -149,6 +138,8 @@ def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     gtsv call solves T y = rhs and T z = u, and Sherman-Morrison gives
     x = y - (v.y) / (1 + v.z) z.  With cd >= 0 both J and T are strictly
     diagonally dominant by columns, hence nonsingular."""
+    from scipy.linalg.lapack import dgtsv
+
     n = cd.size
     diag = 1.0 + 2.0 * cd
     gamma = -diag[0]
@@ -206,68 +197,62 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     raise SolverError(f"newton did not converge, residual {norm:.3e}")
 
 
-def _semi_implicit_update(rho, mu, velocities, t_new: float, dt: float,
+def _semi_implicit_update(u, velocities, t_new: float, dt: float,
                           problem: ProblemSpec):
-    # velocities go unused: pressure is implicit here, the drift is V', W'
-    nl, pot = problem.nonlinearity, problem.potentials
+    # velocities go unused: pressure is implicit here, the drift is [V'; W']
+    drift = problem.potentials.drift
     dx = problem.grid.dx
 
     # explicit upwind potential drift
-    rho_s = rho + dt * div(_donor(rho, pot.dV_int) * pot.dV_int, dx)
-    mu_s = mu + dt * div(_donor(mu, pot.dW_int) * pot.dW_int, dx)
-    _check_positive(rho_s, t_new, "rho")
-    _check_positive(mu_s, t_new, "mu")
+    u_s = u + dt * div(_donor(u, drift) * drift, dx)
+    _check_positive(u_s, t_new)
 
-    s_star = rho_s + mu_s
-    clamps = nl.clamp_count(s_star)
+    s_star = u_s[0] + u_s[1]
+    clamps = problem.nonlinearity.clamp_count(s_star)
     _, q_new, iters, nclamps = _implicit_diffusion(s_star, dt, problem)
-    clamps += nclamps
 
     # split the aggregate diffusive flux by donor-cell mobility fractions
     g_diff = grad(q_new, dx)
-    s_up = _donor(s_star, g_diff)
-    rho_new = rho_s + dt * div((_donor(rho_s, g_diff) / s_up) * g_diff, dx)
-    mu_new = mu_s + dt * div((_donor(mu_s, g_diff) / s_up) * g_diff, dx)
-    _check_positive(rho_new, t_new, "rho")
-    _check_positive(mu_new, t_new, "mu")
-    return rho_new, mu_new, clamps, iters
+    u_new = u_s + dt * div(_donor(u_s, g_diff) / _donor(s_star, g_diff) * g_diff, dx)
+    _check_positive(u_new, t_new)
+    return u_new, clamps + nclamps, iters
 
 
-def advance(rho: np.ndarray, mu: np.ndarray, velocities, t: float, dt: float,
-            problem: ProblemSpec):
+def advance(u: np.ndarray, velocities: np.ndarray, t: float, dt: float,
+            problem: ProblemSpec) -> tuple[np.ndarray, StepRecord]:
     """One step from time t with the problem's stepper; velocities are the
-    ones cfl_dt returned for (rho, mu).  Returns the new (rho, mu) arrays
+    ones cfl_dt returned for u = [rho; mu].  Returns the new (2, n) state
     and the StepRecord."""
     if dt <= 0.0:
         raise SolverError(f"nonpositive dt {dt}")
     update = _explicit_update if problem.stepper == "explicit" else _semi_implicit_update
-    rho_new, mu_new, clamps, iters = update(rho, mu, velocities, t + dt, dt, problem)
-    return rho_new, mu_new, StepRecord(t, dt, clamps, iters)
+    u_new, clamps, iters = update(u, velocities, t + dt, dt, problem)
+    return u_new, StepRecord(t, dt, clamps, iters)
 
 
 def run(problem: ProblemSpec) -> Trajectory:
     """Integrate from t = 0 to t_final with adaptive CFL steps, truncating
     dt to land exactly on every snapshot time (never interpolating)."""
-    t, rho, mu = 0.0, problem.initial.rho0.values, problem.initial.mu0.values
+    t, u = 0.0, np.stack((problem.initial.rho0.values, problem.initial.mu0.values))
     times = np.zeros(len(problem.snapshot_times))
     states = np.empty((times.size, 2, problem.grid.n_cells))
-    states[0] = rho, mu
+    states[0] = u
     log: list[StepRecord] = []
     for j, target in enumerate(problem.snapshot_times[1:], 1):
         while t < target:
             remaining = target - t
-            dt, velocities = cfl_dt(rho, mu, problem)
+            dt, velocities = cfl_dt(u, problem)
             landing = dt >= remaining
             if landing:
                 dt = remaining
             try:
-                rho, mu, rec = advance(rho, mu, velocities, t, dt, problem)
+                u, rec = advance(u, velocities, t, dt, problem)
             except SolverError as err:
                 raise SolverError(f"{err} (while integrating to t={target:.6g})") from err
             log.append(rec)
             t = target if landing else t + dt
         times[j] = t
-        states[j] = rho, mu
+        states[j] = u
     times.setflags(write=False)
     states.setflags(write=False)
     return Trajectory(problem, times, states, tuple(log))

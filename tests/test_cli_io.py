@@ -476,6 +476,31 @@ def test_cli_import_loads_no_sparse_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_explicit_pipeline_loads_no_scipy(tmp_path):
+    # scipy is imported by the first Newton solve; import, an explicit run,
+    # diagnose and plot never need it
+    src = str(Path(crossdiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg, out = _write_cfg(tmp_path, FAST), str(tmp_path / "o")
+    explicit = [["run", cfg, "--out", out], ["diagnose", out],
+                ["plot", out + "/scalars.csv", "--out", out]]
+    semi = ["run", cfg, "--out", out + "_si", "--stepper", "semi-implicit"]
+    code = "\n".join([
+        "import sys",
+        "from crossdiff.cli import main",
+        "def scipy_modules(): return [m for m in sys.modules if m.startswith('scipy')]",
+        "seen = [scipy_modules()]",
+        f"codes = [main(argv) for argv in {explicit!r}]",
+        "seen.append(scipy_modules())",
+        f"codes.append(main({semi!r}))",
+        "print(repr((codes, seen, 'scipy.linalg.lapack' in sys.modules)))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(([0, 0, 0, 0], [[], []], True))
+
+
 def _corrupt_snapshots(traj_dir, defect):
     paths = sorted(traj_dir.glob("snapshot_*.csv"))
     if defect == "header":
@@ -587,6 +612,17 @@ def test_main_plot_loglog_rejects_zero(tmp_path, capsys):
     code = main(["plot", str(table), "--out", str(tmp_path), "--loglog"])
     assert code == 3
     assert "nonpositive value on log axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, message", [
+    ("x,y\n1,2\n2,abc\n", "could not convert string to float: 'abc'"),
+    ("x,y\n1,2\n2,3,4\n", "ragged rows: line 3 holds 3 values, line 2 holds 2"),
+])
+def test_main_plot_names_unparsable_file(tmp_path, capsys, body, message):
+    table = tmp_path / "bad.csv"
+    table.write_text(body)
+    assert main(["plot", str(table), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"error: 3: {table}: {message}\n"
 
 
 def test_main_io_error_exit_code(tmp_path, capsys):

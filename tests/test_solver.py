@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,20 +30,24 @@ def _problem(grid, alpha=0.5, modes_V=(), modes_W=(), stepper="explicit",
 
 def _step(rho, mu, t, dt, prob):
     """advance with the velocities of (rho, mu), at a dt of the caller's choosing."""
-    return cd.advance(rho, mu, cd.interface_velocities(rho, mu, prob), t, dt, prob)
+    u = np.stack((rho, mu))
+    u_new, rec = cd.advance(u, cd.interface_velocities(u, prob), t, dt, prob)
+    return u_new[0], u_new[1], rec
 
 
 def test_velocities_vanish_for_constant_data():
     g = cd.make_grid(64)
     prob = _problem(g)
-    a_rho, a_mu = cd.interface_velocities(np.full(64, 0.4), np.full(64, 0.6), prob)
+    a_rho, a_mu = cd.interface_velocities(np.stack((np.full(64, 0.4), np.full(64, 0.6))),
+                                          prob)
     assert np.all(a_rho == 0.0) and np.all(a_mu == 0.0)
 
 
 def test_velocities_pure_drift():
     g = cd.make_grid(64)
     prob = _problem(g, modes_V=[(1, 0.0, 1.0)])  # V = sin(2 pi x)
-    a_rho, a_mu = cd.interface_velocities(np.full(64, 0.4), np.full(64, 0.6), prob)
+    a_rho, a_mu = cd.interface_velocities(np.stack((np.full(64, 0.4), np.full(64, 0.6))),
+                                          prob)
     assert np.allclose(a_rho, 2 * np.pi * np.cos(2 * np.pi * g.interfaces()),
                        atol=1e-12)
     assert np.all(a_mu == 0.0)
@@ -55,7 +60,7 @@ def test_velocities_match_analytic_log_gradient():
     x = g.cell_centers()
     half = Field(g, 0.5 * (1 + 0.5 * np.cos(2 * np.pi * x)))
     prob = _problem(g, alpha=1.0, rho0=half, mu0=half)
-    a_rho, _ = cd.interface_velocities(half.values, half.values, prob)
+    a_rho, _ = cd.interface_velocities(np.stack((half.values, half.values)), prob)
     xi = g.interfaces()
     exact = -np.pi * np.sin(2 * np.pi * xi) / (1 + 0.5 * np.cos(2 * np.pi * xi))
     assert np.max(np.abs(a_rho - exact)) <= 2.5e-4
@@ -79,8 +84,9 @@ def test_step_explicit_conserves_mass():
     mu0 = Field(g, rng.uniform(0.3, 2.0, 64))
     prob = _problem(g, alpha=0.5, modes_V=[(1, 0.2, 0.0)],
                     modes_W=[(2, 0.0, 0.3)], rho0=rho0, mu0=mu0, eps=0.01)
-    dt, velocities = cd.cfl_dt(rho0.values, mu0.values, prob)
-    rho, mu, _ = cd.advance(rho0.values, mu0.values, velocities, 0.0, dt, prob)
+    u0 = np.stack((rho0.values, mu0.values))
+    dt, velocities = cd.cfl_dt(u0, prob)
+    (rho, mu), _ = cd.advance(u0, velocities, 0.0, dt, prob)
     assert abs(integrate(rho, g.dx) - integrate(rho0.values, g.dx)) <= 1e-14
     assert abs(integrate(mu, g.dx) - integrate(mu0.values, g.dx)) <= 1e-14
 
@@ -160,13 +166,13 @@ def test_cfl_formula():
     rho0 = Field(g, 0.5 + 0.25 * np.cos(2 * np.pi * x))
     mu0 = Field(g, 1.0 - rho0.values)
     prob = _problem(g, alpha=1.0, rho0=rho0, mu0=mu0)
-    st = (rho0.values, mu0.values)
-    assert cd.cfl_dt(*st, prob)[0] == pytest.approx(0.5 * g.dx**2 / 2.0, rel=1e-12)
-    assert cd.cfl_dt(*st, prob)[0] == pytest.approx(1.526e-5, rel=1e-3)
+    st = np.stack((rho0.values, mu0.values))
+    assert cd.cfl_dt(st, prob)[0] == pytest.approx(0.5 * g.dx**2 / 2.0, rel=1e-12)
+    assert cd.cfl_dt(st, prob)[0] == pytest.approx(1.526e-5, rel=1e-3)
     # eps = 1 doubles the diffusive denominator
     prob_eps = dataclasses.replace(prob, eps_viscosity=1.0)
-    assert cd.cfl_dt(*st, prob_eps)[0] == pytest.approx(0.5 * cd.cfl_dt(*st, prob)[0],
-                                                        rel=1e-12)
+    assert cd.cfl_dt(st, prob_eps)[0] == pytest.approx(0.5 * cd.cfl_dt(st, prob)[0],
+                                                       rel=1e-12)
 
 
 def test_cfl_fast_diffusion_scaling():
@@ -176,8 +182,8 @@ def test_cfl_fast_diffusion_scaling():
     f = Field.constant(g, 5e-5)
     prob_half = _problem(g, alpha=0.5, rho0=f, mu0=f)
     prob_one = _problem(g, alpha=1.0, rho0=f, mu0=f)
-    ratio = (cd.cfl_dt(f.values, f.values, prob_half)[0]
-             / cd.cfl_dt(f.values, f.values, prob_one)[0])
+    u = np.stack((f.values, f.values))
+    ratio = cd.cfl_dt(u, prob_half)[0] / cd.cfl_dt(u, prob_one)[0]
     assert ratio == pytest.approx(1.0 / 50.0, rel=1e-12)
 
 
@@ -234,7 +240,7 @@ def test_translation_equivariance_bitwise():
     rolled = {}
     for f in dataclasses.fields(prob.potentials):
         val = getattr(prob.potentials, f.name)
-        rolled[f.name] = np.roll(val, m) if isinstance(val, np.ndarray) else val
+        rolled[f.name] = np.roll(val, m, axis=-1) if isinstance(val, np.ndarray) else val
     prob_r = dataclasses.replace(
         prob, potentials=cd.PotentialPair(**rolled),
         initial=cd.validate_initial(Field(g, np.roll(rho0.values, m)),
@@ -314,20 +320,19 @@ def test_hand_stepping_reproduces_run(make, stepper):
     time, is exactly what run does."""
     prob = dataclasses.replace(make(64), stepper=stepper)
     traj = cd.run(prob)
-    t, rho, mu = 0.0, prob.initial.rho0.values, prob.initial.mu0.values
+    t, u = 0.0, np.stack((prob.initial.rho0.values, prob.initial.mu0.values))
     log = []
     for j, target in enumerate(prob.snapshot_times[1:], 1):
         while t < target:
-            dt, velocities = cd.cfl_dt(rho, mu, prob)
+            dt, velocities = cd.cfl_dt(u, prob)
             landing = dt >= target - t
             if landing:
                 dt = target - t
-            rho, mu, rec = cd.advance(rho, mu, velocities, t, dt, prob)
+            u, rec = cd.advance(u, velocities, t, dt, prob)
             log.append(rec)
             t = target if landing else t + dt
         assert traj.times[j] == t
-        assert np.array_equal(traj.states[j, 0], rho)
-        assert np.array_equal(traj.states[j, 1], mu)
+        assert np.array_equal(traj.states[j], u)
     assert tuple(log) == traj.step_log
 
 
@@ -360,13 +365,13 @@ def test_positivity_check_messages(bad, message):
     v[3] = bad
     v[9] = -1.0  # a later bad cell: the message names the first one
     with pytest.raises(SolverError) as info:
-        crossdiff.solver._check_positive(v, 0.25, "rho")
+        crossdiff.solver._check_positive(np.stack((v, np.ones(16))), 0.25)
     assert str(info.value) == message
 
 
 def test_positivity_check_accepts_extreme_positive_values():
     v = np.array([5e-324, 1e-300, 1.0, np.finfo(float).max])
-    crossdiff.solver._check_positive(v, 0.0, "mu")
+    crossdiff.solver._check_positive(np.stack((v, v)), 0.0)
 
 
 def _reference_explicit_step(rho, mu, t, prob):
@@ -428,16 +433,123 @@ def test_explicit_step_bitwise_equals_roll_reference(case):
         cfl_safety=case["cfl"])
     dt_ref, rho_ref, mu_ref, rec_ref, positive = _reference_explicit_step(
         rho, mu, case["t"], prob)
-    dt, velocities = cd.cfl_dt(rho, mu, prob)
+    u = np.stack((rho, mu))
+    dt, velocities = cd.cfl_dt(u, prob)
     assert dt == dt_ref
     if not positive:
         with pytest.raises(SolverError, match="positivity violated"):
-            cd.advance(rho, mu, velocities, case["t"], dt, prob)
+            cd.advance(u, velocities, case["t"], dt, prob)
         return
-    rho_new, mu_new, rec = cd.advance(rho, mu, velocities, case["t"], dt, prob)
+    (rho_new, mu_new), rec = cd.advance(u, velocities, case["t"], dt, prob)
     assert rho_new.tobytes() == rho_ref.tobytes()
     assert mu_new.tobytes() == mu_ref.tobytes()
     assert rec == rec_ref
+
+
+def _per_species_check(v, t, name):
+    if v.min() > 0.0 and v.max() < np.inf:
+        return
+    if not np.all(np.isfinite(v)):
+        raise SolverError(f"positivity violated: non-finite {name} at t={t:.6g}")
+    if np.any(v <= 0.0):
+        i = int(np.flatnonzero(v <= 0.0)[0])
+        raise SolverError(f"positivity violated: {name} at cell {i}, t={t:.6g}")
+
+
+def _per_species_donor(v, a):
+    up = np.empty_like(v)
+    up[:-1] = v[1:]
+    up[-1] = v[0]
+    np.putmask(up, a < 0.0, v)
+    return up
+
+
+def _per_species_explicit_update(rho, mu, velocities, t_new, dt, problem):
+    """The explicit update as written per species, before the (2, n) state;
+    kept as the oracle."""
+    dx = problem.grid.dx
+    eps = problem.eps_viscosity
+    clamps = problem.nonlinearity.clamp_count(rho + mu)
+    new = []
+    for v, a in zip((rho, mu), velocities):
+        flux = _per_species_donor(v, a)
+        flux *= a
+        if eps != 0.0:
+            flux += eps * grad(v, dx)
+        v_new = div(flux, dx)
+        v_new *= dt
+        v_new += v
+        new.append(v_new)
+    _per_species_check(new[0], t_new, "rho")
+    _per_species_check(new[1], t_new, "mu")
+    return new[0], new[1], clamps, 0
+
+
+def _per_species_semi_implicit_update(rho, mu, velocities, t_new, dt, problem):
+    """The semi-implicit update as written per species, before the (2, n)
+    state; kept as the oracle."""
+    nl, pot = problem.nonlinearity, problem.potentials
+    dx = problem.grid.dx
+    donor = _per_species_donor
+    rho_s = rho + dt * div(donor(rho, pot.dV_int) * pot.dV_int, dx)
+    mu_s = mu + dt * div(donor(mu, pot.dW_int) * pot.dW_int, dx)
+    _per_species_check(rho_s, t_new, "rho")
+    _per_species_check(mu_s, t_new, "mu")
+    s_star = rho_s + mu_s
+    clamps = nl.clamp_count(s_star)
+    _, q_new, iters, nclamps = crossdiff.solver._implicit_diffusion(s_star, dt, problem)
+    clamps += nclamps
+    g_diff = grad(q_new, dx)
+    s_up = donor(s_star, g_diff)
+    rho_new = rho_s + dt * div((donor(rho_s, g_diff) / s_up) * g_diff, dx)
+    mu_new = mu_s + dt * div((donor(mu_s, g_diff) / s_up) * g_diff, dx)
+    _per_species_check(rho_new, t_new, "rho")
+    _per_species_check(mu_new, t_new, "mu")
+    return rho_new, mu_new, clamps, iters
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_explicit_cases(), st.sampled_from(("explicit", "semi-implicit")),
+       st.sampled_from((0.5, 1.0, 4.0)))
+@example(dict(n=16, alpha=0.5, eps=0.05, s_floor=1.5, cfl=0.5,
+              modes_V=[(1, 0.3, 0.0)], modes_W=[(2, 0.0, 0.2)],
+              rho=1.0 + 0.4 * np.cos(np.pi * np.arange(0.5, 16) / 8),
+              mu=np.full(16, 0.9), t=0.0),
+         "semi-implicit", 1.0)  # eps > 0 with 3 clamps, rare among the draws
+@example(dict(n=16, alpha=0.5, eps=0.0, s_floor=2.0, cfl=0.5,
+              modes_V=[(1, 0.3, 0.0)], modes_W=[(2, 0.0, 0.2)],
+              rho=0.7 + 0.1 * np.cos(np.pi * np.arange(0.5, 16) / 8),
+              mu=np.full(16, 0.8), t=0.0),
+         "explicit", 1.0)  # every cell clamped, no density below s_floor / 2
+def test_stacked_step_bitwise_equals_per_species_reference(case, stepper, stretch):
+    """advance on the (2, n) state gives the bits, the record and the
+    SolverError message of the per-species update, at dt up to 4x cfl_dt."""
+    g = cd.make_grid(case["n"])
+    rho, mu = case["rho"], case["mu"]
+    prob = cd.ProblemSpec(
+        grid=g, nonlinearity=cd.Nonlinearity(case["alpha"], case["s_floor"]),
+        potentials=cd.build_potentials(case["modes_V"], case["modes_W"], g),
+        initial=cd.validate_initial(Field(g, rho), Field(g, mu)),
+        t_final=1.0, snapshot_times=(0.0, 1.0), eps_viscosity=case["eps"],
+        stepper=stepper, cfl_safety=case["cfl"])
+    u = np.stack((rho, mu))
+    dt, velocities = cd.cfl_dt(u, prob)
+    dt *= stretch
+    t = case["t"]
+    reference = (_per_species_explicit_update if stepper == "explicit"
+                 else _per_species_semi_implicit_update)
+    try:
+        rho_ref, mu_ref, clamps, iters = reference(rho, mu, tuple(velocities),
+                                                   t + dt, dt, prob)
+    except SolverError as err:
+        with pytest.raises(SolverError) as info:
+            cd.advance(u, velocities, t, dt, prob)
+        assert str(info.value) == str(err)
+        return
+    (rho_new, mu_new), rec = cd.advance(u, velocities, t, dt, prob)
+    assert rho_new.tobytes() == rho_ref.tobytes()
+    assert mu_new.tobytes() == mu_ref.tobytes()
+    assert rec == cd.StepRecord(t, dt, clamps, iters)
 
 
 def _dense_cyclic_jacobian(cd_):
@@ -562,6 +674,6 @@ def test_periodic_tridiagonal_solve_reports_lapack_failure(monkeypatch):
     def failing_gtsv(dl, d, du, b, **_):
         return dl, d, du, b, 2
 
-    monkeypatch.setattr(crossdiff.solver, "dgtsv", failing_gtsv)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", failing_gtsv)
     with pytest.raises(SolverError, match="gtsv info 2"):
         crossdiff.solver._solve_periodic_tridiagonal(np.ones(4), np.ones(4))
