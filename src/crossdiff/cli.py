@@ -19,7 +19,6 @@ Failures print a single line `error: <code>: <message>` to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,11 +26,10 @@ from pathlib import Path
 from .config import ConfigError, build_plan, build_problem, dump_config, parse_config
 from .csvio import (read_snapshots, read_table, write_report_csv,
                     write_snapshots, write_study_csv)
-from .diagnostics import build_report, make_test_bank
+from .diagnostics import build_report, make_test_bank  # noqa: F401 (bench/ uses)
 from .grid import make_grid
-from .model import STEPPERS
 from .solver import SolverError, Trajectory, run
-from .study import run_study
+from .study import diagnose, run_study
 from .svgplot import emit_plot
 
 EXIT_OK = 0
@@ -40,23 +38,23 @@ EXIT_RUNTIME = 3
 EXIT_IO = 4
 
 
+# the config key that each flag of run and study sets
+_FLAG_KEYS = {"out": ("output", "dir"), "stepper": ("time", "stepper"),
+              "eps": ("time", "eps"), "levels": ("study", "levels")}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crossdiff",
                                      description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="integrate a configured problem")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--stepper", choices=STEPPERS)
-    p_run.add_argument("--eps", type=float, help="artificial viscosity override")
-
-    p_study = sub.add_parser("study", help="refinement / viscosity campaign")
-    p_study.add_argument("config")
-    p_study.add_argument("--out")
-    p_study.add_argument("--levels", type=int)
-    p_study.add_argument("--eps", type=float)
-    p_study.add_argument("--stepper", choices=STEPPERS)
+    for command, help_text in (("run", "integrate a configured problem"),
+                               ("study", "refinement / viscosity campaign")):
+        p_cmd = sub.add_parser(command, help=help_text)
+        p_cmd.add_argument("config")
+        for flag, (section, key) in _FLAG_KEYS.items():
+            if flag != "levels" or command == "study":
+                p_cmd.add_argument(f"--{flag}", help=f"overrides [{section}] {key}")
 
     p_diag = sub.add_parser("diagnose", help="recompute diagnostics from snapshots")
     p_diag.add_argument("trajdir")
@@ -74,41 +72,18 @@ def _load_config(path: str, args):
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    cfg = parse_config(text)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "stepper", None):
-        cfg = replace(cfg, stepper=args.stepper)
-    if getattr(args, "eps", None) is not None:
-        if not math.isfinite(args.eps):
-            raise ConfigError(f"--eps must be a finite number, got {args.eps}")
-        if args.eps < 0.0:
-            raise ConfigError("--eps must be nonnegative")
-        cfg = replace(cfg, eps=args.eps)
-    if getattr(args, "levels", None) is not None:
-        if args.levels < 2:
-            raise ConfigError("--levels must be >= 2")
-        if cfg.study_viscosity and len(cfg.study_viscosity) != args.levels:
-            raise ConfigError(f"--levels {args.levels} does not match the "
-                              f"{len(cfg.study_viscosity)} [study] viscosity entries")
-        cfg = replace(cfg, study_levels=args.levels)
-    return cfg
-
-
-def _report(cfg, traj: Trajectory):
-    """Diagnostics report of a trajectory, with the outputs cfg asks for."""
-    problem = traj.problem
-    bank = (make_test_bank(problem.grid, problem.t_final, cfg.bank_k)
-            if cfg.residuals and problem.t_final > 0.0 else None)
-    return build_report(traj, bank, with_residuals=cfg.residuals and bank is not None,
-                        with_moduli=cfg.moduli)
+    overrides = {}
+    for flag, (section, key) in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            overrides.setdefault(section, {})[key] = getattr(args, flag)
+    return parse_config(text, overrides)
 
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args)
     problem = build_problem(cfg)
     traj = run(problem)
-    report = _report(cfg, traj)
+    report = diagnose(traj, cfg.bank_k, cfg.residuals, cfg.moduli)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.cfg").write_text(dump_config(cfg))
@@ -123,7 +98,8 @@ def _cmd_run(args) -> int:
 def _cmd_study(args) -> int:
     cfg = _load_config(args.config, args)
     plan = build_plan(cfg)
-    report = run_study(plan)
+    report = run_study(plan, bank_k=cfg.bank_k, residuals=cfg.residuals,
+                       moduli=cfg.moduli)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.cfg").write_text(dump_config(cfg))
@@ -141,8 +117,13 @@ def _cmd_diagnose(args) -> int:
         raise ConfigError(f"no run.cfg in {traj_dir}")
     cfg = parse_config(cfg_path.read_text())
     times, states = read_snapshots(traj_dir, make_grid(cfg.n_cells))
-    problem = build_problem(cfg, snapshot_times=tuple(times.tolist()))
-    report = _report(cfg, Trajectory(problem, times, states, ()))
+    problem = build_problem(cfg)
+    try:
+        problem = replace(problem, snapshot_times=tuple(times.tolist()))
+    except ValueError as err:  # the stored times break a snapshot rule
+        raise ValueError(f"{traj_dir}: {err}") from None
+    report = diagnose(Trajectory(problem, times, states, ()), cfg.bank_k,
+                      cfg.residuals, cfg.moduli)
     out = Path(args.out) if args.out else traj_dir / "diagnose"
     write_report_csv(report, out, cfg.precision)
     print(f"diagnose complete: {len(times)} snapshots, output in {out}")

@@ -1,5 +1,5 @@
-"""Run configuration: a sectioned key-value document parsed into a fully
-validated RunConfig, plus builders for ProblemSpec and StudyPlan.
+"""Run configuration: a sectioned key-value document parsed into a RunConfig
+that every builder accepts, plus builders for ProblemSpec and StudyPlan.
 
 Schema (INI syntax; unknown sections or keys are rejected):
 
@@ -15,8 +15,16 @@ Schema (INI syntax; unknown sections or keys are rejected):
                   residuals = true       moduli = true
     [study]       levels = 3   refine_space = true   viscosity = 1e-2,5e-3,...
 
-Defaults: eps=0, cfl_safety=0.5, stepper=explicit, bank_k=8, s_floor=1e-12,
-snapshots=11, dir=out, precision=17.
+Defaults: eps=0, cfl_safety=0.5, stepper=explicit, bank_k=min(8, n/4),
+s_floor=1e-12, snapshots=11, dir=out, precision=17.
+
+parse_config checks syntax, finiteness, precision in [1, 17], a snapshot
+count >= 1 and bank_k in [0, n/4].  Each other value rule has one owner,
+whose ValueError it re-raises as a ConfigError prefixed with the section:
+grid.GridSpec (n), model.Nonlinearity (alpha, s_floor), model.check_modes
+(V, W, rho_modes, mu_modes), grid.Field (rho_values, mu_values),
+model.check_time ([time]) and study.check_levels ([study]).  build_problem
+adds the positivity of the initial data (model.validate_initial).
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import default_bank_k
 from .grid import Field, GridSpec, make_grid
-from .model import (Mode, Nonlinearity, ProblemSpec, STEPPERS,
-                    build_potentials, validate_initial)
-from .study import StudyPlan
+from .model import (Mode, Nonlinearity, ProblemSpec, build_potentials,
+                    check_modes, check_time, validate_initial)
+from .study import StudyPlan, check_levels
 
 
 class ConfigError(ValueError):
@@ -121,12 +130,24 @@ def _floats(raw: str, where: str) -> tuple[float, ...]:
     return tuple(_float(tok, where) for tok in raw.split(",") if tok.strip())
 
 
-def parse_config(text: str) -> RunConfig:
+def _checked(where: str, check, *args):
+    """check(*args), its ValueError re-raised as a ConfigError naming where."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise ConfigError(f"{where} {err}") from None
+
+
+def parse_config(text: str, overrides=None) -> RunConfig:
+    """Parse a config document into a RunConfig that every builder accepts.
+    overrides ({section: {key: raw value}}) is applied to the document
+    first, so an override gets exactly the checks of the key it sets."""
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keep key case
     try:
         cp.read_string(text)
+        cp.read_dict(overrides or {})
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}") from None
 
@@ -146,52 +167,36 @@ def parse_config(text: str) -> RunConfig:
         return cp.get(section, key) if cp.has_option(section, key) else default
 
     n = _int(need("grid", "n"), "[grid] n")
-    if n < 4:
-        raise ConfigError("[grid] n must be >= 4")
+    grid = _checked("[grid]", GridSpec, n)
 
     alpha = _float(need("model", "alpha"), "[model] alpha")
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha out of range (0,1]: got {alpha}")
     s_floor = _float(opt("model", "s_floor", "1e-12"), "[model] s_floor")
-    if s_floor <= 0.0:
-        raise ConfigError("[model] s_floor must be positive")
+    _checked("[model]", Nonlinearity, alpha, s_floor)
 
-    modes_V = _modes(opt("potentials", "V", ""), "[potentials] V")
-    modes_W = _modes(opt("potentials", "W", ""), "[potentials] W")
-    for name, modes in (("V", modes_V), ("W", modes_W)):
-        for k, _, _ in modes:
-            if k < 0:
-                raise ConfigError(f"[potentials] {name}: negative wavenumber {k}")
-            if k > n // 4:
-                raise ConfigError(
-                    f"[potentials] {name}: mode exceeds n/4 (k={k}, n={n})")
+    def modes(section: str, key: str) -> tuple[Mode, ...]:
+        return _modes(opt(section, key, ""), f"[{section}] {key}")
+
+    modes_V = _checked("[potentials]", check_modes, modes("potentials", "V"), grid, "V")
+    modes_W = _checked("[potentials]", check_modes, modes("potentials", "W"), grid, "W")
 
     def initial_side(prefix: str):
         values = opt("initial", f"{prefix}_values")
         offset = opt("initial", f"{prefix}_offset")
-        modes = _modes(opt("initial", f"{prefix}_modes", ""),
-                       f"[initial] {prefix}_modes")
+        side_modes = modes("initial", f"{prefix}_modes")
         if values is not None:
             vals = _floats(values, f"[initial] {prefix}_values")
-            if len(vals) != n:
-                raise ConfigError(
-                    f"[initial] {prefix}_values: expected {n} values, got {len(vals)}")
+            _checked(f"[initial] {prefix}_values:", Field, grid, vals)
             return None, (), vals
         if offset is None:
             raise ConfigError(
                 f"missing required key [initial] {prefix}_offset (or {prefix}_values)")
-        for k, _, _ in modes:
-            if k > n // 4:
-                raise ConfigError(
-                    f"[initial] {prefix}_modes: mode exceeds n/4 (k={k}, n={n})")
-        return _float(offset, f"[initial] {prefix}_offset"), modes, None
+        side_modes = _checked("[initial]", check_modes, side_modes, grid, f"{prefix}_modes")
+        return _float(offset, f"[initial] {prefix}_offset"), side_modes, None
 
     rho_offset, rho_modes, rho_values = initial_side("rho")
     mu_offset, mu_modes, mu_values = initial_side("mu")
 
     t_final = _float(need("time", "t_final"), "[time] t_final")
-    if t_final < 0.0:
-        raise ConfigError("[time] t_final must be nonnegative")
     snap_raw = opt("time", "snapshots", "11")
     if "," in snap_raw or "." in snap_raw:
         times = _floats(snap_raw, "[time] snapshots")
@@ -202,51 +207,32 @@ def parse_config(text: str) -> RunConfig:
         times = tuple(np.linspace(0.0, t_final, count)) if t_final > 0.0 else (0.0,)
     if t_final == 0.0:
         times = (0.0,)
-    tol = 1e-12 * max(1.0, t_final)
-    if not times or abs(times[0]) > tol:
-        raise ConfigError("[time] snapshots must start at 0")
-    if abs(times[-1] - t_final) > tol:
-        raise ConfigError("[time] snapshots must end at t_final")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError("[time] snapshots must be strictly increasing")
-
     stepper = opt("time", "stepper", "explicit")
-    if stepper not in STEPPERS:
-        raise ConfigError(f"[time] stepper must be one of {STEPPERS}, got {stepper!r}")
     cfl = _float(opt("time", "cfl_safety", "0.5"), "[time] cfl_safety")
-    if not (0.0 < cfl <= 1.0):
-        raise ConfigError("[time] cfl_safety must lie in (0, 1]")
     eps = _float(opt("time", "eps", "0"), "[time] eps")
-    if eps < 0.0:
-        raise ConfigError("[time] eps must be nonnegative")
+    times = _checked("[time]", check_time, t_final, times, stepper, cfl, eps)
 
     precision = _int(opt("output", "precision", "17"), "[output] precision")
     if not (1 <= precision <= 17):
         raise ConfigError("[output] precision must lie in [1, 17]")
     bank_k_raw = opt("output", "bank_k")
     if bank_k_raw is None:
-        bank_k = min(8, n // 4)
+        bank_k = default_bank_k(n)
     else:
         bank_k = _int(bank_k_raw, "[output] bank_k")
         if bank_k < 0 or bank_k > n // 4:
             raise ConfigError(f"[output] bank_k must lie in [0, n/4], got {bank_k}")
 
     levels = _int(opt("study", "levels", "3"), "[study] levels")
-    if levels < 2:
-        raise ConfigError("[study] levels must be >= 2")
     viscosity = _floats(opt("study", "viscosity", ""), "[study] viscosity")
-    if any(e < 0.0 for e in viscosity):
-        raise ConfigError("[study] viscosity entries must be nonnegative")
-    if viscosity and len(viscosity) != levels:
-        raise ConfigError(f"[study] viscosity needs one entry per level "
-                          f"({levels}), got {len(viscosity)}")
+    viscosity = _checked("[study]", check_levels, levels, viscosity)
 
     return RunConfig(
         n_cells=n, alpha=alpha, s_floor=s_floor,
         modes_V=modes_V, modes_W=modes_W,
         rho_offset=rho_offset, rho_modes=rho_modes, rho_values=rho_values,
         mu_offset=mu_offset, mu_modes=mu_modes, mu_values=mu_values,
-        t_final=t_final, snapshot_times=tuple(float(t) for t in times),
+        t_final=t_final, snapshot_times=times,
         stepper=stepper, cfl_safety=cfl, eps=eps,
         out_dir=opt("output", "dir", "out"), precision=precision, bank_k=bank_k,
         residuals=_bool(opt("output", "residuals", "true"), "[output] residuals"),
@@ -286,7 +272,8 @@ def dump_config(cfg: RunConfig) -> str:
         "",
         "[time]",
         f"t_final = {_g17(cfg.t_final)}",
-        "snapshots = " + ", ".join(_g17(t) for t in cfg.snapshot_times),
+        "snapshots = " + ", ".join(_g17(t) for t in cfg.snapshot_times)
+        + ("," if len(cfg.snapshot_times) == 1 else ""),  # a lone time is no count
         f"stepper = {cfg.stepper}",
         f"cfl_safety = {_g17(cfg.cfl_safety)}",
         f"eps = {_g17(cfg.eps)}",
@@ -325,7 +312,7 @@ def initial_sampler(cfg: RunConfig):
     return sample
 
 
-def build_problem(cfg: RunConfig, snapshot_times=None) -> ProblemSpec:
+def build_problem(cfg: RunConfig) -> ProblemSpec:
     grid = make_grid(cfg.n_cells)
     try:
         rho0 = _initial_field(grid, cfg.rho_offset, cfg.rho_modes, cfg.rho_values)
@@ -339,7 +326,7 @@ def build_problem(cfg: RunConfig, snapshot_times=None) -> ProblemSpec:
         potentials=build_potentials(cfg.modes_V, cfg.modes_W, grid),
         initial=initial,
         t_final=cfg.t_final,
-        snapshot_times=snapshot_times or cfg.snapshot_times,
+        snapshot_times=cfg.snapshot_times,
         eps_viscosity=cfg.eps,
         stepper=cfg.stepper,
         cfl_safety=cfg.cfl_safety,
@@ -347,9 +334,8 @@ def build_problem(cfg: RunConfig, snapshot_times=None) -> ProblemSpec:
 
 
 def build_plan(cfg: RunConfig) -> StudyPlan:
-    base = build_problem(cfg)
     return StudyPlan(
-        base=base,
+        base=build_problem(cfg),
         levels=cfg.study_levels,
         refine_space=cfg.study_refine_space,
         viscosity_schedule=cfg.study_viscosity,

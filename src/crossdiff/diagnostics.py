@@ -157,6 +157,11 @@ def _raised_cosine(t_on: float, t_off: float) -> Callable[[float], float]:
     return chi
 
 
+def default_bank_k(n_cells: int) -> int:
+    """Modes in the default test bank of an n-cell grid: 8, capped at n/4."""
+    return min(8, n_cells // 4)
+
+
 def make_test_bank(grid: GridSpec, t_final: float, k_max: int = 8) -> TestFunctionBank:
     if k_max > grid.n_cells // 4:
         raise ValueError(
@@ -334,7 +339,7 @@ def build_report(traj: Trajectory, bank: TestFunctionBank | None = None,
     if with_residuals and len(traj.times) >= 2:
         if bank is None:
             bank = make_test_bank(problem.grid, problem.t_final,
-                                  k_max=min(8, problem.grid.n_cells // 4))
+                                  default_bank_k(problem.grid.n_cells))
         rows, res_max = weak_residual(traj, bank)
     else:
         rows, res_max = (), float("nan")

@@ -58,9 +58,7 @@ class Field:
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
         if v.shape != (self.grid.n_cells,):
-            raise ValueError(
-                f"field length {v.shape} does not match grid with {self.grid.n_cells} cells"
-            )
+            raise ValueError(f"expected {self.grid.n_cells} values, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         v.setflags(write=False)

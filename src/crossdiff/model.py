@@ -36,7 +36,7 @@ class Nonlinearity:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha out of range (0,1]: got {self.alpha}")
         if not (self.s_floor > 0.0):
-            raise ValueError("s_floor must be positive")
+            raise ValueError(f"s_floor must be positive, got {self.s_floor}")
 
     def _clamped(self, s):
         return np.maximum(np.asarray(s, dtype=float), self.s_floor)
@@ -104,19 +104,15 @@ def _trig_eval(modes, x: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _check_modes(modes, grid: GridSpec, name: str) -> tuple[Mode, ...]:
-    checked = []
-    for mode in modes:
-        k, a, b = mode
-        k = int(k)
+def check_modes(modes, grid: GridSpec, name: str) -> tuple[Mode, ...]:
+    """Mode triples with wavenumbers in [0, n/4], as (int, float, float)."""
+    checked = tuple((int(k), float(a), float(b)) for k, a, b in modes)
+    for k, _, _ in checked:
         if k < 0:
             raise ValueError(f"{name}: negative wavenumber {k}")
         if k > grid.n_cells // 4:
-            raise ValueError(
-                f"{name}: mode exceeds n/4 (k={k}, n={grid.n_cells})"
-            )
-        checked.append((k, float(a), float(b)))
-    return tuple(checked)
+            raise ValueError(f"{name}: mode exceeds n/4 (k={k}, n={grid.n_cells})")
+    return checked
 
 
 @dataclass(frozen=True)
@@ -159,8 +155,8 @@ class PotentialPair:
 def build_potentials(modes_V, modes_W, grid: GridSpec) -> PotentialPair:
     """Assemble all potential tables by term-wise differentiation (no
     numerical differentiation except the dedicated two-point w_fd_int)."""
-    mv = _check_modes(modes_V, grid, "V")
-    mw = _check_modes(modes_W, grid, "W")
+    mv = check_modes(modes_V, grid, "V")
+    mw = check_modes(modes_W, grid, "W")
     xc = grid.cell_centers()
     xi = grid.interfaces()
 
@@ -204,10 +200,36 @@ def validate_initial(rho0: Field, mu0: Field) -> InitialData:
 STEPPERS = ("explicit", "semi-implicit")
 
 
+def check_time(t_final: float, snapshot_times, stepper: str, cfl_safety: float,
+               eps_viscosity: float) -> tuple[float, ...]:
+    """Check a problem's time data; return snapshot_times as floats.  They
+    must increase from 0 to t_final, the ends within 1e-12 * max(1, t_final)."""
+    if not 0.0 <= t_final < np.inf:
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
+    if not 0.0 <= eps_viscosity < np.inf:
+        raise ValueError(f"eps_viscosity must be finite and nonnegative, got {eps_viscosity}")
+    if stepper not in STEPPERS:
+        raise ValueError(f"stepper must be one of {STEPPERS}, got {stepper!r}")
+    if not (0.0 < cfl_safety <= 1.0):
+        raise ValueError(f"cfl_safety must lie in (0, 1], got {cfl_safety}")
+    ts = tuple(float(t) for t in snapshot_times)
+    if not ts:
+        raise ValueError("snapshot_times must be nonempty")
+    tol = 1e-12 * max(1.0, t_final)
+    if abs(ts[0]) > tol:
+        raise ValueError(f"snapshot_times must start at 0, got {ts[0]}")
+    if abs(ts[-1] - t_final) > tol:
+        raise ValueError(f"snapshot_times must end at t_final {t_final}, got {ts[-1]}")
+    for a, b in zip(ts, ts[1:]):
+        if b <= a:
+            raise ValueError(f"snapshot_times must be strictly increasing, got {b} after {a}")
+    return ts
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A complete, validated problem: grid, model data, horizon and stepper
-    policy.  snapshot_times must start at 0 and end at t_final."""
+    policy, the time data checked by check_time."""
 
     grid: GridSpec
     nonlinearity: Nonlinearity
@@ -220,28 +242,8 @@ class ProblemSpec:
     cfl_safety: float = 0.5
 
     def __post_init__(self):
-        if not np.isfinite(self.t_final):
-            raise ValueError(f"t_final must be finite, got {self.t_final}")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
-        if not np.isfinite(self.eps_viscosity):
-            raise ValueError(f"eps_viscosity must be finite, got {self.eps_viscosity}")
-        if self.eps_viscosity < 0.0:
-            raise ValueError("eps_viscosity must be nonnegative")
-        if self.stepper not in STEPPERS:
-            raise ValueError(f"unknown stepper {self.stepper!r}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError("cfl_safety must lie in (0, 1]")
+        ts = check_time(self.t_final, self.snapshot_times, self.stepper,
+                        self.cfl_safety, self.eps_viscosity)
         if self.potentials.grid != self.grid or self.initial.rho0.grid != self.grid:
             raise ValueError("grid mismatch between problem components")
-        ts = tuple(float(t) for t in self.snapshot_times)
-        if not ts:
-            raise ValueError("snapshot_times must be nonempty")
-        tol = 1e-12 * max(1.0, self.t_final)
-        if abs(ts[0]) > tol:
-            raise ValueError("snapshot_times must start at 0")
-        if abs(ts[-1] - self.t_final) > tol:
-            raise ValueError("snapshot_times must end at t_final")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("snapshot_times must be strictly increasing")
         object.__setattr__(self, "snapshot_times", ts)

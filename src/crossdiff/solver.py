@@ -180,7 +180,8 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     for it in range(NEWTON_MAXIT):
         if norm <= NEWTON_TOL:
             return s, q, it, clamps
-        delta = _solve_periodic_tridiagonal(c * (nl.diffusivity(s) + eps), -res)
+        slope = np.where(s < nl.s_floor, 0.0, nl.diffusivity(s))  # q is flat there
+        delta = _solve_periodic_tridiagonal(c * (slope + eps), -res)
         lam = 1.0
         for _ in range(30):
             trial = s + lam * delta

@@ -13,10 +13,27 @@ import numpy as np
 
 from .grid import Field, GridSpec, grad, integrate, make_grid
 from .model import ProblemSpec, build_potentials, validate_initial
-from .diagnostics import DiagnosticsReport, build_report, make_test_bank
+from .diagnostics import (DiagnosticsReport, build_report, default_bank_k,
+                          make_test_bank)
 from .solver import Trajectory, run
 
 InitialSampler = Callable[[GridSpec], tuple[Field, Field]]
+
+
+def check_levels(levels: int, viscosity_schedule) -> tuple[float, ...]:
+    """Check a study's level count and its viscosity schedule (empty, or
+    one finite nonnegative eps per level); returns the schedule as floats."""
+    if levels < 2:
+        raise ValueError(f"a study needs at least 2 levels, got {levels}")
+    schedule = tuple(float(e) for e in viscosity_schedule)
+    if schedule and len(schedule) != levels:
+        raise ValueError(f"viscosity_schedule length must give one entry per level "
+                         f"({levels}), got {len(schedule)}")
+    bad = [e for e in schedule if not 0.0 <= e < np.inf]
+    if bad:
+        raise ValueError(f"viscosity_schedule entries must be finite and nonnegative, "
+                         f"got {bad[0]}")
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -35,14 +52,8 @@ class StudyPlan:
     initial_sampler: Optional[InitialSampler] = None
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("a study needs at least 2 levels")
-        if self.viscosity_schedule and len(self.viscosity_schedule) != self.levels:
-            raise ValueError("viscosity_schedule length must equal levels")
         object.__setattr__(self, "viscosity_schedule",
-                           tuple(float(e) for e in self.viscosity_schedule))
-        if not all(0.0 <= e < np.inf for e in self.viscosity_schedule):
-            raise ValueError("viscosity_schedule entries must be finite and nonnegative")
+                           check_levels(self.levels, self.viscosity_schedule))
         times = self.comparison_times or self.base.snapshot_times
         bad = [t for t in times if t not in self.base.snapshot_times]
         if bad:
@@ -126,14 +137,28 @@ def _int_diss(traj: Trajectory) -> float:
     return float(np.trapezoid(integrate(g * g, dx), traj.times))
 
 
+def diagnose(traj: Trajectory, bank_k: int, residuals: bool = True,
+             moduli: bool = True) -> DiagnosticsReport:
+    """Report of a run or a study level: weak residuals against the bank of bank_k
+    modes unless residuals is off or t_final is 0, moduli unless moduli is off."""
+    problem = traj.problem
+    bank = (make_test_bank(problem.grid, problem.t_final, bank_k)
+            if residuals and problem.t_final > 0.0 else None)
+    return build_report(traj, bank, with_residuals=bank is not None, with_moduli=moduli)
+
+
 def run_study(plan: StudyPlan,
-              reference: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-              ) -> StudyReport:
+              reference: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
+              bank_k: Optional[int] = None, residuals: bool = True,
+              moduli: bool = True) -> StudyReport:
     """Run every level, diagnose it, and assemble the campaign tables.
 
     `reference`, when given, maps (t, x) to the exact species-rho profile
-    and feeds the reference-error rate fit.
+    and feeds the reference-error rate fit.  Each level's report is
+    diagnose(traj, bank_k, residuals, moduli), bank_k defaulting to the
+    base grid's.
     """
+    bank_k = default_bank_k(plan.base.grid.n_cells) if bank_k is None else bank_k
     trajectories = []
     reports = []
     summaries = []
@@ -141,9 +166,7 @@ def run_study(plan: StudyPlan,
         try:
             problem = _level_problem(plan, level)
             traj = run(problem)
-            bank = make_test_bank(problem.grid, problem.t_final,
-                                  k_max=min(8, plan.base.grid.n_cells // 4))
-            rep = build_report(traj, bank)
+            rep = diagnose(traj, bank_k, residuals, moduli)
         except Exception as err:
             raise RuntimeError(f"study level {level} failed: {err}") from err
         trajectories.append(traj)

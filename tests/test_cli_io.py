@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from crossdiff.config import (ConfigError, build_plan, build_problem,
 from crossdiff.csvio import (read_snapshots, read_table, write_report_csv,
                              write_snapshots, write_study_csv)
 from crossdiff.diagnostics import SCALAR_COLUMNS, DiagnosticsReport, ResidualRow
+from crossdiff.model import STEPPERS
 from crossdiff.study import LevelSummary
 from crossdiff.svgplot import emit_plot
 
@@ -103,6 +105,10 @@ def test_parse_mode_guard():
     bad = MINIMAL + "\n[potentials]\nV = 100:1:0\n"
     with pytest.raises(ConfigError, match="mode exceeds n/4"):
         parse_config(bad)
+    # initial modes obey the same rule as V and W
+    bad = MINIMAL.replace("rho_offset = 0.5", "rho_offset = 1\nrho_modes = -1:0.2:0")
+    with pytest.raises(ConfigError, match=r"\[initial\] rho_modes: negative wavenumber -1"):
+        parse_config(bad)
 
 
 def test_parse_inline_values():
@@ -134,7 +140,7 @@ def test_parse_nonpositive_initial_rejected():
 @pytest.mark.parametrize("study, message", [
     ("levels = 2\nviscosity = 1e-3", r"one entry per level \(2\), got 1"),
     ("levels = 2\nviscosity = 1e-3, 5e-4, 2.5e-4", r"one entry per level \(2\), got 3"),
-    ("levels = 2\nviscosity = -1e-3, 1e-3", "must be nonnegative"),
+    ("levels = 2\nviscosity = -1e-3, 1e-3", "must be finite and nonnegative"),
     ("levels = 2\nviscosity = 1e-3, nan", "not a finite number"),
 ])
 def test_parse_rejects_bad_viscosity_schedule(study, message):
@@ -146,6 +152,84 @@ def test_dump_config_round_trip():
     for text in (MINIMAL, FAST):
         cfg = parse_config(text)
         assert parse_config(dump_config(cfg)) == cfg
+
+
+RULES = ("n", "alpha", "s_floor", "V", "W", "rho_modes", "mu_modes", "rho_values",
+         "mu_values", "t_final", "snapshots", "stepper", "cfl_safety", "eps",
+         "precision", "bank_k", "levels", "viscosity")
+
+
+@st.composite
+def _config_texts(draw, broken):
+    """A config document whose values all sit on or next to the edge of
+    their rule, except the one named broken (None for none), which sits
+    just across it."""
+    def pick(rule, good, bad):
+        return draw(st.sampled_from(bad if rule == broken else good))
+
+    n = pick("n", (4, 5, 8, 16), (2, 3))
+    t_final = pick("t_final", (0.0, 1e-13, 0.01), (-1e-3, -5e-324))
+    tol = 1e-12 * max(1.0, t_final)
+
+    def modes(rule):
+        ks = draw(st.lists(st.sampled_from((0, 1, n // 4)), max_size=2))
+        if rule == broken:
+            ks.append(draw(st.sampled_from((-1, n // 4 + 1))))
+        return ", ".join(f"{k}:0.1:0.05" for k in ks)
+
+    lines = ["[grid]", f"n = {n}", "[model]",
+             f"alpha = {pick('alpha', (1.0, 0.5, 1e-3, 5e-324), (0.0, -0.5, 1.0 + 2**-52))!r}",
+             f"s_floor = {pick('s_floor', (1e-12, 5e-324), (0.0, -1e-12))!r}",
+             "[potentials]", f"V = {modes('V')}", f"W = {modes('W')}", "[initial]"]
+    for prefix in ("rho", "mu"):
+        if draw(st.booleans()):
+            count = pick(f"{prefix}_values", (n,), (n - 1, n + 1))
+            lines.append(f"{prefix}_values = " + ", ".join(["0.5"] * count))
+        else:
+            lines += [f"{prefix}_offset = 1", f"{prefix}_modes = {modes(prefix + '_modes')}"]
+    if draw(st.booleans()):
+        snapshots = pick("snapshots", ("2", "3"), ("0",))
+    else:
+        times = [pick("snapshots", (0.0, -0.0, -0.5 * tol), (2 * tol,))]
+        times += [t_final / 2] * (t_final > 1e-6) * (2 if broken == "snapshots" else 1)
+        times.append(t_final + pick("snapshots", (0.0, 0.5 * tol), (-2 * tol, 2 * tol)))
+        snapshots = ", ".join(map(repr, times))
+    lines += ["[time]", f"t_final = {t_final!r}", f"snapshots = {snapshots}",
+              f"stepper = {pick('stepper', STEPPERS, ('rk4', 'Explicit'))}",
+              f"cfl_safety = {pick('cfl_safety', (1.0, 0.5, 5e-324), (0.0, 1.0 + 2**-52))!r}",
+              f"eps = {pick('eps', (0.0, -0.0, 1e-3, 5e-324), (-5e-324, -1e-3))!r}",
+              "[output]", f"precision = {pick('precision', (1, 17), (0, 18))}"]
+    bank_k = pick("bank_k", (None, 0, n // 4), (-1, n // 4 + 1))
+    if bank_k is not None:
+        lines.append(f"bank_k = {bank_k}")
+    levels = pick("levels", (2, 3), (0, 1))
+    viscosity = [draw(st.sampled_from((0.0, -0.0, 1e-3))) for _ in range(levels)]
+    if broken == "viscosity":
+        viscosity = draw(st.sampled_from((viscosity[1:], viscosity + [1e-3],
+                                          viscosity[1:] + [-1e-3])))
+    elif draw(st.booleans()):
+        viscosity = []
+    lines += ["[study]", f"levels = {levels}",
+              "viscosity = " + ", ".join(map(repr, viscosity))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("broken", (None,) + RULES)
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_parse_config_is_the_only_gate(broken, data):
+    """parse_config accepts a config with every value on the good side of its
+    rule's edge; anything it accepts, both builders accept and dump_config
+    writes back unchanged."""
+    text = data.draw(_config_texts(broken))
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        assert broken is not None
+        return
+    build_problem(cfg)
+    build_plan(cfg)
+    assert parse_config(dump_config(cfg)) == cfg
 
 
 def test_build_plan():
@@ -563,6 +647,21 @@ def test_read_snapshots_errors(tmp_path, capsys, defect, message):
     assert err.startswith("error: 3:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("which, message", [
+    (0, r"snapshot_times must start at 0, got 0\.005"),
+    (-1, r"snapshot_times must end at t_final 0\.05, got 0\.045"),
+])
+def test_main_diagnose_names_a_missing_end_snapshot(tmp_path, capsys, which, message):
+    out = tmp_path / "run_out"
+    assert main(["run", _write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 0
+    paths = sorted(out.glob("snapshot_*.csv"), key=lambda p: float(p.stem[9:]))
+    paths[which].unlink()
+    capsys.readouterr()
+    assert main(["diagnose", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: 3: {re.escape(str(out))}: {message}\n", err)
+
+
 def test_read_snapshots_array(tmp_path):
     out = tmp_path / "run_out"
     assert main(["run", _write_cfg(tmp_path, FAST), "--out", str(out)]) == 0
@@ -656,14 +755,52 @@ def test_main_study_levels_flag(tmp_path):
     ("levels = 2\nviscosity = 1e-3", ()),
     ("levels = 2\nviscosity = -1e-3, 1e-3", ()),
     ("levels = 2\nviscosity = 1e-3, 5e-4", ("--levels", "3")),
+    ("levels = 2", ("--levels", "1")),
+    ("levels = 2", ("--eps", "-1")),
 ])
 def test_main_study_rejects_bad_viscosity_schedule(tmp_path, capsys, study, args):
     cfg = _write_cfg(tmp_path, MINIMAL.replace("n = 128", "n = 16")
                      + "\n[study]\n" + study + "\n")
     code = main(["study", cfg, "--out", str(tmp_path / "s"), *args])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: 2:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2:") and err.count("\n") == 1
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--stepper", "rk4"), r"\[time\] stepper must be one of .*, got 'rk4'"),
+    (("--eps", "abc"), r"\[time\] eps: not a number: 'abc'"),
+    (("--eps", "-0.001"), r"\[time\] eps_viscosity must be finite and nonnegative, got -0\.001"),
+    (("--levels", "two"), r"\[study\] levels: not an integer: 'two'"),
+])
+def test_main_flags_get_the_checks_of_their_keys(tmp_path, capsys, args, message):
+    cfg = _write_cfg(tmp_path, FAST + "\n[study]\nlevels = 2\n")
+    command = "study" if args[0] == "--levels" else "run"
+    assert main([command, cfg, "--out", str(tmp_path / "o"), *args]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: 2: " + message + "\n", err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_study_honours_output_keys(tmp_path):
+    # every study level gets the report that run gives the same problem:
+    # level 0 is the configured problem itself
+    toggles = "bank_k = 4\nresiduals = false\nmoduli = false"
+    for name, text in (("bank_k", FAST.replace("bank_k = 4", "bank_k = 2")),
+                       ("off", FAST.replace("bank_k = 4", toggles))):
+        cfg = _write_cfg(tmp_path, text + "\n[study]\nlevels = 2\n", f"{name}.cfg")
+        assert main(["run", cfg, "--out", str(tmp_path / name / "run")]) == 0
+        assert main(["study", cfg, "--out", str(tmp_path / name / "study")]) == 0
+        for table in ("scalars.csv", "omega_space.csv", "omega_time.csv", "residuals.csv"):
+            assert ((tmp_path / name / "study" / "level_0" / table).read_bytes()
+                    == (tmp_path / name / "run" / table).read_bytes()), (name, table)
+    rows = (tmp_path / "bank_k" / "study" / "level_1" / "residuals.csv").read_text()
+    assert rows.count("\n") == 1 + 2 * 2 * (1 + 2 * 2)  # 2 profiles, 2 species, k <= 2
+    assert (tmp_path / "off" / "study" / "level_1" / "residuals.csv").read_text() == (
+        "phi_id,species,residual\n")
+    assert (tmp_path / "off" / "study" / "level_1" / "omega_time.csv").read_text() == (
+        "k,omega_rho,omega_mu\n")
 
 
 @pytest.mark.parametrize("edit, args", [

@@ -150,6 +150,26 @@ def test_semi_implicit_newton_counts():
     assert abs(mass[-1] - mass[0]) <= 1e-13
 
 
+@pytest.mark.parametrize("s_floor", (1.5, 1.9))
+def test_semi_implicit_step_converges_where_s_floor_clamps(s_floor):
+    # rho + mu dips below s_floor, where kirchhoff(max(S, s_floor)) is flat;
+    # a Newton matrix with diffusivity(S) there ran out of iterations
+    g = cd.make_grid(16)
+    rho0 = Field(g, 1.0 + 0.8 * np.cos(2 * np.pi * g.cell_centers()))
+    prob = dataclasses.replace(
+        _problem(g, modes_V=[(1, 0.3, 0.0)], modes_W=[(2, 0.0, 0.2)],
+                 stepper="semi-implicit", eps=0.05, rho0=rho0,
+                 mu0=Field.constant(g, 0.9)),
+        nonlinearity=cd.Nonlinearity(0.5, s_floor))
+    u = np.stack((rho0.values, np.full(16, 0.9)))
+    assert np.count_nonzero(u[0] + u[1] < s_floor) > 0
+    dt, velocities = cd.cfl_dt(u, prob)
+    u_new, rec = cd.advance(u, velocities, 0.0, dt, prob)
+    assert rec.newton_iters == 4 and rec.clamps > 0
+    assert np.all(u_new > 0.0)
+    assert np.allclose(integrate(u_new, g.dx), integrate(u, g.dx), rtol=0, atol=1e-14)
+
+
 def test_semi_implicit_matches_heat_solution():
     prob = heat_problem(128, snaps=9)
     prob = dataclasses.replace(prob, stepper="semi-implicit")
@@ -595,7 +615,8 @@ def test_periodic_tridiagonal_solve_matches_dense(case):
 
 def _reference_implicit_diffusion(s_rhs, dt, problem):
     """The damped Newton with a COO -> CSR Jacobian and scipy's spsolve per
-    iteration, as before the periodic tridiagonal solve; kept as the oracle."""
+    iteration, as before the periodic tridiagonal solve; kept as the oracle.
+    Its Jacobian takes the slope of q as 0 where s < s_floor, as the solver's."""
     nl = problem.nonlinearity
     eps = problem.eps_viscosity
     dx = problem.grid.dx
@@ -617,7 +638,7 @@ def _reference_implicit_diffusion(s_rhs, dt, problem):
     for it in range(crossdiff.solver.NEWTON_MAXIT):
         if norm <= crossdiff.solver.NEWTON_TOL:
             return s, it, clamps
-        d = nl.diffusivity(s) + eps
+        d = np.where(s < nl.s_floor, 0.0, nl.diffusivity(s)) + eps
         vals = np.concatenate([-c * d[(idx - 1) % n],
                                1.0 + 2.0 * c * d,
                                -c * d[(idx + 1) % n]])
