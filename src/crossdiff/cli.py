@@ -41,6 +41,21 @@ EXIT_IO = 4
 # the config key that each flag of run and study sets
 _FLAG_KEYS = {"out": ("output", "dir"), "stepper": ("time", "stepper"),
               "eps": ("time", "eps"), "levels": ("study", "levels")}
+_VALUE_FLAGS = {f"--{flag}" for flag in _FLAG_KEYS}
+_OPTIONS = {"-h", "--help", "--loglog", *_VALUE_FLAGS}
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with `--eps -1e-3` written as `--eps=-1e-3`: argparse reads a
+    value that starts with '-' (other than a plain negative number) as an
+    option, so the flag would get no value and its key no check."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and arg not in _OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -148,7 +163,7 @@ def _cmd_plot(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     handlers = {"run": _cmd_run, "study": _cmd_study,
                 "diagnose": _cmd_diagnose, "plot": _cmd_plot}
     try:

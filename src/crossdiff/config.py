@@ -8,7 +8,8 @@ Schema (INI syntax; unknown sections or keys are rejected):
     [potentials]  V = 1:0:1, 2:0.5:0     W =            (mode triples k:cos:sin)
     [initial]     rho_offset = 0.5       rho_modes = 1:0.2:0
                   mu_offset = 0.5        mu_modes =
-                  (or rho_values / mu_values = comma list of n cell values)
+                  (or rho_values / mu_values = comma list of n cell values,
+                  in place of that species' offset and modes)
     [time]        t_final = 0.05         snapshots = 11   (count, or time list)
                   stepper = explicit     cfl_safety = 0.5   eps = 0
     [output]      dir = out   precision = 17   bank_k = 8
@@ -19,12 +20,14 @@ Defaults: eps=0, cfl_safety=0.5, stepper=explicit, bank_k=min(8, n/4),
 s_floor=1e-12, snapshots=11, dir=out, precision=17.
 
 parse_config checks syntax, finiteness, precision in [1, 17], a snapshot
-count >= 1 and bank_k in [0, n/4].  Each other value rule has one owner,
+count >= 1, bank_k in [0, n/4] and that no species has both values and
+offset or modes.  Each other value rule has one owner,
 whose ValueError it re-raises as a ConfigError prefixed with the section:
 grid.GridSpec (n), model.Nonlinearity (alpha, s_floor), model.check_modes
 (V, W, rho_modes, mu_modes), grid.Field (rho_values, mu_values),
 model.check_time ([time]) and study.check_levels ([study]).  build_problem
-adds the positivity of the initial data (model.validate_initial).
+stacks the initial profiles into u0 = [rho0; mu0] and adds its positivity
+(model.check_initial).
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import numpy as np
 
 from .diagnostics import default_bank_k
 from .grid import Field, GridSpec, make_grid
-from .model import (Mode, Nonlinearity, ProblemSpec, build_potentials,
-                    check_modes, check_time, validate_initial)
+from .model import (Mode, Nonlinearity, ProblemSpec, _trig_eval, build_potentials,
+                    check_initial, check_modes, check_time)
 from .study import StudyPlan, check_levels
 
 
@@ -181,16 +184,20 @@ def parse_config(text: str, overrides=None) -> RunConfig:
 
     def initial_side(prefix: str):
         values = opt("initial", f"{prefix}_values")
-        offset = opt("initial", f"{prefix}_offset")
-        side_modes = modes("initial", f"{prefix}_modes")
         if values is not None:
+            for key in (f"{prefix}_offset", f"{prefix}_modes"):
+                if cp.has_option("initial", key):
+                    raise ConfigError(
+                        f"[initial] {prefix}_values and {key} are both set; give one")
             vals = _floats(values, f"[initial] {prefix}_values")
             _checked(f"[initial] {prefix}_values:", Field, grid, vals)
             return None, (), vals
+        offset = opt("initial", f"{prefix}_offset")
         if offset is None:
             raise ConfigError(
                 f"missing required key [initial] {prefix}_offset (or {prefix}_values)")
-        side_modes = _checked("[initial]", check_modes, side_modes, grid, f"{prefix}_modes")
+        side_modes = _checked("[initial]", check_modes, modes("initial", f"{prefix}_modes"),
+                              grid, f"{prefix}_modes")
         return _float(offset, f"[initial] {prefix}_offset"), side_modes, None
 
     rho_offset, rho_modes, rho_values = initial_side("rho")
@@ -294,37 +301,30 @@ def dump_config(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def _initial_field(grid: GridSpec, offset, modes, values) -> Field:
-    from .model import _trig_eval  # shared exact trig evaluation
-    if values is not None:
-        return Field(grid, np.array(values))
-    return Field(grid, offset + _trig_eval(modes, grid.cell_centers(), 0))
+def _initial_state(cfg: RunConfig, grid: GridSpec) -> np.ndarray:
+    """[rho0; mu0] on grid: each species' inline values, or its offset plus
+    its modes at the cell centers."""
+    xc = grid.cell_centers()
+    return np.stack([
+        np.array(values) if values is not None else offset + _trig_eval(modes, xc, 0)
+        for offset, modes, values in ((cfg.rho_offset, cfg.rho_modes, cfg.rho_values),
+                                      (cfg.mu_offset, cfg.mu_modes, cfg.mu_values))])
 
 
 def initial_sampler(cfg: RunConfig):
-    """Grid-independent initial-data sampler (None for inline value lists)."""
+    """Grid-independent initial-state sampler (None for inline value lists)."""
     if cfg.rho_values is not None or cfg.mu_values is not None:
         return None
-
-    def sample(grid: GridSpec):
-        return (_initial_field(grid, cfg.rho_offset, cfg.rho_modes, None),
-                _initial_field(grid, cfg.mu_offset, cfg.mu_modes, None))
-    return sample
+    return lambda grid: _initial_state(cfg, grid)
 
 
 def build_problem(cfg: RunConfig) -> ProblemSpec:
     grid = make_grid(cfg.n_cells)
-    try:
-        rho0 = _initial_field(grid, cfg.rho_offset, cfg.rho_modes, cfg.rho_values)
-        mu0 = _initial_field(grid, cfg.mu_offset, cfg.mu_modes, cfg.mu_values)
-        initial = validate_initial(rho0, mu0)
-    except ValueError as err:
-        raise ConfigError(f"[initial] {err}") from None
     return ProblemSpec(
         grid=grid,
         nonlinearity=Nonlinearity(cfg.alpha, cfg.s_floor),
         potentials=build_potentials(cfg.modes_V, cfg.modes_W, grid),
-        initial=initial,
+        u0=_checked("[initial]", lambda: check_initial(_initial_state(cfg, grid), grid)),
         t_final=cfg.t_final,
         snapshot_times=cfg.snapshot_times,
         eps_viscosity=cfg.eps,

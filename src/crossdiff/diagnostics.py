@@ -11,7 +11,7 @@ retained half after absorbing the drift by Young's inequality,
 
 with a = alpha, b = beta (the two branches agree in the limit a+b -> 1);
 its companion bound is C int S^(b+1-a) with C = b(1-b) M^2 / (2a) and
-M the grid sup of |V'|, |W'|.  The negative H^-1 diagnostic uses the
+M = sup_drift, the grid sup of |V'|, |W'|.  The negative H^-1 diagnostic uses the
 standard Fourier multiplier with exponent one.
 
 Each functional takes (rho, mu, problem) with cells on the last axis and
@@ -39,7 +39,7 @@ def entropy(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec) -> np.ndarray
 def energy(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec) -> np.ndarray:
     """Gradient-flow energy int energy_density(S) + rho V + mu W."""
     nl, pot = problem.nonlinearity, problem.potentials
-    dens = nl.energy_density(rho + mu) + rho * pot.V_cells + mu * pot.W_cells
+    dens = nl.energy_density(rho + mu) + rho * pot.cells[0] + mu * pot.cells[1]
     return integrate(dens, problem.grid.dx)
 
 
@@ -53,8 +53,7 @@ def dissipation_beta(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec,
                      beta: float) -> DissipationBeta:
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta out of range [0,1]: got {beta}")
-    nl, pot = problem.nonlinearity, problem.potentials
-    alpha = nl.alpha
+    alpha = problem.nonlinearity.alpha
     dx = problem.grid.dx
     S = rho + mu
     beta_entropy = -integrate(S**beta, dx)
@@ -67,8 +66,7 @@ def dissipation_beta(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec,
     else:
         g = grad(S ** (m / 2.0), dx)
         diss = (2.0 * alpha * beta * (1.0 - beta) / m**2) * integrate(g * g, dx)
-    sup_drift = max(pot.sup_dV, pot.sup_dW)
-    c_young = beta * (1.0 - beta) * sup_drift**2 / (2.0 * alpha)
+    c_young = beta * (1.0 - beta) * problem.potentials.sup_drift**2 / (2.0 * alpha)
     rhs = c_young * integrate(S ** (beta + 1.0 - alpha), dx)
     return DissipationBeta(beta_entropy, diss, rhs)
 
@@ -219,8 +217,8 @@ def weak_residual(traj: Trajectory, bank: TestFunctionBank
     # centered pressure gradient at cells: mean of the two interface values
     dp_cells = cell_mean(grad(nl.pressure(rho + mu), dx))
 
-    flux_rho = rho * (dp_cells + pot.dV_cells)
-    flux_mu = mu * (dp_cells + pot.dW_cells)
+    flux_rho = rho * (dp_cells + pot.d_cells[0])
+    flux_mu = mu * (dp_cells + pot.d_cells[1])
 
     rows = []
     for phi in bank.phis:

@@ -6,8 +6,9 @@ fields and interface fields both hold n values.  The stencils and integrate
 act on float64 arrays along the last axis, so one copy serves a species
 (n,), the solver's state (2, n) and a trajectory (T, 2, n); each stencil is
 one slice operation plus the wrap cell, bitwise equal to the same formula
-on a rolled copy.  Field (a validated, read-only copy) is for initial data,
-not for the inner loop.
+on a rolled copy.  Field (a validated, read-only copy) is for cell values
+given from outside, such as a config's inline values, not for the inner
+loop.
 grad and div are exact summation-by-parts partners: sum_i a_i div(g)_i dx =
 -sum_i grad(a)_i g_i dx up to roundoff, and div telescopes to zero.
 """

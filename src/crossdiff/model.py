@@ -1,5 +1,6 @@
 """Problem data: the fast-diffusion nonlinearity family, trigonometric
-potential pairs with exact derivative tables, and validated initial data.
+potential pairs with exact derivative tables, and the checked problem
+whose initial state is one (2, n) array u0 = [rho0; mu0].
 
 The nonlinearity is the power family with exponent alpha in (0, 1]:
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, grad
+from .grid import GridSpec, grad
 
 Mode = tuple[int, float, float]  # (wavenumber k, cosine coeff, sine coeff)
 
@@ -118,10 +119,11 @@ def check_modes(modes, grid: GridSpec, name: str) -> tuple[Mode, ...]:
 @dataclass(frozen=True)
 class PotentialPair:
     """Two potentials given by finite trigonometric sums, with exact value
-    and derivative tables: V, V'' at cell centers, V' at cell centers and
-    interfaces (likewise for W).  The interface tables form one read-only
-    (2, n) array drift = [V'; W'], the solver's species drift; dV_int and
-    dW_int are views of its rows.
+    and derivative tables.  Each table is one read-only (2, n) array, V in
+    row 0 and W in row 1: cells = [V; W], d_cells = [V'; W'] and d2_cells =
+    [V''; W''] at cell centers, and drift = [V'; W'] at interfaces, the
+    solver's species drift.  sup_drift is the largest |V'| or |W'| in
+    d_cells and drift.
 
     w_fd_int is the two-point gradient of the cell samples of (V - W)/2; it
     is the interface shift used by the shifted log-ratio gradient so that
@@ -132,24 +134,12 @@ class PotentialPair:
     grid: GridSpec
     modes_V: tuple[Mode, ...]
     modes_W: tuple[Mode, ...]
-    V_cells: np.ndarray
-    W_cells: np.ndarray
-    dV_cells: np.ndarray
-    dW_cells: np.ndarray
+    cells: np.ndarray
+    d_cells: np.ndarray
+    d2_cells: np.ndarray
     drift: np.ndarray
-    d2V_cells: np.ndarray
-    d2W_cells: np.ndarray
     w_fd_int: np.ndarray
-    sup_dV: float
-    sup_dW: float
-
-    @property
-    def dV_int(self) -> np.ndarray:
-        return self.drift[0]
-
-    @property
-    def dW_int(self) -> np.ndarray:
-        return self.drift[1]
+    sup_drift: float
 
 
 def build_potentials(modes_V, modes_W, grid: GridSpec) -> PotentialPair:
@@ -157,44 +147,38 @@ def build_potentials(modes_V, modes_W, grid: GridSpec) -> PotentialPair:
     numerical differentiation except the dedicated two-point w_fd_int)."""
     mv = check_modes(modes_V, grid, "V")
     mw = check_modes(modes_W, grid, "W")
+
+    def table(x: np.ndarray, order: int) -> np.ndarray:
+        return np.stack((_trig_eval(mv, x, order), _trig_eval(mw, x, order)))
+
     xc = grid.cell_centers()
-    xi = grid.interfaces()
-
-    tables = {}
-    for name, modes in (("V", mv), ("W", mw)):
-        tables[f"{name}_cells"] = _trig_eval(modes, xc, 0)
-        tables[f"d{name}_cells"] = _trig_eval(modes, xc, 1)
-        tables[f"d2{name}_cells"] = _trig_eval(modes, xc, 2)
-    drift = np.stack((_trig_eval(mv, xi, 1), _trig_eval(mw, xi, 1)))
-
-    w_fd_int = grad(0.5 * (tables["V_cells"] - tables["W_cells"]), grid.dx)
-    sup_dV = float(max(np.max(np.abs(tables["dV_cells"]), initial=0.0),
-                       np.max(np.abs(drift[0]), initial=0.0)))
-    sup_dW = float(max(np.max(np.abs(tables["dW_cells"]), initial=0.0),
-                       np.max(np.abs(drift[1]), initial=0.0)))
-
-    for arr in (*tables.values(), drift, w_fd_int):
+    cells, d_cells, d2_cells = table(xc, 0), table(xc, 1), table(xc, 2)
+    drift = table(grid.interfaces(), 1)
+    w_fd_int = grad(0.5 * (cells[0] - cells[1]), grid.dx)
+    sup_drift = float(max(np.max(np.abs(d_cells), initial=0.0),
+                          np.max(np.abs(drift), initial=0.0)))
+    for arr in (cells, d_cells, d2_cells, drift, w_fd_int):
         arr.setflags(write=False)
-
-    return PotentialPair(grid=grid, modes_V=mv, modes_W=mw, drift=drift,
-                         w_fd_int=w_fd_int, sup_dV=sup_dV, sup_dW=sup_dW, **tables)
-
-
-@dataclass(frozen=True)
-class InitialData:
-    rho0: Field
-    mu0: Field
+    return PotentialPair(grid=grid, modes_V=mv, modes_W=mw, cells=cells,
+                         d_cells=d_cells, d2_cells=d2_cells, drift=drift,
+                         w_fd_int=w_fd_int, sup_drift=sup_drift)
 
 
-def validate_initial(rho0: Field, mu0: Field) -> InitialData:
-    """Check that the initial pair shares one grid and is strictly positive."""
-    if rho0.grid != mu0.grid:
-        raise ValueError("initial fields live on different grids")
-    for name, f in (("rho0", rho0), ("mu0", mu0)):
-        bad = np.flatnonzero(f.values <= 0.0)
+def check_initial(u0, grid: GridSpec) -> np.ndarray:
+    """The initial state [rho0; mu0] as a read-only float64 (2, n) copy;
+    every value must be finite and positive."""
+    u = np.array(u0, dtype=float)
+    if u.shape != (2, grid.n_cells):
+        raise ValueError(f"initial state must have shape (2, {grid.n_cells}), "
+                         f"got {u.shape}")
+    for name, v in zip(("rho0", "mu0"), u):
+        bad = np.flatnonzero(~np.isfinite(v) | (v <= 0.0))
         if bad.size:
-            raise ValueError(f"{name}: nonpositive density at cell {bad[0]}")
-    return InitialData(rho0, mu0)
+            i = bad[0]
+            kind = "nonpositive" if np.isfinite(v[i]) else "non-finite"
+            raise ValueError(f"{name}: {kind} density at cell {i}")
+    u.setflags(write=False)
+    return u
 
 
 STEPPERS = ("explicit", "semi-implicit")
@@ -228,13 +212,14 @@ def check_time(t_final: float, snapshot_times, stepper: str, cfl_safety: float,
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A complete, validated problem: grid, model data, horizon and stepper
-    policy, the time data checked by check_time."""
+    """A complete, validated problem: grid, model data, the initial state
+    u0 = [rho0; mu0] checked by check_initial, horizon and stepper policy,
+    the time data checked by check_time."""
 
     grid: GridSpec
     nonlinearity: Nonlinearity
     potentials: PotentialPair
-    initial: InitialData
+    u0: np.ndarray
     t_final: float
     snapshot_times: tuple[float, ...]
     eps_viscosity: float = 0.0
@@ -244,6 +229,7 @@ class ProblemSpec:
     def __post_init__(self):
         ts = check_time(self.t_final, self.snapshot_times, self.stepper,
                         self.cfl_safety, self.eps_viscosity)
-        if self.potentials.grid != self.grid or self.initial.rho0.grid != self.grid:
+        if self.potentials.grid != self.grid:
             raise ValueError("grid mismatch between problem components")
+        object.__setattr__(self, "u0", check_initial(self.u0, self.grid))
         object.__setattr__(self, "snapshot_times", ts)

@@ -11,7 +11,7 @@ diagnostics, not used for stepping.
 The state is one float64 array u = [rho; mu] of shape (2, n), and every
 stencil acts on its last axis, so each operation of a step runs once for
 both species.  Flux convention: with the (2, n) interface velocities a =
-grad(pressure(S)) + [V'; W'] (interface_velocities), the update is
+grad(pressure(S)) + [V'; W'] (returned by cfl_dt), the update is
 u <- u + dt * div(F), F = u_up * a + eps * grad(u), where u_up is the
 donor cell of the transport direction -a (u_i when a < 0, u_{i+1}
 otherwise); the eps term is skipped at eps = 0, where it would add +-0.0.
@@ -26,10 +26,10 @@ explicit run never loads scipy.
 
 A step evaluates the velocities once: cfl_dt(u, problem) returns (dt,
 velocities), with the same pressure power giving the diffusive bound, and
-advance(u, velocities, t, dt, problem) transports with them.  run calls
-the pair once per step and copies each snapshot it keeps into one
-preallocated (T, 2, n) array, rho in [:, 0] and mu in [:, 1], whose rows
-the diagnostics evaluate directly.
+advance(u, velocities, t, dt, problem) transports with them.  run starts
+from problem.u0, calls the pair once per step and copies each snapshot it
+keeps into one preallocated (T, 2, n) array, rho in [:, 0] and mu in
+[:, 1], whose rows the diagnostics evaluate directly.
 """
 
 from __future__ import annotations
@@ -79,18 +79,13 @@ def _donor(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     return up
 
 
-def interface_velocities(u: np.ndarray, problem: ProblemSpec) -> np.ndarray:
-    """The (2, n) species velocities grad(pressure(S)) + [V'; W'], S = rho + mu."""
-    pressure = problem.nonlinearity.pressure(u[0] + u[1])
-    return grad(pressure, problem.grid.dx) + problem.potentials.drift
-
-
 def cfl_dt(u: np.ndarray, problem: ProblemSpec) -> tuple[float, np.ndarray]:
     """Stable step: advective dx/max|a|, plus the diffusive dx^2 bound for
     the explicit stepper (the semi-implicit one is advectively limited only).
 
-    Returns (dt, velocities), velocities being interface_velocities(u,
-    problem), which advance takes so a step computes them once."""
+    Returns (dt, velocities), velocities being the (2, n) species velocities
+    grad(pressure(S)) + [V'; W'], S = rho + mu, which advance takes so a
+    step computes them once."""
     dx = problem.grid.dx
     pressure, diffusivity = problem.nonlinearity.pressure_diffusivity(u[0] + u[1])
     velocities = grad(pressure, dx) + problem.potentials.drift
@@ -234,7 +229,7 @@ def advance(u: np.ndarray, velocities: np.ndarray, t: float, dt: float,
 def run(problem: ProblemSpec) -> Trajectory:
     """Integrate from t = 0 to t_final with adaptive CFL steps, truncating
     dt to land exactly on every snapshot time (never interpolating)."""
-    t, u = 0.0, np.stack((problem.initial.rho0.values, problem.initial.mu0.values))
+    t, u = 0.0, problem.u0
     times = np.zeros(len(problem.snapshot_times))
     states = np.empty((times.size, 2, problem.grid.n_cells))
     states[0] = u

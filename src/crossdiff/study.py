@@ -11,13 +11,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Field, GridSpec, grad, integrate, make_grid
-from .model import ProblemSpec, build_potentials, validate_initial
+from .grid import GridSpec, grad, integrate, make_grid
+from .model import ProblemSpec, build_potentials
 from .diagnostics import (DiagnosticsReport, build_report, default_bank_k,
                           make_test_bank)
 from .solver import Trajectory, run
 
-InitialSampler = Callable[[GridSpec], tuple[Field, Field]]
+InitialSampler = Callable[[GridSpec], np.ndarray]  # grid -> [rho0; mu0], (2, n)
 
 
 def check_levels(levels: int, viscosity_schedule) -> tuple[float, ...]:
@@ -41,24 +41,19 @@ class StudyPlan:
     """Campaign description.  Grids refine dyadically from the base when
     refine_space is set; viscosity_schedule (when given) supplies one eps
     per level, defaulting to eps0 * 2^-level otherwise.  initial_sampler
-    re-samples the initial data on each level's grid; without it the base
-    initial data is prolonged by piecewise-constant injection."""
+    re-samples the initial state [rho0; mu0] on each level's grid; without
+    it the base u0 is prolonged by piecewise-constant injection.  Levels
+    are compared at every snapshot time."""
 
     base: ProblemSpec
     levels: int
     refine_space: bool = True
     viscosity_schedule: tuple[float, ...] = ()
-    comparison_times: tuple[float, ...] = ()
     initial_sampler: Optional[InitialSampler] = None
 
     def __post_init__(self):
         object.__setattr__(self, "viscosity_schedule",
                            check_levels(self.levels, self.viscosity_schedule))
-        times = self.comparison_times or self.base.snapshot_times
-        bad = [t for t in times if t not in self.base.snapshot_times]
-        if bad:
-            raise ValueError(f"comparison time {bad[0]} is not a snapshot time")
-        object.__setattr__(self, "comparison_times", tuple(times))
 
 
 @dataclass(frozen=True)
@@ -111,20 +106,14 @@ def _level_problem(plan: StudyPlan, level: int) -> ProblemSpec:
     grid = make_grid(base.grid.n_cells * 2**level) if plan.refine_space else base.grid
     pot = build_potentials(base.potentials.modes_V, base.potentials.modes_W, grid)
     if plan.initial_sampler is not None:
-        rho0, mu0 = plan.initial_sampler(grid)
-        if rho0.grid != grid:
-            raise ValueError("initial_sampler returned fields on the wrong grid")
-    elif grid is base.grid or grid == base.grid:
-        rho0, mu0 = base.initial.rho0, base.initial.mu0
+        u0 = plan.initial_sampler(grid)
     else:
-        factor = grid.n_cells // base.grid.n_cells
-        rho0 = Field(grid, prolong(base.initial.rho0.values, factor))
-        mu0 = Field(grid, prolong(base.initial.mu0.values, factor))
+        u0 = prolong(base.u0, grid.n_cells // base.grid.n_cells)
     eps = (plan.viscosity_schedule[level] if plan.viscosity_schedule
            else base.eps_viscosity * 0.5**level)
     return ProblemSpec(
         grid=grid, nonlinearity=base.nonlinearity, potentials=pot,
-        initial=validate_initial(rho0, mu0), t_final=base.t_final,
+        u0=u0, t_final=base.t_final,
         snapshot_times=base.snapshot_times, eps_viscosity=eps,
         stepper=base.stepper, cfl_safety=base.cfl_safety)
 
@@ -178,12 +167,10 @@ def run_study(plan: StudyPlan,
             entropy_max=float(np.max(rep.entropy)),
             sup_bv_u=float(np.max(rep.bv_u)), int_diss=_int_diss(traj)))
 
-    idx = {t: i for i, t in enumerate(plan.base.snapshot_times)}
-    compare = [idx[t] for t in plan.comparison_times]
     cauchy_rho, cauchy_mu = [], []
     for coarse, fine in zip(trajectories, trajectories[1:]):
         factor = fine.problem.grid.n_cells // coarse.problem.grid.n_cells
-        diff = np.abs(fine.states[compare] - prolong(coarse.states[compare], factor))
+        diff = np.abs(fine.states - prolong(coarse.states, factor))
         dr, dm = np.max(integrate(diff, fine.problem.grid.dx), axis=0).tolist()
         cauchy_rho.append(dr)
         cauchy_mu.append(dm)
@@ -199,9 +186,8 @@ def run_study(plan: StudyPlan,
         errs = []
         for traj in trajectories:
             xc = traj.problem.grid.cell_centers()
-            err = max(float(np.max(np.abs(traj.states[j, 0]
-                                          - reference(traj.times[j], xc))))
-                      for j in compare)
+            err = max(float(np.max(np.abs(rho - reference(t, xc))))
+                      for t, rho in zip(traj.times, traj.states[:, 0]))
             errs.append(err)
         pairs = [(s, e) for s, e in zip(scales, errs) if e > 0.0]
         if len({s for s, _ in pairs}) >= 2:

@@ -65,8 +65,8 @@ def _entropy_energy_budget(traj, quantity):
         if quantity == "entropy":
             rhs = 0.0
             for rho, mu in traj.states[j:j + 2]:  # trapezoid of int rho V'' + mu W''
-                rhs += 0.5 * np.sum(rho * problem.potentials.d2V_cells
-                                    + mu * problem.potentials.d2W_cells
+                rhs += 0.5 * np.sum(rho * problem.potentials.d2_cells[0]
+                                    + mu * problem.potentials.d2_cells[1]
                                     ) * problem.grid.dx
             rhs *= times[j + 1] - times[j]
         else:
@@ -86,7 +86,7 @@ def test_criterion_01_mass_conservation(stationary_traj, heat_trajs, fast_trajs)
 
 
 def test_criterion_02_stationary_oracle(stationary_traj):
-    rho0 = stationary_traj.problem.initial.rho0.values
+    rho0 = stationary_traj.problem.u0[0]
     dev = float(np.max(np.abs(stationary_traj.states[:, 0] - rho0)))
     assert dev <= 1e-10
     print(f"\n[criterion 02] PASS stationary state: max deviation {dev:.3e} <= 1e-10")
@@ -140,7 +140,7 @@ def test_criterion_07_shift_collapse_alpha_one():
     nl = cd.Nonlinearity(1.0)
     pot = cd.build_potentials([(1, 0.4, -0.2), (2, 0.0, 0.3)],
                               [(1, -0.1, 0.5)], g)
-    combined = pot.V_cells - pot.W_cells
+    combined = pot.cells[0] - pot.cells[1]
     worst = 0.0
     for _ in range(100):
         rho = rng.uniform(0.2, 2.0, 64)

@@ -118,7 +118,22 @@ def test_parse_inline_values():
     cfg = parse_config(text)
     assert cfg.rho_values is not None and len(cfg.rho_values) == 16
     prob = build_problem(cfg)
-    assert np.all(prob.initial.rho0.values == 0.5)
+    assert np.all(prob.u0[0] == 0.5)
+
+
+@pytest.mark.parametrize("species, key, line", [
+    ("rho", "rho_modes", "rho_modes = 99:1:0"),  # out of range, and used to be dropped
+    ("rho", "rho_offset", "rho_offset = 0.5"),
+    ("mu", "mu_modes", "mu_modes ="),
+    ("mu", "mu_offset", "mu_offset = 0.5"),
+])
+def test_parse_rejects_values_beside_offset_or_modes(species, key, line):
+    vals = ",".join(["0.5"] * 16)
+    text = MINIMAL.replace("n = 128", "n = 16").replace(
+        f"{species}_offset = 0.5", f"{species}_values = {vals}\n{line}")
+    with pytest.raises(ConfigError, match=rf"^\[initial\] {species}_values and {key} "
+                                          "are both set; give one$"):
+        parse_config(text)
 
 
 def test_parse_snapshot_list():
@@ -773,10 +788,19 @@ def test_main_study_rejects_bad_viscosity_schedule(tmp_path, capsys, study, args
     (("--eps", "abc"), r"\[time\] eps: not a number: 'abc'"),
     (("--eps", "-0.001"), r"\[time\] eps_viscosity must be finite and nonnegative, got -0\.001"),
     (("--levels", "two"), r"\[study\] levels: not an integer: 'two'"),
+    # values that start with '-' but are no plain negative number reach their key too
+    (("--eps", "-1e-3"), r"\[time\] eps_viscosity must be finite and nonnegative, got -0\.001"),
+    (("--out", "-dir"), None),
 ])
-def test_main_flags_get_the_checks_of_their_keys(tmp_path, capsys, args, message):
+def test_main_flags_get_the_checks_of_their_keys(tmp_path, capsys, monkeypatch, args,
+                                                 message):
+    monkeypatch.chdir(tmp_path)
     cfg = _write_cfg(tmp_path, FAST + "\n[study]\nlevels = 2\n")
     command = "study" if args[0] == "--levels" else "run"
+    if message is None:  # --out -dir: a relative output directory named -dir
+        assert main([command, cfg, *args]) == 0
+        assert parse_config((tmp_path / "-dir" / "run.cfg").read_text()).out_dir == "-dir"
+        return
     assert main([command, cfg, "--out", str(tmp_path / "o"), *args]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: 2: " + message + "\n", err)

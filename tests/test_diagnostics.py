@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import crossdiff as cd
 from crossdiff.diagnostics import SCALAR_COLUMNS, diss_entropy_rate, make_test_bank
-from crossdiff.grid import Field
 from crossdiff.solver import Trajectory
 
 from scenarios import fast_problem, heat_problem, stationary_problem
@@ -18,11 +17,10 @@ from scenarios import fast_problem, heat_problem, stationary_problem
 def _standing_problem(n=256, t_final=1.0):
     """A valid problem shell for hand-built trajectories."""
     g = cd.make_grid(n)
-    one = Field.constant(g, 1.0)
     return cd.ProblemSpec(
         grid=g, nonlinearity=cd.Nonlinearity(0.5),
         potentials=cd.build_potentials([], [], g),
-        initial=cd.validate_initial(one, one),
+        u0=np.ones((2, n)),
         t_final=t_final, snapshot_times=(0.0, t_final))
 
 
@@ -135,9 +133,8 @@ def test_dissipation_beta_branches_agree_near_log_case():
 def test_dissipation_beta_rhs_bound():
     prob = fast_problem(128, snaps=3)
     beta = 0.25
-    out = cd.dissipation_beta(prob.initial.rho0.values, prob.initial.mu0.values,
-                              prob, beta)
-    sup = max(prob.potentials.sup_dV, prob.potentials.sup_dW)
+    out = cd.dissipation_beta(*prob.u0, prob, beta)
+    sup = prob.potentials.sup_drift
     c = beta * (1 - beta) * sup**2 / (2 * 0.5)
     oracle, err = quad(lambda z: (1.0 + 0.4 * np.cos(2 * np.pi * z)) ** (beta + 0.5),
                        0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
@@ -170,13 +167,11 @@ def test_bv_u_drift_l1_oracle():
     # alpha = 1, r = 0, V = sin(2 pi x), W = 0: the L1 norm of the shift
     # equals int |V'| = 4
     g = cd.make_grid(256)
-    one = Field.constant(g, 1.0)
     prob = cd.ProblemSpec(
         grid=g, nonlinearity=cd.Nonlinearity(1.0),
         potentials=cd.build_potentials([(1, 0.0, 1.0)], [], g),
-        initial=cd.validate_initial(one, one),
-        t_final=1.0, snapshot_times=(0.0, 1.0))
-    _, bv_u = cd.bv_norms(one.values, one.values, prob)
+        u0=np.ones((2, 256)), t_final=1.0, snapshot_times=(0.0, 1.0))
+    _, bv_u = cd.bv_norms(*prob.u0, prob)
     oracle, err = quad(lambda z: np.abs(2 * np.pi * np.cos(2 * np.pi * z)),
                        0.0, 1.0, points=[0.25, 0.75], limit=200)
     assert oracle == pytest.approx(4.0, abs=1e-10)
@@ -292,7 +287,7 @@ def test_weak_residual_mass_identity():
 
 def test_weak_residual_requires_two_snapshots():
     prob = _standing_problem(64)
-    traj = _frozen(prob, [0.0], prob.initial.rho0.values, prob.initial.mu0.values)
+    traj = _frozen(prob, [0.0], *prob.u0)
     bank = make_test_bank(prob.grid, 1.0, k_max=2)
     with pytest.raises(ValueError, match="at least 2 snapshots"):
         cd.weak_residual(traj, bank)
@@ -371,7 +366,7 @@ def test_moduli_bounds_and_time_curve():
 
 def test_report_single_snapshot():
     prob = _standing_problem(64)
-    traj = _frozen(prob, [0.0], prob.initial.rho0.values, prob.initial.mu0.values)
+    traj = _frozen(prob, [0.0], *prob.u0)
     rep = cd.build_report(traj)
     assert len(rep.times) == 1
     assert rep.omega_time_k.size == 0
@@ -424,7 +419,7 @@ def _oracle_scalars(rho, mu, problem):
     S = rho + mu
     out = {"mass_rho": float(np.sum(rho) * dx), "mass_mu": float(np.sum(mu) * dx),
            "entropy": float(np.sum(rho * np.log(rho) + mu * np.log(mu)) * dx)}
-    dens = nl.energy_density(S) + rho * pot.V_cells + mu * pot.W_cells
+    dens = nl.energy_density(S) + rho * pot.cells[0] + mu * pot.cells[1]
     out["energy"] = float(np.sum(dens) * dx)
     g = _roll_grad(S, dx)
     out["diss_entropy"] = float(
@@ -471,8 +466,8 @@ def _oracle_residual(times, rhos, mus, problem, bank):
     rho, mu = np.stack(rhos), np.stack(mus)
     dp_int = np.stack([_roll_grad(nl.pressure(s), dx) for s in rho + mu])
     dp_cells = 0.5 * (dp_int + np.roll(dp_int, 1, axis=1))
-    flux_rho = rho * (dp_cells + pot.dV_cells)
-    flux_mu = mu * (dp_cells + pot.dW_cells)
+    flux_rho = rho * (dp_cells + pot.d_cells[0])
+    flux_mu = mu * (dp_cells + pot.d_cells[1])
     rows = []
     for phi in bank.phis:
         chi_t = np.array([phi.chi(t) for t in times])
@@ -530,7 +525,7 @@ def test_report_rows_match_per_snapshot_oracle(case):
     prob = cd.ProblemSpec(
         grid=g, nonlinearity=cd.Nonlinearity(alpha),
         potentials=cd.build_potentials(modes, [(1, 0.3, -0.2)], g),
-        initial=cd.validate_initial(Field(g, states[0, 0]), Field(g, states[0, 1])),
+        u0=states[0],
         t_final=float(times[-1]), snapshot_times=tuple(times.tolist()))
     states.setflags(write=False)
     bank = make_test_bank(g, prob.t_final, k_max=min(2, n // 4))

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import crossdiff as cd
 from crossdiff.diagnostics import bv_norms, entropy
-from crossdiff.grid import Field
 
 
 def oracle_shift_profile(alpha: float, s: float) -> float:
@@ -101,9 +104,9 @@ def test_clamp_count():
 def test_build_potentials_zero():
     g = cd.make_grid(32)
     pot = cd.build_potentials([], [], g)
-    for table in (pot.V_cells, pot.dV_int, pot.dW_int, pot.dV_cells, pot.d2W_cells,
-                  pot.w_fd_int):
+    for table in (pot.cells, pot.d_cells, pot.d2_cells, pot.drift, pot.w_fd_int):
         assert np.all(table == 0.0)
+    assert pot.sup_drift == 0.0
 
 
 def test_build_potentials_sine():
@@ -111,24 +114,28 @@ def test_build_potentials_sine():
     pot = cd.build_potentials([(1, 0.0, 1.0)], [], g)  # V = sin(2 pi x), W = 0
     xi = g.interfaces()
     w = 2 * np.pi
-    assert np.allclose(pot.dV_int, w * np.cos(w * xi), atol=1e-12)
-    assert np.all(pot.dW_int == 0.0)
+    assert np.allclose(pot.drift[0], w * np.cos(w * xi), atol=1e-12)
+    assert np.all(pot.drift[1] == 0.0)
     # the seam interface sits at x = 0 where V' = 2 pi
-    assert pot.dV_int[-1] == pytest.approx(w, abs=1e-14)
-    # exact value and derivative tables up to second order
+    assert pot.drift[0, -1] == pytest.approx(w, abs=1e-14)
+    # exact value and derivative tables up to second order, W's rows zero
     xc = g.cell_centers()
-    assert np.allclose(pot.V_cells, np.sin(w * xc), atol=1e-14)
-    assert np.allclose(pot.dV_cells, w * np.cos(w * xc), atol=1e-12)
-    assert np.allclose(pot.d2V_cells, -w**2 * np.sin(w * xc), atol=1e-11)
+    assert np.allclose(pot.cells[0], np.sin(w * xc), atol=1e-14)
+    assert np.allclose(pot.d_cells[0], w * np.cos(w * xc), atol=1e-12)
+    assert np.allclose(pot.d2_cells[0], -w**2 * np.sin(w * xc), atol=1e-11)
+    for table in (pot.cells, pot.d_cells, pot.d2_cells, pot.drift):
+        assert table.shape == (2, 64) and not table.flags.writeable
+        assert np.all(table[1] == 0.0)
+    assert pot.sup_drift == np.max(np.abs(pot.drift[0]))
 
 
 def test_build_potentials_equal_pair():
     g = cd.make_grid(64)
     pot = cd.build_potentials([(1, 1.0, 0.0)], [(1, 1.0, 0.0)], g)
-    assert np.array_equal(pot.dV_int, pot.dW_int)
+    assert np.array_equal(pot.drift[0], pot.drift[1])
     assert np.all(pot.w_fd_int == 0.0)
     xi = g.interfaces()
-    assert np.allclose(pot.dV_int, -2 * np.pi * np.sin(2 * np.pi * xi), atol=1e-12)
+    assert np.allclose(pot.drift[0], -2 * np.pi * np.sin(2 * np.pi * xi), atol=1e-12)
 
 
 def test_build_potentials_resolution_guard():
@@ -137,61 +144,90 @@ def test_build_potentials_resolution_guard():
         cd.build_potentials([(100, 1.0, 0.0)], [], g)
 
 
-def _initial_problem(rho0, mu0):
-    g = rho0.grid
+def _initial_problem(u0, n=16):
+    g = cd.make_grid(n)
     return cd.ProblemSpec(grid=g, nonlinearity=cd.Nonlinearity(1.0),
                           potentials=cd.build_potentials([], [], g),
-                          initial=cd.validate_initial(rho0, mu0),
-                          t_final=0.0, snapshot_times=(0.0,))
+                          u0=u0, t_final=0.0, snapshot_times=(0.0,))
 
 
 def test_validate_initial_constant():
     # the initial entropy and log-ratio variation are row 0 of the report
-    g = cd.make_grid(16)
-    one = Field.constant(g, 1.0)
-    prob = _initial_problem(one, one)
-    assert prob.initial.rho0 is one and prob.initial.mu0 is one
-    pair = prob.initial.rho0.values, prob.initial.mu0.values
-    assert entropy(*pair, prob) == pytest.approx(0.0, abs=1e-15)
-    assert bv_norms(*pair, prob)[0] == 0.0
+    one = np.ones((2, 16))
+    prob = _initial_problem(one)
+    assert np.array_equal(prob.u0, one) and prob.u0 is not one
+    assert prob.u0.dtype == np.float64 and not prob.u0.flags.writeable
+    assert entropy(*prob.u0, prob) == pytest.approx(0.0, abs=1e-15)
+    assert bv_norms(*prob.u0, prob)[0] == 0.0
 
 
 def test_validate_initial_closed_form():
-    g = cd.make_grid(16)
-    prob = _initial_problem(Field.constant(g, 3.0), Field.constant(g, 1.0))
-    pair = prob.initial.rho0.values, prob.initial.mu0.values
-    assert entropy(*pair, prob) == pytest.approx(3.0 * np.log(3.0), abs=1e-13)
-    assert bv_norms(*pair, prob)[0] == pytest.approx(0.0, abs=1e-15)
+    prob = _initial_problem(np.stack((np.full(16, 3.0), np.ones(16))))
+    assert entropy(*prob.u0, prob) == pytest.approx(3.0 * np.log(3.0), abs=1e-13)
+    assert bv_norms(*prob.u0, prob)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_validate_initial_rejects_zero_cell():
-    g = cd.make_grid(16)
-    vals = np.ones(16)
-    vals[5] = 0.0
-    with pytest.raises(ValueError, match="nonpositive density at cell 5"):
-        cd.validate_initial(Field(g, vals), Field.constant(g, 1.0))
+    u0 = np.ones((2, 16))
+    u0[0, 5] = 0.0
+    with pytest.raises(ValueError, match="^rho0: nonpositive density at cell 5$"):
+        _initial_problem(u0)
+
+
+@st.composite
+def _positive_states(draw):
+    n = draw(st.integers(4, 48))
+    values = draw(st.lists(st.floats(5e-324, 1e300), min_size=2 * n, max_size=2 * n))
+    return np.reshape(values, (2, n))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_positive_states(), st.data())
+def test_problem_spec_checks_u0(u0, data):
+    """ProblemSpec keeps a read-only copy of a positive (2, n) state, and
+    names the species and the cell of a bad entry, or the wrong shape."""
+    n = u0.shape[1]
+    prob = _initial_problem(u0, n)
+    expected = u0.copy()
+    assert np.array_equal(prob.u0, expected) and not prob.u0.flags.writeable
+    u0 *= 2.0  # the caller's later writes do not reach the problem
+    assert np.array_equal(prob.u0, expected)
+
+    row, cell = data.draw(st.integers(0, 1)), data.draw(st.integers(0, n - 1))
+    bad = data.draw(st.sampled_from((0.0, -0.0, -5e-324, -2.5, np.nan, np.inf, -np.inf)))
+    broken = expected.copy()
+    broken[row, cell] = bad
+    kind = "nonpositive" if np.isfinite(bad) else "non-finite"
+    with pytest.raises(ValueError, match=f"^{('rho0', 'mu0')[row]}: {kind} density "
+                                         f"at cell {cell}$"):
+        _initial_problem(broken, n)
+
+    for shape in ((2, n - 1), (2, n + 1), (n,)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial state must have shape (2, {n}), got {shape}")):
+            _initial_problem(np.ones(shape), n)
 
 
 def test_problem_spec_validation():
     g = cd.make_grid(16)
     nl = cd.Nonlinearity(1.0)
     pot = cd.build_potentials([], [], g)
-    init = cd.validate_initial(Field.constant(g, 1.0), Field.constant(g, 1.0))
+    init = np.ones((2, 16))
     with pytest.raises(ValueError, match="snapshot_times must start at 0"):
-        cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, initial=init,
+        cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, u0=init,
                        t_final=1.0, snapshot_times=(0.5, 1.0))
     with pytest.raises(ValueError, match="snapshot_times must end at t_final"):
-        cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, initial=init,
+        cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, u0=init,
                        t_final=1.0, snapshot_times=(0.0, 0.5))
     with pytest.raises(ValueError, match="stepper"):
-        cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, initial=init,
+        cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, u0=init,
                        t_final=1.0, snapshot_times=(0.0, 1.0), stepper="rk4")
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="t_final must be finite"):
-            cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, initial=init,
+            cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, u0=init,
                            t_final=bad, snapshot_times=(0.0,))
         with pytest.raises(ValueError, match="eps_viscosity must be finite"):
-            cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, initial=init,
+            cd.ProblemSpec(grid=g, nonlinearity=nl, potentials=pot, u0=init,
                            t_final=1.0, snapshot_times=(0.0, 1.0), eps_viscosity=bad)
 
 

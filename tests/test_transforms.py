@@ -82,7 +82,7 @@ def test_shifted_gradient_alpha_one_collapse():
     nl = cd.Nonlinearity(1.0)
     pot = cd.build_potentials([(1, 0.3, -0.2), (2, 0.0, 0.5)],
                               [(1, -0.4, 0.1)], g)
-    combined_pot = pot.V_cells - pot.W_cells
+    combined_pot = pot.cells[0] - pot.cells[1]
     for _ in range(100):
         S, r = to_sum_ratio(*random_positive_pair(g, rng))
         u = shifted_gradient(S, r, pot, nl)
