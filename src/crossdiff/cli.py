@@ -26,10 +26,11 @@ from pathlib import Path
 from .config import ConfigError, build_plan, build_problem, dump_config, parse_config
 from .csvio import (read_snapshots, read_table, write_report_csv,
                     write_snapshots, write_study_csv)
-from .diagnostics import build_report, make_test_bank  # noqa: F401 (bench/ uses)
+from .diagnostics import build_report
+from .diagnostics import make_test_bank  # noqa: F401 (bench/run.py, bench/trace_cli.py)
 from .grid import make_grid
 from .solver import SolverError, Trajectory, run
-from .study import diagnose, run_study
+from .study import run_study
 from .svgplot import emit_plot
 
 EXIT_OK = 0
@@ -48,7 +49,9 @@ _OPTIONS = {"-h", "--help", "--loglog", *_VALUE_FLAGS}
 def _attach_values(argv: list[str]) -> list[str]:
     """argv with `--eps -1e-3` written as `--eps=-1e-3`: argparse reads a
     value that starts with '-' (other than a plain negative number) as an
-    option, so the flag would get no value and its key no check."""
+    option, so the flag would get no value and its key no check.  The
+    parsers take no abbreviated flags, so a value flag is one of these exact
+    names."""
     out: list[str] = []
     for arg in argv:
         if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and arg not in _OPTIONS:
@@ -59,23 +62,24 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="crossdiff",
+    parser = argparse.ArgumentParser(prog="crossdiff", allow_abbrev=False,
                                      description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     for command, help_text in (("run", "integrate a configured problem"),
                                ("study", "refinement / viscosity campaign")):
-        p_cmd = sub.add_parser(command, help=help_text)
+        p_cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p_cmd.add_argument("config")
         for flag, (section, key) in _FLAG_KEYS.items():
             if flag != "levels" or command == "study":
                 p_cmd.add_argument(f"--{flag}", help=f"overrides [{section}] {key}")
 
-    p_diag = sub.add_parser("diagnose", help="recompute diagnostics from snapshots")
+    p_diag = sub.add_parser("diagnose", help="recompute diagnostics from snapshots",
+                            allow_abbrev=False)
     p_diag.add_argument("trajdir")
     p_diag.add_argument("--out", help="default: TRAJDIR/diagnose")
 
-    p_plot = sub.add_parser("plot", help="render CSV tables as SVG")
+    p_plot = sub.add_parser("plot", help="render CSV tables as SVG", allow_abbrev=False)
     p_plot.add_argument("csv", nargs="+")
     p_plot.add_argument("--out", default=".")
     p_plot.add_argument("--loglog", action="store_true")
@@ -98,14 +102,15 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args)
     problem = build_problem(cfg)
     traj = run(problem)
-    report = diagnose(traj, cfg.bank_k, cfg.residuals, cfg.moduli)
+    report = build_report(traj, cfg.bank_k, cfg.residuals, cfg.moduli)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.cfg").write_text(dump_config(cfg))
     write_snapshots(traj, out, cfg.precision)
     write_report_csv(report, out, cfg.precision)
     print(f"run complete: {len(traj.times)} snapshots, "
-          f"{len(traj.step_log)} steps, clamp_events={report.clamp_events}, "
+          f"{len(traj.step_log)} steps, "
+          f"clamp_events={sum(rec.clamps for rec in traj.step_log)}, "
           f"output in {out}")
     return EXIT_OK
 
@@ -137,8 +142,8 @@ def _cmd_diagnose(args) -> int:
         problem = replace(problem, snapshot_times=tuple(times.tolist()))
     except ValueError as err:  # the stored times break a snapshot rule
         raise ValueError(f"{traj_dir}: {err}") from None
-    report = diagnose(Trajectory(problem, times, states, ()), cfg.bank_k,
-                      cfg.residuals, cfg.moduli)
+    report = build_report(Trajectory(problem, times, states, ()), cfg.bank_k,
+                          cfg.residuals, cfg.moduli)
     out = Path(args.out) if args.out else traj_dir / "diagnose"
     write_report_csv(report, out, cfg.precision)
     print(f"diagnose complete: {len(times)} snapshots, output in {out}")

@@ -63,30 +63,33 @@ _SECTION_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked configuration; only parse_config builds one, and it owns
+    every default."""
+
     n_cells: int
     alpha: float
-    s_floor: float = 1e-12
-    modes_V: tuple[Mode, ...] = ()
-    modes_W: tuple[Mode, ...] = ()
-    rho_offset: float | None = None
-    rho_modes: tuple[Mode, ...] = ()
-    rho_values: tuple[float, ...] | None = None
-    mu_offset: float | None = None
-    mu_modes: tuple[Mode, ...] = ()
-    mu_values: tuple[float, ...] | None = None
-    t_final: float = 0.0
-    snapshot_times: tuple[float, ...] = (0.0,)
-    stepper: str = "explicit"
-    cfl_safety: float = 0.5
-    eps: float = 0.0
-    out_dir: str = "out"
-    precision: int = 17
-    bank_k: int = 8
-    residuals: bool = True
-    moduli: bool = True
-    study_levels: int = 3
-    study_refine_space: bool = True
-    study_viscosity: tuple[float, ...] = ()
+    s_floor: float
+    modes_V: tuple[Mode, ...]
+    modes_W: tuple[Mode, ...]
+    rho_offset: float | None
+    rho_modes: tuple[Mode, ...]
+    rho_values: tuple[float, ...] | None
+    mu_offset: float | None
+    mu_modes: tuple[Mode, ...]
+    mu_values: tuple[float, ...] | None
+    t_final: float
+    snapshot_times: tuple[float, ...]
+    stepper: str
+    cfl_safety: float
+    eps: float
+    out_dir: str
+    precision: int
+    bank_k: int
+    residuals: bool
+    moduli: bool
+    study_levels: int
+    study_refine_space: bool
+    study_viscosity: tuple[float, ...]
 
 
 def _float(raw: str, where: str) -> float:

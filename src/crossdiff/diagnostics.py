@@ -319,25 +319,28 @@ class DiagnosticsReport:
     omega_time_mu: np.ndarray
     residuals: tuple[ResidualRow, ...]
     residual_max: float
-    clamp_events: int
 
 
-def build_report(traj: Trajectory, bank: TestFunctionBank | None = None,
-                 with_residuals: bool = True, with_moduli: bool = True
-                 ) -> DiagnosticsReport:
+def build_report(traj: Trajectory, bank_k: int | None = None, residuals: bool = True,
+                 moduli: bool = True) -> DiagnosticsReport:
+    """The diagnostics report of a trajectory: every per-snapshot functional;
+    weak residuals against make_test_bank(grid, t_final, bank_k), bank_k
+    defaulting to default_bank_k(n), unless residuals is off or the run has
+    no horizon (t_final 0 or one snapshot); equicontinuity moduli unless
+    moduli is off."""
     problem = traj.problem
     alpha = problem.nonlinearity.alpha
     dx = problem.grid.dx
     rho, mu = traj.states[:, 0], traj.states[:, 1]
-    if with_moduli:
+    if moduli:
         (h, osr, osm), (k, otr, otm) = equicontinuity_moduli(traj)
     else:
         h = osr = osm = k = otr = otm = np.zeros(0)
 
-    if with_residuals and len(traj.times) >= 2:
-        if bank is None:
-            bank = make_test_bank(problem.grid, problem.t_final,
-                                  default_bank_k(problem.grid.n_cells))
+    if residuals and problem.t_final > 0.0 and len(traj.times) >= 2:
+        if bank_k is None:
+            bank_k = default_bank_k(problem.grid.n_cells)
+        bank = make_test_bank(problem.grid, problem.t_final, bank_k)
         rows, res_max = weak_residual(traj, bank)
     else:
         rows, res_max = (), float("nan")
@@ -358,5 +361,4 @@ def build_report(traj: Trajectory, bank: TestFunctionBank | None = None,
         omega_space_h=h, omega_space_rho=osr, omega_space_mu=osm,
         omega_time_k=k, omega_time_rho=otr, omega_time_mu=otm,
         residuals=rows, residual_max=res_max,
-        clamp_events=int(sum(rec.clamps for rec in traj.step_log)),
     )

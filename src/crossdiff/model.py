@@ -85,12 +85,6 @@ class Nonlinearity:
             return np.full_like(s, -1.0)
         return -(s ** (1.0 - self.alpha)) / self.alpha**2
 
-    def shift_profile_prime(self, s):
-        s = self._clamped(s)
-        if self.alpha == 1.0:
-            return np.zeros_like(s)
-        return -(1.0 - self.alpha) * s ** (-self.alpha) / self.alpha**2
-
 
 def _trig_eval(modes, x: np.ndarray, order: int) -> np.ndarray:
     """order-th exact derivative of sum_k a cos(2 pi k x) + b sin(2 pi k x)."""

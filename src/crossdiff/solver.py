@@ -4,9 +4,12 @@ cross-diffusion system
     d/dt rho = d/dx(rho d/dx pressure(S)) + d/dx(rho V') + eps rho_xx
     d/dt mu  = d/dx(mu  d/dx pressure(S)) + d/dx(mu  W') + eps mu_xx
 
-with S = rho + mu.  The scheme advances the species pair (conservation and
-positivity are then structural); the S and r equations are verified as
-diagnostics, not used for stepping.
+with S = rho + mu.  The scheme advances the species pair, so each species'
+mass is conserved exactly; the S and r equations are verified as
+diagnostics, not used for stepping.  Positivity is not structural: an
+explicit step can move up to 2 cfl_safety of a cell out through its two
+faces (plus 2 eps dt/dx^2 by viscosity), so above cfl_safety = 0.5 a step
+can empty a cell, and run raises SolverError.
 
 The state is one float64 array u = [rho; mu] of shape (2, n), and every
 stencil acts on its last axis, so each operation of a step runs once for

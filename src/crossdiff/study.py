@@ -6,15 +6,15 @@ between consecutive levels, and convergence-rate fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .grid import GridSpec, grad, integrate, make_grid
 from .model import ProblemSpec, build_potentials
-from .diagnostics import (DiagnosticsReport, build_report, default_bank_k,
-                          make_test_bank)
+from .diagnostics import DiagnosticsReport, build_report, default_bank_k
+from .diagnostics import make_test_bank  # noqa: F401 (bench/trace_cli.py)
 from .solver import Trajectory, run
 
 InitialSampler = Callable[[GridSpec], np.ndarray]  # grid -> [rho0; mu0], (2, n)
@@ -111,11 +111,7 @@ def _level_problem(plan: StudyPlan, level: int) -> ProblemSpec:
         u0 = prolong(base.u0, grid.n_cells // base.grid.n_cells)
     eps = (plan.viscosity_schedule[level] if plan.viscosity_schedule
            else base.eps_viscosity * 0.5**level)
-    return ProblemSpec(
-        grid=grid, nonlinearity=base.nonlinearity, potentials=pot,
-        u0=u0, t_final=base.t_final,
-        snapshot_times=base.snapshot_times, eps_viscosity=eps,
-        stepper=base.stepper, cfl_safety=base.cfl_safety)
+    return replace(base, grid=grid, potentials=pot, u0=u0, eps_viscosity=eps)
 
 
 def _int_diss(traj: Trajectory) -> float:
@@ -126,16 +122,6 @@ def _int_diss(traj: Trajectory) -> float:
     return float(np.trapezoid(integrate(g * g, dx), traj.times))
 
 
-def diagnose(traj: Trajectory, bank_k: int, residuals: bool = True,
-             moduli: bool = True) -> DiagnosticsReport:
-    """Report of a run or a study level: weak residuals against the bank of bank_k
-    modes unless residuals is off or t_final is 0, moduli unless moduli is off."""
-    problem = traj.problem
-    bank = (make_test_bank(problem.grid, problem.t_final, bank_k)
-            if residuals and problem.t_final > 0.0 else None)
-    return build_report(traj, bank, with_residuals=bank is not None, with_moduli=moduli)
-
-
 def run_study(plan: StudyPlan,
               reference: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
               bank_k: Optional[int] = None, residuals: bool = True,
@@ -144,9 +130,10 @@ def run_study(plan: StudyPlan,
 
     `reference`, when given, maps (t, x) to the exact species-rho profile
     and feeds the reference-error rate fit.  Each level's report is
-    diagnose(traj, bank_k, residuals, moduli), bank_k defaulting to the
+    build_report(traj, bank_k, residuals, moduli), bank_k defaulting to the
     base grid's.
     """
+    # one bank for every level, so the residual-order fit compares like with like
     bank_k = default_bank_k(plan.base.grid.n_cells) if bank_k is None else bank_k
     trajectories = []
     reports = []
@@ -155,7 +142,7 @@ def run_study(plan: StudyPlan,
         try:
             problem = _level_problem(plan, level)
             traj = run(problem)
-            rep = diagnose(traj, bank_k, residuals, moduli)
+            rep = build_report(traj, bank_k, residuals, moduli)
         except Exception as err:
             raise RuntimeError(f"study level {level} failed: {err}") from err
         trajectories.append(traj)

@@ -26,8 +26,7 @@ from scenarios import (fast_problem, heat_problem, heat_reference,
 
 
 def _report(traj, k_max=8):
-    bank = make_test_bank(traj.problem.grid, traj.problem.t_final, k_max)
-    return cd.build_report(traj, bank)
+    return cd.build_report(traj, k_max)
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +54,7 @@ def heat_study():
 def _entropy_energy_budget(traj, quantity):
     """Measured constant C in  q(t2) - q(t1) <= rhs + C (dt+dx)(t2-t1)."""
     problem = traj.problem
-    rep = cd.build_report(traj, with_residuals=False, with_moduli=False)
+    rep = cd.build_report(traj, residuals=False, moduli=False)
     vals = getattr(rep, quantity)
     times = rep.times
     dt_max = max(rec.dt for rec in traj.step_log)
@@ -125,7 +124,7 @@ def test_criterion_05_energy_descent(heat_trajs, fast_trajs):
 def test_criterion_06_bv_uniformity(fast_trajs):
     sup_bv = {}
     for n, traj in fast_trajs.items():
-        rep = cd.build_report(traj, with_residuals=False, with_moduli=False)
+        rep = cd.build_report(traj, residuals=False, moduli=False)
         sup_bv[n] = float(np.max(rep.bv_u))
     rel = abs(sup_bv[256] - sup_bv[128]) / sup_bv[128]
     assert rel <= 0.2

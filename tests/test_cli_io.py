@@ -271,7 +271,7 @@ def _tiny_report(rng):
         omega_time_rho=rng.random(1), omega_time_mu=rng.random(1),
         residuals=(ResidualRow("cos1_chi1", "rho", rng.normal()),
                    ResidualRow("cos1_chi1", "mu", rng.normal())),
-        residual_max=0.1, clamp_events=0, **cols)
+        residual_max=0.1, **cols)
 
 
 def test_write_report_csv_round_trip(tmp_path):
@@ -403,7 +403,7 @@ def _write_case(out, precision, vals):
         omega_time_k=mu[::2], omega_time_rho=rho[::2], omega_time_mu=xc[::2],
         residuals=tuple(ResidualRow(f"cos{i}_chi1", ("rho", "mu")[i % 2], v)
                         for i, v in enumerate(flat)),
-        residual_max=0.0, clamp_events=0, **cols)
+        residual_max=0.0, **cols)
     summaries = tuple(LevelSummary(i, 16 << i, *np.resize(np.roll(flat, i), 7))
                       for i in range(min(n, 4)))
     study = SimpleNamespace(summaries=summaries, cauchy_rho=tuple(rho[1:]),
@@ -805,6 +805,35 @@ def test_main_flags_get_the_checks_of_their_keys(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: 2: " + message + "\n", err)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args", [("--ep", "-1e-3"), ("--ep=1e-3",)])
+def test_main_rejects_abbreviated_flags(tmp_path, capsys, args):
+    cfg = _write_cfg(tmp_path, FAST)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--out", str(tmp_path / "o"), *args])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: " + " ".join(args) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_run_reports_step_log_counts(tmp_path, capsys, monkeypatch):
+    # s_floor above the smallest initial S (0.6), so the step log counts clamps
+    cfg = _write_cfg(tmp_path, FAST.replace("alpha = 0.5", "alpha = 0.5\ns_floor = 0.7"))
+    trajs = []
+    solver_run = crossdiff.cli.run
+
+    def run(problem):
+        trajs.append(solver_run(problem))
+        return trajs[-1]
+    monkeypatch.setattr(crossdiff.cli, "run", run)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    log = trajs[0].step_log
+    clamps = sum(rec.clamps for rec in log)
+    assert clamps > 0
+    assert capsys.readouterr().out == (f"run complete: 5 snapshots, {len(log)} steps, "
+                                       f"clamp_events={clamps}, output in {out}\n")
 
 
 def test_main_study_honours_output_keys(tmp_path):

@@ -376,7 +376,7 @@ def test_report_single_snapshot():
 
 def test_report_stationary_rows_identical():
     traj = cd.run(stationary_problem(64, snaps=5))
-    rep = cd.build_report(traj, with_residuals=False)
+    rep = cd.build_report(traj, residuals=False)
     from crossdiff.csvio import SCALAR_COLUMNS
     for col in SCALAR_COLUMNS:
         vals = getattr(rep, col)
@@ -385,9 +385,29 @@ def test_report_stationary_rows_identical():
 
 def test_report_heat_entropy_decreases():
     traj = cd.run(heat_problem(128, snaps=9))
-    rep = cd.build_report(traj, with_residuals=False)
+    rep = cd.build_report(traj, residuals=False)
     assert np.all(np.diff(rep.entropy) < 0.0)
-    assert rep.clamp_events == 0
+    assert sum(rec.clamps for rec in traj.step_log) == 0
+
+
+def test_report_resolves_its_bank():
+    traj = cd.run(stationary_problem(16, snaps=3))  # default bank_k = n/4 = 4
+    for bank_k, k_max in ((None, 4), (2, 2), (0, 0)):
+        rep = cd.build_report(traj, bank_k)
+        assert len(rep.residuals) == 2 * 2 * (1 + 2 * k_max)  # 2 profiles, 2 species
+    rep = cd.build_report(traj, residuals=False, moduli=False)
+    assert rep.residuals == () and np.isnan(rep.residual_max)
+    assert rep.omega_space_h.size == rep.omega_time_k.size == 0
+
+
+def test_report_without_horizon_has_no_residuals():
+    # check_time accepts t_final = 0 with a second snapshot inside its 1e-12
+    # end tolerance; the test bank needs t_final > 0, so no residuals
+    prob = dataclasses.replace(_standing_problem(16), t_final=0.0,
+                               snapshot_times=(0.0, 5e-13))
+    rep = cd.build_report(_frozen(prob, [0.0, 5e-13], *prob.u0))
+    assert rep.residuals == () and np.isnan(rep.residual_max)
+    assert len(rep.times) == 2
 
 
 def test_moduli_nonuniform_spacing_skips_time_curve():
@@ -529,7 +549,7 @@ def test_report_rows_match_per_snapshot_oracle(case):
         t_final=float(times[-1]), snapshot_times=tuple(times.tolist()))
     states.setflags(write=False)
     bank = make_test_bank(g, prob.t_final, k_max=min(2, n // 4))
-    rep = cd.build_report(Trajectory(prob, times, states, ()), bank)
+    rep = cd.build_report(Trajectory(prob, times, states, ()), bank.k_max)
 
     oracle = [_oracle_scalars(rho, mu, prob) for rho, mu in states]
     for col in SCALAR_COLUMNS:

@@ -74,8 +74,9 @@ def test_shift_profile_solves_defining_condition():
     s = np.linspace(0.1, 10.0, 500)
     for alpha in (0.25, 0.5, 0.75, 1.0):
         nl = cd.Nonlinearity(alpha)
+        y_prime = -(1.0 - alpha) * s ** (-alpha) / alpha**2
         res = (nl.shift_profile(s) * nl.diffusivity(s) / s
-               - nl.shift_profile_prime(s) * nl.diffusivity(s) + 1.0 / s)
+               - y_prime * nl.diffusivity(s) + 1.0 / s)
         assert np.max(np.abs(res)) <= 1e-10
 
 

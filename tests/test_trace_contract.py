@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,16 @@ def test_every_traced_name_resolves():
     for module_name, attr, _, _ in tracer.TRACED:
         module = importlib.import_module(f"crossdiff.{module_name}")
         assert callable(getattr(module, attr, None)), f"crossdiff.{module_name}.{attr}"
+    # conversely, every import kept only for bench/ names a traced lookup
+    traced = {(module_name, attr) for module_name, attr, _, _ in tracer.TRACED}
+    bench_only = re.compile(r"^from \.\w+ import (.+?)\s+# noqa: F401 \(bench/", re.M)
+    found = 0
+    for path in sorted((ROOT / "src" / "crossdiff").glob("*.py")):
+        for names in bench_only.findall(path.read_text()):
+            for name in names.split(","):
+                found += 1
+                assert (path.stem, name.strip()) in traced, f"{path.name}: {name.strip()}"
+    assert found > 0
 
 
 def test_trajectory_counts_match_the_run():
