@@ -153,16 +153,19 @@ def _cmd_diagnose(args) -> int:
 def _cmd_plot(args) -> int:
     out_dir = Path(args.out)
     for csv_path in args.csv:
+        target = out_dir / (Path(csv_path).stem + ".svg")
         try:
             header, data = read_table(csv_path)
             if data.shape[0] < 2 or len(header) < 2:
                 raise ValueError("plot needs >= 2 rows and >= 2 columns")
+            if data.shape[1] != len(header):
+                raise ValueError(f"header names {len(header)} columns, "
+                                 f"rows hold {data.shape[1]} values")
+            series = [(name, data[:, 0], data[:, j])
+                      for j, name in enumerate(header) if j > 0]
+            emit_plot(series, target, loglog=args.loglog, title=Path(csv_path).name)
         except ValueError as err:
             raise ValueError(f"{csv_path}: {err}") from None
-        series = [(name, data[:, 0], data[:, j])
-                  for j, name in enumerate(header) if j > 0]
-        target = out_dir / (Path(csv_path).stem + ".svg")
-        emit_plot(series, target, loglog=args.loglog, title=Path(csv_path).name)
         print(f"wrote {target}")
     return EXIT_OK
 

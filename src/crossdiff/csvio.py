@@ -3,8 +3,13 @@
 All files are comma-separated, decimal-point, line-feed terminated, with
 floats at a configurable number of significant digits (default 17, which
 round-trips binary64 exactly).  Each file's body is built by one
-%-format of a row template repeated once per row (`_lines`), and
-read_table parses a body with one flat `float` pass.  Snapshots are
+%-format of a row template repeated once per row (`_lines`).  read_table
+parses a body with numpy's C tokenizer (`np.loadtxt`), which converts each
+field with the routine `float` uses, so the values are correctly rounded
+and bit-identical to `float`'s.  It keeps that array only when it holds
+one row per body line, since loadtxt skips blank lines.  Anything else
+goes to one flat `float` pass, which owns every error message and also
+reads what only `float` accepts (`1_0`, Unicode digits).  Snapshots are
 formatted and written one file at a time, so a trajectory's text is never
 held in memory whole.  Writes go to a temporary file followed by an atomic
 rename so failed runs never leave partial tables behind.
@@ -12,6 +17,7 @@ rename so failed runs never leave partial tables behind.
 
 from __future__ import annotations
 
+import io
 import os
 from pathlib import Path
 
@@ -140,11 +146,25 @@ def write_study_csv(report: StudyReport, out_dir, precision: int = 17) -> list[P
 def read_table(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV written by this package: (column names, data), with
     data a (rows, columns) array, (0, len(column names)) for a header-only
-    file.  Every body row must hold the same number of values."""
+    file.  Every body row must hold the same number of values.
+
+    The body goes through np.loadtxt first, and its array is returned only
+    when it has one row per body line.  On a loadtxt error, a row-count
+    mismatch or a body holding a \\x1c-\\x1f separator (which loadtxt strips
+    as whitespace and `float` rejects), the flat `float` pass reads the
+    body, so the values, shape and error text are those of `float` either
+    way."""
     head, _, body = Path(path).read_text().strip().partition("\n")
     header = head.split(",")
     if not body:
         return header, np.zeros((0, len(header)))
+    if not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+            if len(data) == body.count("\n") + 1:
+                return header, data
+        except ValueError:
+            pass
     rows = body.split("\n")
     commas = [row.count(",") for row in rows]
     if commas.count(commas[0]) != len(commas):

@@ -194,12 +194,12 @@ def check_time(t_final: float, snapshot_times, stepper: str, cfl_safety: float,
     if not ts:
         raise ValueError("snapshot_times must be nonempty")
     tol = 1e-12 * max(1.0, t_final)
-    if abs(ts[0]) > tol:
+    if not abs(ts[0]) <= tol:
         raise ValueError(f"snapshot_times must start at 0, got {ts[0]}")
-    if abs(ts[-1] - t_final) > tol:
+    if not abs(ts[-1] - t_final) <= tol:
         raise ValueError(f"snapshot_times must end at t_final {t_final}, got {ts[-1]}")
     for a, b in zip(ts, ts[1:]):
-        if b <= a:
+        if not b > a:
             raise ValueError(f"snapshot_times must be strictly increasing, got {b} after {a}")
     return ts
 

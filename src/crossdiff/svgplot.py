@@ -22,6 +22,10 @@ def _transform(lo: float, hi: float, pixel_lo: float, pixel_hi: float):
     return to_pixel
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_plot(series, path, loglog: bool = False, title: str = "") -> Path:
     """Write labeled (x, y) curves as an SVG file.
 
@@ -56,7 +60,7 @@ def emit_plot(series, path, loglog: bool = False, title: str = "") -> Path:
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH // 2}" y="18" text-anchor="middle" '
-        f'font-family="monospace" font-size="13">{title}</text>',
+        f'font-family="monospace" font-size="13">{_xml_text(title)}</text>',
         f'<line x1="{_ML}" y1="{_HEIGHT - _MB}" x2="{_WIDTH - _MR}" '
         f'y2="{_HEIGHT - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_HEIGHT - _MB}" '
@@ -90,7 +94,7 @@ def emit_plot(series, path, loglog: bool = False, title: str = "") -> Path:
                      f'x2="{_WIDTH - _MR - 106}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_WIDTH - _MR - 100}" y="{ly}" '
-                     f'font-family="monospace" font-size="11">{label}</text>')
+                     f'font-family="monospace" font-size="11">{_xml_text(label)}</text>')
 
     parts.append("</svg>")
     out = Path(path)

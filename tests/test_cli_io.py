@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -447,6 +448,89 @@ def test_read_table_matches_per_row_reference(case):
             assert header == ["x", "rho", "mu"] and data.shape == (0, 3)
 
 
+def _read_table_float_pass(path):
+    """read_table as it was before the numpy tokenizer, verbatim."""
+    head, _, body = Path(path).read_text().strip().partition("\n")
+    header = head.split(",")
+    if not body:
+        return header, np.zeros((0, len(header)))
+    rows = body.split("\n")
+    commas = [row.count(",") for row in rows]
+    if commas.count(commas[0]) != len(commas):
+        i = next(i for i, c in enumerate(commas) if c != commas[0])
+        raise ValueError(f"ragged rows: line {i + 2} holds {commas[i] + 1} values, "
+                         f"line 2 holds {commas[0] + 1}")
+    data = np.array(list(map(float, body.replace("\n", ",").split(","))))
+    return header, data.reshape(len(rows), commas[0] + 1)
+
+
+def _read_outcome(read, path):
+    """(header, shape, bytes) of what `read` returns, or its error text."""
+    try:
+        header, data = read(path)
+    except ValueError as err:
+        return str(err)
+    return header, data.shape, data.dtype.str, data.tobytes()
+
+
+_PAD = st.sampled_from(["", "", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2003"])
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["-0", "5e-324", "-4.9e-324", "2.2250738585072009e-308", "1e-400",
+                     "1e999", "inf", "-inf", "+Infinity", "nan", "-nan", "NaN", "1.", ".5"]))
+_JUNK = st.sampled_from(["1_0", "1__0", "_1", "0x1p3", "0X10", "\u0661\u0662", "\uff11",
+                         "", " ", '"1"', "'2'", "abc", "1e", "1 2", "#1", "\x00"])
+# loadtxt strips these around a value as whitespace, float rejects them
+_SEPARATOR_PAD = st.sampled_from(["", "", "\x1c", "\x1d", "\x1e", "\x1f"])
+
+
+@st.composite
+def _token_tables(draw):
+    """CSV text: a header over rows of padded tokens.  A third of the tables
+    are clean, a third pad values with \\x1c-\\x1f, and in the rest rows may
+    be ragged, hold junk or trailing commas, or be blank.  Lines end in \\n
+    or \\r\\n."""
+    kind = draw(st.sampled_from(["clean", "separator", "dirty"]))
+    token = st.one_of(_NUMBER, _JUNK) if kind == "dirty" else _NUMBER
+    pad = _SEPARATOR_PAD if kind == "separator" else _PAD
+    defect = st.integers(0, 7).map(lambda i: i == 0) if kind == "dirty" else st.just(False)
+    n_cols = draw(st.integers(1, 4))
+    ragged = draw(defect)
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(defect):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        k = draw(st.integers(1, 4)) if ragged else n_cols
+        line = ",".join(draw(pad) + draw(token) + draw(pad) for _ in range(k))
+        lines.append(line + ("," if draw(defect) else ""))
+    text = "x,rho,mu\n" + "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                                   for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_token_tables())
+def test_read_table_matches_float_pass(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = _read_outcome(read_table, path)
+        assert outcome == _read_outcome(_read_table_float_pass, path)
+
+
+def test_read_table_blank_interior_line_keeps_float_pass_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y\n1,2\n\n3,4\n")  # loadtxt alone would skip the blank line
+    with pytest.raises(ValueError, match="^ragged rows: line 3 holds 1 values, line 2 holds 2$"):
+        read_table(path)
+    path.write_text("x\n1\n\n3\n")  # one column: the blank is an empty value
+    with pytest.raises(ValueError, match="^could not convert string to float: ''$"):
+        read_table(path)
+
+
 # --------------------------------------------------------------------------
 # SVG
 
@@ -464,6 +548,15 @@ def test_emit_plot_deterministic(tmp_path):
     p1 = emit_plot(series, tmp_path / "p1.svg")
     p2 = emit_plot(series, tmp_path / "p2.svg")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_main_plot_escapes_markup_in_names(tmp_path):
+    table = tmp_path / "a&b<c>.csv"
+    table.write_text("x,rho<mu & y\n0,1\n1,2\n")
+    assert main(["plot", str(table), "--out", str(tmp_path)]) == 0
+    texts = [el.text for el in ET.parse(tmp_path / "a&b<c>.svg").iter()
+             if el.tag.endswith("text")]
+    assert texts[0] == "a&b<c>.csv" and texts[-1] == "rho<mu & y"
 
 
 def test_emit_plot_errors(tmp_path):
@@ -677,6 +770,16 @@ def test_main_diagnose_names_a_missing_end_snapshot(tmp_path, capsys, which, mes
     assert re.fullmatch(f"error: 3: {re.escape(str(out))}: {message}\n", err)
 
 
+def test_main_diagnose_rejects_a_nan_snapshot_time(tmp_path, capsys):
+    out = tmp_path / "run_out"
+    assert main(["run", _write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 0
+    (out / "snapshot_nan.csv").write_text((out / "snapshot_0.csv").read_text())
+    capsys.readouterr()
+    assert main(["diagnose", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: 3: {re.escape(str(out))}: snapshot_times must .*nan.*\n", err)
+
+
 def test_read_snapshots_array(tmp_path):
     out = tmp_path / "run_out"
     assert main(["run", _write_cfg(tmp_path, FAST), "--out", str(out)]) == 0
@@ -731,6 +834,9 @@ def test_main_plot_loglog_rejects_zero(tmp_path, capsys):
 @pytest.mark.parametrize("body, message", [
     ("x,y\n1,2\n2,abc\n", "could not convert string to float: 'abc'"),
     ("x,y\n1,2\n2,3,4\n", "ragged rows: line 3 holds 3 values, line 2 holds 2"),
+    ("x,y,z\n1,2\n3,4\n", "header names 3 columns, rows hold 2 values"),
+    ("x,y\n1,2,3\n4,5,6\n", "header names 2 columns, rows hold 3 values"),
+    ("x,y\n1,nan\n2,3\n", "curve 'y' has non-finite values"),
 ])
 def test_main_plot_names_unparsable_file(tmp_path, capsys, body, message):
     table = tmp_path / "bad.csv"

@@ -232,6 +232,20 @@ def test_problem_spec_validation():
                            t_final=1.0, snapshot_times=(0.0, 1.0), eps_viscosity=bad)
 
 
+
+@pytest.mark.parametrize("times, message", [
+    ((np.nan, 0.5, 1.0), "must start at 0, got nan"),
+    ((0.0, np.nan, 1.0), "must be strictly increasing, got nan after 0.0"),
+    ((0.0, 0.5, np.nan), "must end at t_final 1.0, got nan"),
+])
+def test_problem_spec_rejects_nan_snapshot_time(times, message):
+    g = cd.make_grid(16)
+    with pytest.raises(ValueError, match=re.escape(f"snapshot_times {message}")):
+        cd.ProblemSpec(grid=g, nonlinearity=cd.Nonlinearity(1.0),
+                       potentials=cd.build_potentials([], [], g), u0=np.ones((2, 16)),
+                       t_final=1.0, snapshot_times=times)
+
+
 @pytest.mark.parametrize("alpha", (0.01, 0.3, 0.5, 0.999, 1.0))
 def test_pressure_diffusivity_equals_separate_calls_bitwise(alpha):
     nl = cd.Nonlinearity(alpha, s_floor=1e-3)
