@@ -152,8 +152,14 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_plot(args) -> int:
     out_dir = Path(args.out)
+    sources: dict[Path, str] = {}  # SVG path -> its CSV, checked before any write
     for csv_path in args.csv:
         target = out_dir / (Path(csv_path).stem + ".svg")
+        if target in sources:
+            raise ValueError(f"{sources[target]} and {csv_path} would both be "
+                             f"plotted to {target}")
+        sources[target] = csv_path
+    for target, csv_path in sources.items():
         try:
             header, data = read_table(csv_path)
             if data.shape[0] < 2 or len(header) < 2:

@@ -18,6 +18,7 @@ rename so failed runs never leave partial tables behind.
 from __future__ import annotations
 
 import io
+import math
 import os
 from pathlib import Path
 
@@ -91,14 +92,17 @@ def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path
 def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Load snapshot_<t>.csv files, sorted by time, as (times, states): a
     (T,) array and a read-only (T, 2, n) array with rho in [:, 0] and mu in
-    [:, 1].  Every density must parse, be finite and be positive, and no two
-    files may hold the same time."""
+    [:, 1].  Every time and density must parse and be finite, every density
+    must be positive, and no two files may hold the same time."""
     stamped = []
     for path in Path(traj_dir).glob("snapshot_*.csv"):
         try:
-            stamped.append((float(path.stem[len("snapshot_"):]), path))
+            t = float(path.stem[len("snapshot_"):])
+            if not math.isfinite(t):  # a NaN would leave the sort order undefined
+                raise ValueError(f"non-finite snapshot time {t!r}")
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
+        stamped.append((t, path))
     if not stamped:
         raise ValueError(f"no snapshot_*.csv files in {traj_dir}")
     stamped.sort()

@@ -24,8 +24,9 @@ S_drift by damped Newton, splitting the diffusive interface flux between
 the species by their donor-cell mobility fractions (exactly conservative
 per species).  Each Newton iteration is one O(n) periodic tridiagonal solve:
 LAPACK gtsv on the Jacobian without its corners, plus a Sherman-Morrison
-correction for them; LAPACK is imported by the first such solve, so an
-explicit run never loads scipy.
+correction for them.  The first such solve loads only scipy's LAPACK
+extension module (scipy.linalg._flapack) from its file; scipy.linalg and its
+package init never load, and an explicit run loads no scipy at all.
 
 A step evaluates the velocities once: cfl_dt(u, problem) returns (dt,
 velocities), with the same pressure power giving the diffusive bound, and
@@ -37,7 +38,11 @@ keeps into one preallocated (T, 2, n) array, rho in [:, 0] and mu in
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -127,6 +132,22 @@ def _explicit_update(u, velocities, t_new: float, dt: float, problem: ProblemSpe
     return u_new, clamps, 0
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module _flapack, loaded from its file.
+    `scipy.linalg.lapack.dgtsv` is this module's dgtsv, but importing it runs
+    the whole scipy.linalg package init (about 0.3 s) first."""
+    scipy = importlib.util.find_spec("scipy")  # locates scipy without importing it
+    where = os.path.join(os.path.dirname(scipy.origin), "linalg")
+    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no LAPACK extension module _flapack in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve J x = rhs for the cyclic tridiagonal J[i, i] = 1 + 2 cd[i],
     J[i, i -+ 1] = -cd[i -+ 1] (indices mod n) in O(n).
@@ -136,7 +157,7 @@ def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     gtsv call solves T y = rhs and T z = u, and Sherman-Morrison gives
     x = y - (v.y) / (1 + v.z) z.  With cd >= 0 both J and T are strictly
     diagonally dominant by columns, hence nonsingular."""
-    from scipy.linalg.lapack import dgtsv
+    dgtsv = _lapack().dgtsv
 
     n = cd.size
     diag = 1.0 + 2.0 * cd

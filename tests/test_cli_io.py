@@ -657,7 +657,7 @@ def test_module_entry_point(tmp_path):
 
 def test_cli_import_loads_no_sparse_modules():
     # scipy.sparse costs setup time and resident memory; the solver needs only
-    # scipy.linalg.lapack
+    # scipy's LAPACK extension module, which it loads without scipy.linalg
     src = str(Path(crossdiff.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import crossdiff.cli, sys; "
@@ -669,8 +669,9 @@ def test_cli_import_loads_no_sparse_modules():
 
 
 def test_explicit_pipeline_loads_no_scipy(tmp_path):
-    # scipy is imported by the first Newton solve; import, an explicit run,
-    # diagnose and plot never need it
+    # the first Newton solve loads scipy's LAPACK extension module alone, not
+    # scipy.linalg and its package init; import, an explicit run, diagnose and
+    # plot load no scipy module at all
     src = str(Path(crossdiff.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     cfg, out = _write_cfg(tmp_path, FAST), str(tmp_path / "o")
@@ -685,12 +686,13 @@ def test_explicit_pipeline_loads_no_scipy(tmp_path):
         f"codes = [main(argv) for argv in {explicit!r}]",
         "seen.append(scipy_modules())",
         f"codes.append(main({semi!r}))",
-        "print(repr((codes, seen, 'scipy.linalg.lapack' in sys.modules)))",
+        "print(repr((codes, seen, scipy_modules())))",
     ])
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == repr(([0, 0, 0, 0], [[], []], True))
+    assert proc.stdout.splitlines()[-1] == repr(
+        ([0, 0, 0, 0], [[], []], ["scipy.linalg._flapack"]))
 
 
 def _corrupt_snapshots(traj_dir, defect):
@@ -714,6 +716,8 @@ def _corrupt_snapshots(traj_dir, defect):
         rows[1] = rows[1].rsplit(",", 1)[0]
         rows[2] += ",1"
         paths[-1].write_text("\n".join(rows))
+    elif defect.startswith("time "):  # a copy named for a non-finite time
+        (traj_dir / f"snapshot_{defect[5:]}.csv").write_text(paths[-1].read_text())
     elif defect == "duplicate":  # a second name for t = 0.005
         (traj_dir / "snapshot_0.005.csv").write_text(
             (traj_dir / "snapshot_0.0050000000000000001.csv").read_text())
@@ -737,6 +741,8 @@ def _corrupt_snapshots(traj_dir, defect):
     ("name", "could not convert string to float: 'late'"),
     ("ragged", "ragged rows: line 3 holds 4 values, line 2 holds 2"),
     ("duplicate", r"duplicate snapshot time 0\.005, also in snapshot_0\.005\.csv"),
+    ("time nan", "non-finite snapshot time nan"),
+    ("time inf", "non-finite snapshot time inf"),
 ])
 def test_read_snapshots_errors(tmp_path, capsys, defect, message):
     out = tmp_path / "run_out"
@@ -777,7 +783,7 @@ def test_main_diagnose_rejects_a_nan_snapshot_time(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", str(out)]) == 3
     err = capsys.readouterr().err
-    assert re.fullmatch(f"error: 3: {re.escape(str(out))}: snapshot_times must .*nan.*\n", err)
+    assert err == f"error: 3: {out / 'snapshot_nan.csv'}: non-finite snapshot time nan\n"
 
 
 def test_read_snapshots_array(tmp_path):
@@ -821,6 +827,18 @@ def test_main_plot(tmp_path):
     svg = tmp_path / "svg" / "scalars.svg"
     assert svg.exists()
     assert svg.read_text().count("<polyline") == 13
+
+
+def test_main_plot_rejects_tables_with_one_svg_name(tmp_path, capsys):
+    tables = [tmp_path / "a" / "t.csv", tmp_path / "b" / "u.csv", tmp_path / "c" / "t.csv"]
+    for table in tables:
+        table.parent.mkdir()
+        table.write_text("x,y\n1,2\n2,3\n")
+    svg = tmp_path / "svg"
+    assert main(["plot", *map(str, tables), "--out", str(svg)]) == 3
+    assert capsys.readouterr().err == (f"error: 3: {tables[0]} and {tables[2]} would "
+                                       f"both be plotted to {svg / 't.svg'}\n")
+    assert not svg.exists()  # rejected before any SVG is written
 
 
 def test_main_plot_loglog_rejects_zero(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -685,10 +687,43 @@ def test_newton_matches_sparse_reference(case):
     assert np.abs(s - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
 
 
+@st.composite
+def _gtsv_cases(draw):
+    n = draw(st.integers(4, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cd_ = 10.0 ** draw(st.floats(-6.0, 6.0)) * rng.random(n)
+    cd_[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
+    return cd_, rng.standard_normal((n, 2))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_gtsv_cases())
+def test_direct_lapack_load_gives_the_public_dgtsv_bits(case):
+    # the solver loads scipy's _flapack from its file, skipping the
+    # scipy.linalg package init; its dgtsv must be the public one, bit for bit
+    cd_, rhs = case
+    diag = 1.0 + 2.0 * cd_
+    diag[0] *= 2.0  # T of the cyclic system, as _solve_periodic_tridiagonal forms it
+    diag[-1] += cd_[0] * cd_[-1] / (1.0 + 2.0 * cd_[0])
+
+    def solve(gtsv):
+        return gtsv(-cd_[:-1], diag.copy(), -cd_[1:], np.asfortranarray(rhs))
+
+    *arrays, info = solve(crossdiff.solver._lapack().dgtsv)
+    *arrays_ref, info_ref = solve(scipy.linalg.lapack.dgtsv)
+    assert info == info_ref == 0
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in arrays_ref]
+    # CPython keeps a single-phase-init extension module in sys.modules and
+    # hands that module to every later load, so there the two are one object
+    if sys.modules.get("scipy.linalg._flapack") is crossdiff.solver._lapack():
+        assert crossdiff.solver._lapack().dgtsv is scipy.linalg.lapack.dgtsv
+
+
 def test_periodic_tridiagonal_solve_reports_lapack_failure(monkeypatch):
     def failing_gtsv(dl, d, du, b, **_):
         return dl, d, du, b, 2
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", failing_gtsv)
+    monkeypatch.setattr(crossdiff.solver, "_lapack",
+                        lambda: SimpleNamespace(dgtsv=failing_gtsv))
     with pytest.raises(SolverError, match="gtsv info 2"):
         crossdiff.solver._solve_periodic_tridiagonal(np.ones(4), np.ones(4))
