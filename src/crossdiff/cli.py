@@ -126,7 +126,7 @@ def _cmd_study(args) -> int:
     write_study_csv(report, out, cfg.precision)
     for summary, level_report in zip(report.summaries, report.reports):
         write_report_csv(level_report, out / f"level_{summary.level}", cfg.precision)
-    print(f"study complete: {plan.levels} levels, output in {out}")
+    print(f"study complete: {len(plan.problems)} levels, output in {out}")
     return EXIT_OK
 
 

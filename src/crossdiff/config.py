@@ -1,5 +1,5 @@
 """Run configuration: a sectioned key-value document parsed into a RunConfig
-that every builder accepts, plus builders for ProblemSpec and StudyPlan.
+that every builder accepts, plus the builders build_problem and build_plan.
 
 Schema (INI syntax; unknown sections or keys are rejected):
 
@@ -20,21 +20,22 @@ Defaults: eps=0, cfl_safety=0.5, stepper=explicit, bank_k=min(8, n/4),
 s_floor=1e-12, snapshots=11, dir=out, precision=17.
 
 parse_config checks syntax, finiteness, precision in [1, 17], a snapshot
-count >= 1, bank_k in [0, n/4] and that no species has both values and
-offset or modes.  Each other value rule has one owner,
+count >= 1 (>= 2 when t_final > 0), bank_k in [0, n/4] and that no species
+has both values and offset or modes.  Each other value rule has one owner,
 whose ValueError it re-raises as a ConfigError prefixed with the section:
 grid.GridSpec (n), model.Nonlinearity (alpha, s_floor), model.check_modes
 (V, W, rho_modes, mu_modes), grid.Field (rho_values, mu_values),
 model.check_time ([time]) and study.check_levels ([study]).  build_problem
 stacks the initial profiles into u0 = [rho0; mu0] and adds its positivity
-(model.check_initial).
+(model.check_initial).  build_plan calls build_problem once per study
+level, so every level is checked before any runs.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .diagnostics import default_bank_k
 from .grid import Field, GridSpec, make_grid
 from .model import (Mode, Nonlinearity, ProblemSpec, _trig_eval, build_potentials,
                     check_initial, check_modes, check_time)
-from .study import StudyPlan, check_levels
+from .study import StudyPlan, check_levels, prolong
 
 
 class ConfigError(ValueError):
@@ -214,6 +215,9 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         count = _int(snap_raw, "[time] snapshots")
         if count < 1:
             raise ConfigError("[time] snapshots count must be >= 1")
+        if count < 2 and t_final > 0.0:
+            raise ConfigError(f"[time] snapshots count must be >= 2 when t_final > 0, "
+                              f"got {count}")
         times = tuple(np.linspace(0.0, t_final, count)) if t_final > 0.0 else (0.0,)
     if t_final == 0.0:
         times = (0.0,)
@@ -305,23 +309,18 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def _initial_state(cfg: RunConfig, grid: GridSpec) -> np.ndarray:
-    """[rho0; mu0] on grid: each species' inline values, or its offset plus
-    its modes at the cell centers."""
+    """[rho0; mu0] on grid: each species' inline values (repeated onto the
+    cells of a finer grid), or its offset plus its modes at the cell centers."""
     xc = grid.cell_centers()
     return np.stack([
-        np.array(values) if values is not None else offset + _trig_eval(modes, xc, 0)
+        prolong(np.array(values), grid.n_cells // len(values)) if values is not None
+        else offset + _trig_eval(modes, xc, 0)
         for offset, modes, values in ((cfg.rho_offset, cfg.rho_modes, cfg.rho_values),
                                       (cfg.mu_offset, cfg.mu_modes, cfg.mu_values))])
 
 
-def initial_sampler(cfg: RunConfig):
-    """Grid-independent initial-state sampler (None for inline value lists)."""
-    if cfg.rho_values is not None or cfg.mu_values is not None:
-        return None
-    return lambda grid: _initial_state(cfg, grid)
-
-
 def build_problem(cfg: RunConfig) -> ProblemSpec:
+    """The problem of cfg; the only code that builds one from a config."""
     grid = make_grid(cfg.n_cells)
     return ProblemSpec(
         grid=grid,
@@ -337,10 +336,14 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
 
 
 def build_plan(cfg: RunConfig) -> StudyPlan:
-    return StudyPlan(
-        base=build_problem(cfg),
-        levels=cfg.study_levels,
-        refine_space=cfg.study_refine_space,
-        viscosity_schedule=cfg.study_viscosity,
-        initial_sampler=initial_sampler(cfg),
-    )
+    """The study of cfg.  Level l is build_problem of cfg with n * 2^l cells
+    (n when [study] refine_space is off) and eps the l-th entry of [study]
+    viscosity, or eps * 2^-l when that schedule is empty.  Every level is
+    built, and its initial state checked, before any level runs."""
+    problems = []
+    for level in range(cfg.study_levels):
+        n = cfg.n_cells * 2**level if cfg.study_refine_space else cfg.n_cells
+        eps = cfg.study_viscosity[level] if cfg.study_viscosity else cfg.eps * 0.5**level
+        problems.append(_checked(f"[study] level {level}:", build_problem,
+                                 replace(cfg, n_cells=n, eps=eps)))
+    return StudyPlan(tuple(problems))

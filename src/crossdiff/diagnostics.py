@@ -160,7 +160,7 @@ def default_bank_k(n_cells: int) -> int:
     return min(8, n_cells // 4)
 
 
-def make_test_bank(grid: GridSpec, t_final: float, k_max: int = 8) -> TestFunctionBank:
+def make_test_bank(grid: GridSpec, t_final: float, k_max: int) -> TestFunctionBank:
     if k_max > grid.n_cells // 4:
         raise ValueError(
             f"test bank k_max exceeds n/4 (k_max={k_max}, n={grid.n_cells})")

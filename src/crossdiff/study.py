@@ -1,23 +1,22 @@
-"""Refinement and vanishing-viscosity campaigns: run the same physical
-problem across dyadically nested grids and/or a viscosity schedule, then
-tabulate uniformity of the bounded functionals, L1-Cauchy differences
-between consecutive levels, and convergence-rate fits.
+"""Refinement and vanishing-viscosity campaigns: run each level problem of
+a StudyPlan (dyadically nested grids and/or a viscosity schedule, as
+config.build_plan builds them), then tabulate uniformity of the bounded
+functionals, L1-Cauchy differences between consecutive levels, and
+convergence-rate fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridSpec, grad, integrate, make_grid
-from .model import ProblemSpec, build_potentials
+from .grid import grad, integrate
+from .model import ProblemSpec
 from .diagnostics import DiagnosticsReport, build_report, default_bank_k
 from .diagnostics import make_test_bank  # noqa: F401 (bench/trace_cli.py)
 from .solver import Trajectory, run
-
-InitialSampler = Callable[[GridSpec], np.ndarray]  # grid -> [rho0; mu0], (2, n)
 
 
 def check_levels(levels: int, viscosity_schedule) -> tuple[float, ...]:
@@ -38,22 +37,21 @@ def check_levels(levels: int, viscosity_schedule) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class StudyPlan:
-    """Campaign description.  Grids refine dyadically from the base when
-    refine_space is set; viscosity_schedule (when given) supplies one eps
-    per level, defaulting to eps0 * 2^-level otherwise.  initial_sampler
-    re-samples the initial state [rho0; mu0] on each level's grid; without
-    it the base u0 is prolonged by piecewise-constant injection.  Levels
-    are compared at every snapshot time."""
+    """Campaign description: one problem per level, coarsest first.  Each
+    grid's cell count divides the next one's, and every level has the same
+    snapshot times, so consecutive levels compare cell by cell at every
+    snapshot."""
 
-    base: ProblemSpec
-    levels: int
-    refine_space: bool = True
-    viscosity_schedule: tuple[float, ...] = ()
-    initial_sampler: Optional[InitialSampler] = None
+    problems: tuple[ProblemSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "viscosity_schedule",
-                           check_levels(self.levels, self.viscosity_schedule))
+        check_levels(len(self.problems), ())
+        for l, (coarse, fine) in enumerate(zip(self.problems, self.problems[1:]), 1):
+            if fine.grid.n_cells % coarse.grid.n_cells:
+                raise ValueError(f"level {l} has n = {fine.grid.n_cells}, not a multiple "
+                                 f"of level {l - 1}'s n = {coarse.grid.n_cells}")
+            if fine.snapshot_times != coarse.snapshot_times:
+                raise ValueError(f"level {l}'s snapshot_times differ from level {l - 1}'s")
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,6 @@ class StudyReport:
     cauchy_mu: tuple[float, ...]
     rate_weak_residual: float
     rate_reference_error: float
-    convention: str = ("levels refine dx dyadically; default viscosity "
-                       "schedule eps0 * 2^-level")
 
 
 def prolong(values: np.ndarray, factor: int) -> np.ndarray:
@@ -91,27 +87,14 @@ def prolong(values: np.ndarray, factor: int) -> np.ndarray:
 def fit_rate(pairs) -> float:
     """Least-squares slope of log(error) against log(scale)."""
     pairs = [(float(s), float(e)) for s, e in pairs]
-    if len(pairs) < 2:
-        raise ValueError("fit_rate needs at least 2 pairs")
     if any(s <= 0.0 or e <= 0.0 for s, e in pairs):
         raise ValueError("fit_rate needs positive scales and errors")
     x = np.log([s for s, _ in pairs])
     y = np.log([e for _, e in pairs])
+    if len(set(x.tolist())) < 2:
+        raise ValueError("fit_rate needs at least 2 distinct scales")
     dx = x - x.mean()
     return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
-
-
-def _level_problem(plan: StudyPlan, level: int) -> ProblemSpec:
-    base = plan.base
-    grid = make_grid(base.grid.n_cells * 2**level) if plan.refine_space else base.grid
-    pot = build_potentials(base.potentials.modes_V, base.potentials.modes_W, grid)
-    if plan.initial_sampler is not None:
-        u0 = plan.initial_sampler(grid)
-    else:
-        u0 = prolong(base.u0, grid.n_cells // base.grid.n_cells)
-    eps = (plan.viscosity_schedule[level] if plan.viscosity_schedule
-           else base.eps_viscosity * 0.5**level)
-    return replace(base, grid=grid, potentials=pot, u0=u0, eps_viscosity=eps)
 
 
 def _int_diss(traj: Trajectory) -> float:
@@ -131,16 +114,15 @@ def run_study(plan: StudyPlan,
     `reference`, when given, maps (t, x) to the exact species-rho profile
     and feeds the reference-error rate fit.  Each level's report is
     build_report(traj, bank_k, residuals, moduli), bank_k defaulting to the
-    base grid's.
+    coarsest grid's.
     """
     # one bank for every level, so the residual-order fit compares like with like
-    bank_k = default_bank_k(plan.base.grid.n_cells) if bank_k is None else bank_k
+    bank_k = default_bank_k(plan.problems[0].grid.n_cells) if bank_k is None else bank_k
     trajectories = []
     reports = []
     summaries = []
-    for level in range(plan.levels):
+    for level, problem in enumerate(plan.problems):
         try:
-            problem = _level_problem(plan, level)
             traj = run(problem)
             rep = build_report(traj, bank_k, residuals, moduli)
         except Exception as err:

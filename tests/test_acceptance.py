@@ -21,8 +21,7 @@ from crossdiff.diagnostics import make_test_bank
 from crossdiff.grid import grad
 from crossdiff.transforms import shifted_gradient, to_sum_ratio
 
-from scenarios import (fast_problem, heat_problem, heat_reference,
-                       heat_sampler, stationary_problem)
+from scenarios import fast_problem, heat_problem, heat_reference, stationary_problem
 
 
 def _report(traj, k_max=8):
@@ -46,8 +45,7 @@ def fast_trajs():
 
 @pytest.fixture(scope="session")
 def heat_study():
-    plan = cd.StudyPlan(base=heat_problem(32, snaps=65), levels=4,
-                        initial_sampler=heat_sampler)
+    plan = cd.StudyPlan(tuple(heat_problem(32 * 2**level, snaps=65) for level in range(4)))
     return cd.run_study(plan, reference=lambda t, x: 0.5 * heat_reference(t, x))
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import crossdiff
 import crossdiff.cli
+import crossdiff.study
 from crossdiff.cli import main
 from crossdiff.config import (ConfigError, build_plan, build_problem,
                               dump_config, parse_config)
@@ -147,6 +148,19 @@ def test_parse_snapshot_list():
                                      "t_final = 0.05\nsnapshots = 0, 0.02"))
 
 
+def test_main_snapshot_count_names_the_key(tmp_path, capsys):
+    # one snapshot cannot reach t_final > 0; the error used to name only the times
+    cfg = _write_cfg(tmp_path, MINIMAL.replace("t_final = 0.05",
+                                               "t_final = 0.01\nsnapshots = 1"))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: 2: [time] snapshots count must be >= 2 when t_final > 0, got 1\n")
+    assert not (tmp_path / "o").exists()
+    # with t_final = 0 the one snapshot is the whole run
+    zero = parse_config(MINIMAL.replace("t_final = 0.05", "t_final = 0\nsnapshots = 1"))
+    assert zero.snapshot_times == (0.0,)
+
+
 def test_parse_nonpositive_initial_rejected():
     text = MINIMAL.replace("rho_offset = 0.5", "rho_offset = -0.5")
     with pytest.raises(ConfigError, match="nonpositive density"):
@@ -204,7 +218,8 @@ def _config_texts(draw, broken):
         else:
             lines += [f"{prefix}_offset = 1", f"{prefix}_modes = {modes(prefix + '_modes')}"]
     if draw(st.booleans()):
-        snapshots = pick("snapshots", ("2", "3"), ("0",))
+        fewest = 2 if t_final > 0.0 else 1  # snapshots a count may ask for
+        snapshots = pick("snapshots", (fewest, fewest + 1), (fewest - 1,))
     else:
         times = [pick("snapshots", (0.0, -0.0, -0.5 * tol), (2 * tol,))]
         times += [t_final / 2] * (t_final > 1e-6) * (2 if broken == "snapshots" else 1)
@@ -249,9 +264,25 @@ def test_parse_config_is_the_only_gate(broken, data):
 
 
 def test_build_plan():
-    plan = build_plan(parse_config(FAST + "\n[study]\nlevels = 2\n"))
-    assert plan.levels == 2
-    assert plan.initial_sampler is not None
+    plan = build_plan(parse_config(FAST + "\n[study]\nlevels = 3\n"))
+    assert [p.grid.n_cells for p in plan.problems] == [64, 128, 256]
+    # every level samples the configured modes on its own grid
+    fine = build_problem(parse_config(FAST.replace("n = 64", "n = 256")))
+    assert np.array_equal(plan.problems[2].u0, fine.u0)
+    assert np.array_equal(plan.problems[2].potentials.cells, fine.potentials.cells)
+    # inline values repeat onto each refined grid; the other species' modes
+    # are sampled on it
+    vals = [0.5, 1.0, 1.5, 2.0]
+    text = FAST.replace("n = 64", "n = 4").replace("bank_k = 4", "bank_k = 1").replace(
+        "rho_offset = 0.5\nrho_modes = 1:0.2:0", "rho_values = 0.5, 1, 1.5, 2")
+    plan = build_plan(parse_config(text + "\n[study]\nlevels = 3\n"))
+    for level, problem in enumerate(plan.problems):
+        assert np.array_equal(problem.u0[0], np.repeat(vals, 2**level))
+    mu = build_problem(parse_config(FAST.replace("n = 64", "n = 16"))).u0[1]
+    assert np.array_equal(plan.problems[2].u0[1], mu)
+    # refine_space off: every level keeps the configured grid
+    plan = build_plan(parse_config(text + "\n[study]\nlevels = 2\nrefine_space = false\n"))
+    assert [p.grid.n_cells for p in plan.problems] == [4, 4]
 
 
 # --------------------------------------------------------------------------
@@ -807,10 +838,11 @@ def test_main_stepper_and_eps_overrides(tmp_path):
     assert "eps = 0.001" in text
 
 
-def test_main_study(tmp_path):
+def test_main_study(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, FAST + "\n[study]\nlevels = 2\n")
     out = tmp_path / "study_out"
     assert main(["study", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"study complete: 2 levels, output in {out}\n"
     header, data = read_table(out / "levels.csv")
     assert header[0] == "level" and data.shape[0] == 2
     rows = (out / "cauchy_l1.csv").read_text().strip().split("\n")
@@ -962,22 +994,55 @@ def test_main_run_reports_step_log_counts(tmp_path, capsys, monkeypatch):
 
 def test_main_study_honours_output_keys(tmp_path):
     # every study level gets the report that run gives the same problem:
-    # level 0 is the configured problem itself
+    # level 0 is the configured problem itself, level 1 the config with n
+    # doubled and eps set to the level's, by default halving or by schedule
     toggles = "bank_k = 4\nresiduals = false\nmoduli = false"
-    for name, text in (("bank_k", FAST.replace("bank_k = 4", "bank_k = 2")),
-                       ("off", FAST.replace("bank_k = 4", toggles))):
-        cfg = _write_cfg(tmp_path, text + "\n[study]\nlevels = 2\n", f"{name}.cfg")
-        assert main(["run", cfg, "--out", str(tmp_path / name / "run")]) == 0
+    with_eps = FAST.replace("snapshots = 5", "snapshots = 5\neps = 1e-3")
+    for name, text, study, eps in (
+            ("bank_k", FAST.replace("bank_k = 4", "bank_k = 2"), "", ("0", "0")),
+            ("off", FAST.replace("bank_k = 4", toggles), "", ("0", "0")),
+            ("halving", with_eps, "", ("0.001", "0.0005")),
+            ("schedule", with_eps, "viscosity = 2e-3, 5e-4", ("0.002", "0.0005"))):
+        cfg = _write_cfg(tmp_path, text + f"\n[study]\nlevels = 2\n{study}\n",
+                         f"{name}.cfg")
         assert main(["study", cfg, "--out", str(tmp_path / name / "study")]) == 0
-        for table in ("scalars.csv", "omega_space.csv", "omega_time.csv", "residuals.csv"):
-            assert ((tmp_path / name / "study" / "level_0" / table).read_bytes()
-                    == (tmp_path / name / "run" / table).read_bytes()), (name, table)
+        for level, n in ((0, 64), (1, 128)):
+            run_cfg = _write_cfg(tmp_path, text.replace("n = 64", f"n = {n}"),
+                                 f"{name}_{level}.cfg")
+            run_dir = tmp_path / name / f"run_{level}"
+            assert main(["run", run_cfg, "--out", str(run_dir), "--eps", eps[level]]) == 0
+            for table in ("scalars.csv", "omega_space.csv", "omega_time.csv",
+                          "residuals.csv"):
+                assert ((tmp_path / name / "study" / f"level_{level}" / table).read_bytes()
+                        == (run_dir / table).read_bytes()), (name, level, table)
     rows = (tmp_path / "bank_k" / "study" / "level_1" / "residuals.csv").read_text()
     assert rows.count("\n") == 1 + 2 * 2 * (1 + 2 * 2)  # 2 profiles, 2 species, k <= 2
     assert (tmp_path / "off" / "study" / "level_1" / "residuals.csv").read_text() == (
         "phi_id,species,residual\n")
     assert (tmp_path / "off" / "study" / "level_1" / "omega_time.csv").read_text() == (
         "k,omega_rho,omega_mu\n")
+
+
+# n = 4 keeps rho0 = 0.19 + 0.2 cos(2 pi x) positive at levels 0 and 1, but
+# the 16-cell grid of level 2 samples it below zero at x = 7.5/16
+REFINED_NONPOSITIVE = (FAST.replace("n = 64", "n = 4").replace("bank_k = 4", "bank_k = 1")
+                       .replace("rho_offset = 0.5", "rho_offset = 0.19")
+                       + "\n[study]\nlevels = 3\n")
+
+
+def test_main_study_checks_every_level_before_running(tmp_path, capsys, monkeypatch):
+    # used to integrate levels 0 and 1, then exit 3 with "study level 2 failed"
+    runs = []
+    monkeypatch.setattr(crossdiff.study, "run", lambda problem: runs.append(problem))
+    cfg = _write_cfg(tmp_path, REFINED_NONPOSITIVE)
+    out = tmp_path / "s"
+    assert main(["study", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 2: [study] level 2: [initial] rho0: nonpositive density at cell 7\n")
+    assert runs == []
+    assert not out.exists()
+    # the configured problem itself is fine
+    assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
 @pytest.mark.parametrize("edit, args", [

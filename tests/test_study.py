@@ -1,11 +1,42 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import crossdiff as cd
-from crossdiff.study import prolong
+import crossdiff.study
+from crossdiff.config import build_plan, parse_config
+from crossdiff.study import check_levels, prolong
 
-from scenarios import (fast_problem, heat_problem, heat_reference,
-                       heat_sampler, stationary_problem)
+from scenarios import fast_problem, heat_problem, heat_reference, stationary_problem
+
+# fast_problem's scenario as a config: alpha = 1/2, V = sin(2 pi x),
+# W = cos(2 pi x), both species 0.5 + 0.2 cos(2 pi x)
+FAST_STUDY = """
+[grid]
+n = {n}
+[model]
+alpha = 0.5
+[potentials]
+V = 1:0:1
+W = 1:1:0
+[initial]
+rho_offset = 0.5
+rho_modes = 1:0.2:0
+mu_offset = 0.5
+mu_modes = 1:0.2:0
+[time]
+t_final = 0.05
+snapshots = {snaps}
+eps = {eps}
+[study]
+{study}
+"""
+
+
+def _fast_plan(n, snaps, study, eps=0.0):
+    return build_plan(parse_config(FAST_STUDY.format(n=n, snaps=snaps, eps=eps,
+                                                     study=study)))
 
 
 def test_fit_rate_examples():
@@ -21,6 +52,9 @@ def test_fit_rate_rejects_bad_input():
         cd.fit_rate([(0.1, 0.1)])
     with pytest.raises(ValueError):
         cd.fit_rate([(0.1, 0.0), (0.05, 0.1)])
+    # one scale twice: no slope to fit (numpy's 0/0 used to give NaN)
+    with pytest.raises(ValueError, match="at least 2 distinct scales"):
+        cd.fit_rate([(0.1, 1.0), (0.1, 2.0)])
 
 
 def test_prolongation_preserves_mass():
@@ -36,18 +70,27 @@ def test_prolongation_preserves_mass():
 
 
 def test_plan_validation():
-    base = stationary_problem(64, snaps=3)
-    with pytest.raises(ValueError, match="at least 2 levels"):
-        cd.StudyPlan(base=base, levels=1)
+    with pytest.raises(ValueError, match="at least 2 levels, got 1"):
+        cd.StudyPlan((heat_problem(32, snaps=3),))
+    with pytest.raises(ValueError, match="level 1 has n = 48, not a multiple of "
+                                         "level 0's n = 32"):
+        cd.StudyPlan((heat_problem(32, snaps=3), heat_problem(48, snaps=3)))
+    with pytest.raises(ValueError, match="level 2's snapshot_times differ from level 1's"):
+        cd.StudyPlan(tuple(heat_problem(n, snaps=s) for n, s in ((16, 3), (32, 3), (64, 5))))
+    cd.StudyPlan((heat_problem(32, snaps=3), heat_problem(32, snaps=3)))  # fixed grid
+    # the schedule rules that parse_config applies to [study] viscosity
     with pytest.raises(ValueError, match="viscosity_schedule length"):
-        cd.StudyPlan(base=base, levels=3, viscosity_schedule=(1e-2, 5e-3))
+        check_levels(3, (1e-2, 5e-3))
     for bad in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            cd.StudyPlan(base=base, levels=2, viscosity_schedule=(1e-3, bad))
+            check_levels(2, (1e-3, bad))
 
 
 def test_stationary_study_is_flat():
-    plan = cd.StudyPlan(base=stationary_problem(32, snaps=3), levels=2)
+    # the fine level starts from the coarse state repeated onto its cells
+    coarse = stationary_problem(32, snaps=3)
+    fine = stationary_problem(64, snaps=3)
+    plan = cd.StudyPlan((coarse, replace(fine, u0=prolong(coarse.u0, 2))))
     rep = cd.run_study(plan)
     assert rep.cauchy_rho[0] <= 1e-12
     assert rep.cauchy_mu[0] <= 1e-12
@@ -56,8 +99,7 @@ def test_stationary_study_is_flat():
 
 
 def test_heat_study_cauchy_and_rates():
-    plan = cd.StudyPlan(base=heat_problem(32, snaps=65), levels=4,
-                        initial_sampler=heat_sampler)
+    plan = cd.StudyPlan(tuple(heat_problem(32 * 2**level, snaps=65) for level in range(4)))
     rep = cd.run_study(plan, reference=lambda t, x: 0.5 * heat_reference(t, x))
     assert all(c > 0 for c in rep.cauchy_rho)
     ratios = [a / b for a, b in zip(rep.cauchy_rho, rep.cauchy_rho[1:])]
@@ -69,14 +111,8 @@ def test_heat_study_cauchy_and_rates():
     assert all(b <= a * 1.0000001 for a, b in zip(res, res[1:]))
 
 
-def _fast_sampler(grid):
-    f0 = 0.5 + 0.2 * np.cos(2 * np.pi * grid.cell_centers())
-    return np.stack((f0, f0))
-
-
 def test_uniformity_across_levels():
-    plan = cd.StudyPlan(base=fast_problem(64, snaps=9), levels=3,
-                        initial_sampler=_fast_sampler)
+    plan = cd.StudyPlan(tuple(fast_problem(64 * 2**level, snaps=9) for level in range(3)))
     rep = cd.run_study(plan)
     for getter in (lambda s: s.sup_bv_u, lambda s: s.int_diss,
                    lambda s: s.entropy_max - s.entropy_min):
@@ -86,33 +122,30 @@ def test_uniformity_across_levels():
 
 
 def test_viscosity_schedule_at_fixed_grid():
-    plan = cd.StudyPlan(base=fast_problem(64, snaps=9), levels=3,
-                        refine_space=False,
-                        viscosity_schedule=(1e-2, 5e-3, 2.5e-3))
+    plan = _fast_plan(64, 9, "levels = 3\nrefine_space = false\n"
+                             "viscosity = 1e-2, 5e-3, 2.5e-3")
     rep = cd.run_study(plan)
     assert [s.eps for s in rep.summaries] == [1e-2, 5e-3, 2.5e-3]
     assert all(s.n_cells == 64 for s in rep.summaries)
     bvs = [s.sup_bv_u for s in rep.summaries]
     assert (max(bvs) - min(bvs)) / min(bvs) <= 0.2
-    assert "eps0 * 2^-level" in rep.convention
 
 
 def test_default_viscosity_halves_per_level():
-    plan = cd.StudyPlan(base=fast_problem(32, snaps=3, eps=4e-3), levels=3,
-                        initial_sampler=_fast_sampler)
-    rep = cd.run_study(plan)
+    rep = cd.run_study(_fast_plan(32, 3, "levels = 3", eps=4e-3))
     assert [s.eps for s in rep.summaries] == [4e-3, 2e-3, 1e-3]
+    assert [s.n_cells for s in rep.summaries] == [32, 64, 128]
 
 
-def test_study_reports_level_failure():
-    # initial sampler that breaks on refined grids
-    def bad_sampler(grid):
-        u0 = np.full((2, grid.n_cells), 0.5)
-        if grid.n_cells > 32:
-            u0[:, 0] = -1.0
-        return u0
+def test_study_reports_level_failure(monkeypatch):
+    solver_run = crossdiff.study.run
 
-    plan = cd.StudyPlan(base=stationary_problem(32, snaps=3), levels=2,
-                        initial_sampler=bad_sampler)
-    with pytest.raises(RuntimeError, match="study level 1 failed"):
+    def run(problem):  # a solver that breaks on refined grids
+        if problem.grid.n_cells > 32:
+            raise cd.SolverError("positivity violated")
+        return solver_run(problem)
+    monkeypatch.setattr(crossdiff.study, "run", run)
+    plan = cd.StudyPlan(tuple(stationary_problem(32 * 2**level, snaps=3)
+                              for level in range(2)))
+    with pytest.raises(RuntimeError, match="study level 1 failed: positivity violated"):
         cd.run_study(plan)
