@@ -338,12 +338,16 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
 def build_plan(cfg: RunConfig) -> StudyPlan:
     """The study of cfg.  Level l is build_problem of cfg with n * 2^l cells
     (n when [study] refine_space is off) and eps the l-th entry of [study]
-    viscosity, or eps * 2^-l when that schedule is empty.  Every level is
-    built, and its initial state checked, before any level runs."""
+    viscosity, or eps * 2^-l when that schedule is empty.  Every level's
+    grid is checked before any level is built (so a level over the cell cap
+    allocates nothing), and every level is built and its initial state
+    checked before any level runs."""
+    grids = [_checked(f"[study] level {level}:", GridSpec,
+                      cfg.n_cells * 2**level if cfg.study_refine_space else cfg.n_cells)
+             for level in range(cfg.study_levels)]
     problems = []
-    for level in range(cfg.study_levels):
-        n = cfg.n_cells * 2**level if cfg.study_refine_space else cfg.n_cells
+    for level, grid in enumerate(grids):
         eps = cfg.study_viscosity[level] if cfg.study_viscosity else cfg.eps * 0.5**level
         problems.append(_checked(f"[study] level {level}:", build_problem,
-                                 replace(cfg, n_cells=n, eps=eps)))
+                                 replace(cfg, n_cells=grid.n_cells, eps=eps)))
     return StudyPlan(tuple(problems))

@@ -9,18 +9,36 @@ field with the routine `float` uses, so the values are correctly rounded
 and bit-identical to `float`'s.  It keeps that array only when it holds
 one row per body line, since loadtxt skips blank lines.  Anything else
 goes to one flat `float` pass, which owns every error message and also
-reads what only `float` accepts (`1_0`, Unicode digits).  Snapshots are
-formatted and written one file at a time, so a trajectory's text is never
-held in memory whole.  Writes go to a temporary file followed by an atomic
-rename so failed runs never leave partial tables behind.
+reads what only `float` accepts (`1_0`, Unicode digits).
+
+Snapshot files are independent, so write_snapshots and read_snapshots
+split them in time order into one contiguous chunk per CPU this process
+may use, at most one per file.  The parent handles the first chunk and an
+`os.fork` child each other one (with one CPU, or without `os.fork`, the
+parent handles the only chunk).  Children see the trajectory through fork,
+and readers parse straight into a (T, 2, n) array over one shared mmap,
+so only errors are pickled.  Each chunk stops at its first failing file,
+and the earliest failing chunk's error is raised once every child is
+reaped: a read fails on the first bad file in time order, as a sequential
+reader would.  A child that dies without sending an error raises a
+RuntimeError.  Each snapshot is formatted and written on its own, so a
+trajectory's text is never held in memory whole.
+
+Files are written to a temporary file and atomically renamed into place; a
+failed write removes its temporary file, so no partial table is left
+behind.  After a failed write_snapshots, files of later chunks may exist.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import mmap
 import os
+import pickle
 from pathlib import Path
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -37,19 +55,96 @@ def _lines(row: str, values: list, precision: int) -> str:
     return (row * (len(values) // row.count("%"))) % tuple(values)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path through path.tmp and a rename, so path holds either
+    its old content or all of text; on any failure path.tmp is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # a directory is not ours to remove
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def _in_chunks(work: Callable[[int, int], None], count: int) -> None:
+    """work(lo, hi) over range(count) split into one contiguous chunk per CPU
+    this process may use, at most count chunks: the parent runs the first
+    chunk and an os.fork child each other one.  Every child is reaped before
+    this returns or raises; the error raised is the earliest failing
+    chunk's."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    chunks = max(1, min(cpus or 1, count)) if hasattr(os, "fork") else 1
+    bounds = [count * k // chunks for k in range(chunks + 1)]
+    # the only other threads are OpenBLAS's pool, which stops itself at fork
+    # (pthread_atfork); children parse and format, calling no BLAS
+    children = []  # (pid, read end of the pipe that carries its error)
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_child(work, lo, hi, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        work(bounds[0], bounds[1])
+    finally:
+        errors = [_reap(pid, read_fd) for pid, read_fd in children]
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+def _run_child(work, lo: int, hi: int, write_fd: int) -> NoReturn:
+    """A forked chunk: work(lo, hi), any exception sent pickled through
+    write_fd (a RuntimeError holding its repr when it does not survive
+    pickling), and always os._exit, so no handler or cleanup of the
+    parent's stack runs in the child."""
+    code = 1
+    try:
+        work(lo, hi)
+        code = 0
+    except BaseException as err:  # the parent raises it again
+        try:
+            message = pickle.dumps(err)
+            pickle.loads(message)
+        except Exception:
+            message = pickle.dumps(RuntimeError(repr(err)))
+        with open(write_fd, "wb") as fh:
+            fh.write(message)
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read_fd: int) -> BaseException | None:
+    """Wait for a chunk's child: the error it sent, a RuntimeError when it
+    ended with a nonzero status and sent none, or None."""
+    try:
+        with open(read_fd, "rb") as fh:
+            message = fh.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if message:
+        return pickle.loads(message)  # bytes our own child wrote
+    if code:
+        how = f"by signal {-code}" if code < 0 else f"with exit status {code}"
+        return RuntimeError(f"snapshot worker {pid} ended {how}, sending no error")
+    return None
 
 
 def _write_tables(out_dir, tables, precision: int) -> list[Path]:
     """Write each (file name, header, row template, row-major values) table."""
     out = Path(out_dir)
     for name, header, row, values in tables:
-        _write_atomic(out / name, header + "\n" + _lines(row, values, precision))
+        write_atomic(out / name, header + "\n" + _lines(row, values, precision))
     return [out / name for name, *_ in tables]
 
 
@@ -75,18 +170,22 @@ def snapshot_filename(t: float) -> str:
 
 
 def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path]:
+    """Write snapshot_<t>.csv for every time of traj; the paths in time order."""
     out = Path(out_dir)
-    written = []
+    paths = [out / snapshot_filename(t) for t in traj.times]
     xc = traj.problem.grid.cell_centers().tolist()
-    flat = [None] * (3 * len(xc))  # x, rho, mu of each row in turn
-    flat[0::3] = _lines("%g", xc, precision).splitlines()  # the same in every file
-    for t, (rho, mu) in zip(traj.times, traj.states):
-        flat[1::3] = rho.tolist()
-        flat[2::3] = mu.tolist()
-        path = out / snapshot_filename(t)
-        _write_atomic(path, "x,rho,mu\n" + _lines("%s,%g,%g", flat, precision))
-        written.append(path)
-    return written
+    x_lines = _lines("%g", xc, precision).splitlines()  # the same in every file
+
+    def write(lo: int, hi: int) -> None:
+        flat = [None] * (3 * len(xc))  # x, rho, mu of each row in turn
+        flat[0::3] = x_lines
+        for path, (rho, mu) in zip(paths[lo:hi], traj.states[lo:hi]):
+            flat[1::3] = rho.tolist()
+            flat[2::3] = mu.tolist()
+            write_atomic(path, "x,rho,mu\n" + _lines("%s,%g,%g", flat, precision))
+
+    _in_chunks(write, len(paths))
+    return paths
 
 
 def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -109,24 +208,31 @@ def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     for (t, first), (t_next, path) in zip(stamped, stamped[1:]):
         if t_next == t:
             raise ValueError(f"{path}: duplicate snapshot time {t!r}, also in {first.name}")
-    states = np.empty((len(stamped), 2, grid.n_cells))
-    for state, (_, path) in zip(states, stamped):
-        try:
-            header, data = read_table(path)
-            if header != ["x", "rho", "mu"]:
-                raise ValueError(f"unexpected snapshot header {','.join(header)!r}")
-            if data.shape[0] != grid.n_cells:
-                raise ValueError(f"expected {grid.n_cells} rows, got {data.shape[0]}")
-            if data.shape[1] != 3:
-                raise ValueError(f"expected 3 values a row, got {data.shape[1]}")
-            state[...] = data[:, 1:].T
-            if not np.all(np.isfinite(state)):
-                raise ValueError("non-finite density value")
-            bad = np.argwhere(state <= 0.0)
-            if bad.size:
-                raise ValueError(f"nonpositive density at cell {bad[0, -1]}")
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+    shape = (len(stamped), 2, grid.n_cells)
+    # shared with the forked readers, which parse straight into their rows
+    states = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
+    states = states.reshape(shape)
+
+    def read(lo: int, hi: int) -> None:
+        for state, (_, path) in zip(states[lo:hi], stamped[lo:hi]):
+            try:
+                header, data = read_table(path)
+                if header != ["x", "rho", "mu"]:
+                    raise ValueError(f"unexpected snapshot header {','.join(header)!r}")
+                if data.shape[0] != grid.n_cells:
+                    raise ValueError(f"expected {grid.n_cells} rows, got {data.shape[0]}")
+                if data.shape[1] != 3:
+                    raise ValueError(f"expected 3 values a row, got {data.shape[1]}")
+                state[...] = data[:, 1:].T
+                if not np.all(np.isfinite(state)):
+                    raise ValueError("non-finite density value")
+                bad = np.argwhere(state <= 0.0)
+                if bad.size:
+                    raise ValueError(f"nonpositive density at cell {bad[0, -1]}")
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
+
+    _in_chunks(read, len(stamped))
     states.setflags(write=False)
     return np.array([t for t, _ in stamped]), states
 

@@ -19,16 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_CELLS = 2**20
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [0, 1) with dx = 1/n_cells."""
+    """Uniform periodic grid on [0, 1) with dx = 1/n_cells, 4 <= n_cells <=
+    2^20 (an explicit run at the cap would take ~10^11 steps)."""
 
     n_cells: int
 
     def __post_init__(self):
         if self.n_cells < 4:
             raise ValueError(f"n_cells must be >= 4, got {self.n_cells}")
+        if self.n_cells > MAX_CELLS:
+            raise ValueError(f"n_cells must be <= {MAX_CELLS}, got {self.n_cells}")
 
     @property
     def dx(self) -> float:

@@ -3,10 +3,11 @@ polyline per curve).  Identical input produces byte-identical files."""
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
+
+from .csvio import write_atomic
 
 _WIDTH, _HEIGHT = 720, 480
 _ML, _MR, _MT, _MB = 70, 24, 28, 48
@@ -98,8 +99,5 @@ def emit_plot(series, path, loglog: bool = False, title: str = "") -> Path:
 
     parts.append("</svg>")
     out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    tmp.write_text("\n".join(parts) + "\n")
-    os.replace(tmp, out)
+    write_atomic(out, "\n".join(parts) + "\n")
     return out

@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import crossdiff
 import crossdiff.cli
 import crossdiff.study
+from crossdiff import csvio
 from crossdiff.cli import main
 from crossdiff.config import (ConfigError, build_plan, build_problem,
                               dump_config, parse_config)
@@ -688,11 +690,13 @@ def test_module_entry_point(tmp_path):
 
 def test_cli_import_loads_no_sparse_modules():
     # scipy.sparse costs setup time and resident memory; the solver needs only
-    # scipy's LAPACK extension module, which it loads without scipy.linalg
+    # scipy's LAPACK extension module, which it loads without scipy.linalg.
+    # The snapshot I/O forks with os alone: multiprocessing and
+    # concurrent.futures would cost setup time too
     src = str(Path(crossdiff.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import crossdiff.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    code = ("import crossdiff.cli, sys; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.sparse', 'multiprocessing', 'concurrent'))))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -826,6 +830,117 @@ def test_read_snapshots_array(tmp_path):
     assert np.array_equal(times, traj.times)  # 17g is lossless
     assert np.array_equal(states, traj.states)
     assert states.shape == (5, 2, 64) and not states.flags.writeable
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(csvio.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_snapshot_io_is_bitwise_equal_on_any_cpu_count(tmp_path, monkeypatch):
+    traj = crossdiff.run(build_problem(parse_config(FAST)))
+    written = {}
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        paths = write_snapshots(traj, tmp_path / str(cpus))
+        _assert_no_child_left()
+        assert [p.name for p in paths] == [csvio.snapshot_filename(t) for t in traj.times]
+        written[cpus] = [p.read_bytes() for p in paths]
+        assert sorted(p.name for p in (tmp_path / str(cpus)).iterdir()) == sorted(
+            p.name for p in paths)  # no temporary file left
+    assert written[1] == written[3]
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        times, states = read_snapshots(tmp_path / "1", traj.problem.grid)
+        _assert_no_child_left()
+        assert times.tobytes() == traj.times.tobytes()
+        assert states.tobytes() == traj.states.tobytes()
+        assert states.shape == traj.states.shape and not states.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            states[0, 0, 0] = 1.0
+
+
+def test_read_snapshots_raises_the_first_bad_file_on_any_cpu_count(tmp_path, monkeypatch):
+    out = tmp_path / "run_out"
+    assert main(["run", _write_cfg(tmp_path, MINIMAL), "--out", str(out)]) == 0
+    grid = build_problem(parse_config(MINIMAL)).grid
+    paths = sorted(out.glob("snapshot_*.csv"), key=lambda p: float(p.stem[9:]))
+    assert len(paths) == 11  # 3 CPUs read files 0-2, 3-6 and 7-10
+    messages = {}
+    for bad, defect in ((10, "abc"), (5, "-1")):  # last chunk, then the middle one
+        rows = paths[bad].read_text().split("\n")
+        rows[3] = rows[3].rsplit(",", 1)[0] + "," + defect
+        paths[bad].write_text("\n".join(rows))
+        for cpus in (1, 3):
+            _use_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as err:
+                read_snapshots(out, grid)
+            _assert_no_child_left()
+            messages[bad, cpus] = str(err.value)
+        assert messages[bad, 1] == messages[bad, 3]
+    assert messages[10, 1] == f"{paths[10]}: could not convert string to float: 'abc'"
+    assert messages[5, 1] == f"{paths[5]}: nonpositive density at cell 2"
+
+
+def test_snapshot_workers_report_every_failure(tmp_path, monkeypatch):
+    traj = crossdiff.run(build_problem(parse_config(FAST)))
+    out = tmp_path / "o"
+    write_snapshots(traj, out)
+    _use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    read_table = csvio.read_table
+
+    def killed_in_child(path):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_table(path)
+
+    monkeypatch.setattr(csvio, "read_table", killed_in_child)
+    with pytest.raises(RuntimeError, match=f"ended by signal {int(signal.SIGKILL)}, sending no error"):
+        read_snapshots(out, traj.problem.grid)
+    _assert_no_child_left()
+
+    class Unpicklable(Exception):  # a local class: pickle cannot name it
+        pass
+
+    write_atomic = csvio.write_atomic
+
+    def unpicklable_in_child(path, text):
+        if os.getpid() != parent:
+            raise Unpicklable("from a worker")
+        write_atomic(path, text)
+
+    monkeypatch.setattr(csvio, "write_atomic", unpicklable_in_child)
+    with pytest.raises(RuntimeError, match=re.escape("Unpicklable('from a worker')")):
+        write_snapshots(traj, tmp_path / "u")
+    _assert_no_child_left()
+
+
+def test_failed_writes_leave_no_temporary_file(tmp_path, monkeypatch):
+    # a directory where a table goes: the write fails after its .tmp exists
+    report_dir = tmp_path / "report"
+    (report_dir / "scalars.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        write_report_csv(_tiny_report(np.random.default_rng(0)), report_dir)
+    assert [p.name for p in report_dir.iterdir()] == ["scalars.csv"]
+    (tmp_path / "plot.svg").mkdir()
+    with pytest.raises(IsADirectoryError):
+        emit_plot([("a", [1.0, 2.0], [1.0, 2.0])], tmp_path / "plot.svg")
+    assert not (tmp_path / "plot.svg.tmp").exists()
+    # the same in a forked writer: the last snapshot's file is a directory
+    traj = crossdiff.run(build_problem(parse_config(FAST)))
+    out = tmp_path / "o"
+    last = out / csvio.snapshot_filename(traj.times[-1])
+    last.mkdir(parents=True)
+    _use_cpus(monkeypatch, 2)
+    with pytest.raises(IsADirectoryError, match=re.escape(str(last))):
+        write_snapshots(traj, out)
+    _assert_no_child_left()
+    assert not list(out.glob("*.tmp"))
 
 
 def test_main_stepper_and_eps_overrides(tmp_path):
@@ -1043,6 +1158,21 @@ def test_main_study_checks_every_level_before_running(tmp_path, capsys, monkeypa
     assert not out.exists()
     # the configured problem itself is fine
     assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_main_study_rejects_a_level_over_the_cell_cap(tmp_path, capsys, monkeypatch):
+    # every level's grid is checked before any level is built: level 13 of a
+    # 256-cell study would hold 2^21 cells
+    with pytest.raises(ConfigError, match=r"\[grid\] n_cells must be <= 1048576, got 1048577"):
+        parse_config(FAST.replace("n = 64", "n = 1048577"))
+    built = []
+    monkeypatch.setattr(crossdiff.config, "build_problem", built.append)
+    cfg = _write_cfg(tmp_path, FAST.replace("n = 64", "n = 256"))
+    out = tmp_path / "s"
+    assert main(["study", cfg, "--out", str(out), "--levels", "14"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 2: [study] level 13: n_cells must be <= 1048576, got 2097152\n")
+    assert built == [] and not out.exists()
 
 
 @pytest.mark.parametrize("edit, args", [

@@ -17,6 +17,12 @@ def test_make_grid_rejects_small():
         cd.make_grid(3)
 
 
+def test_grid_cell_cap():
+    assert cd.GridSpec(2**20).n_cells == 2**20
+    with pytest.raises(ValueError, match="n_cells must be <= 1048576, got 1048577"):
+        cd.GridSpec(2**20 + 1)
+
+
 def test_positions():
     g = cd.make_grid(8)
     assert np.allclose(g.cell_centers(), (np.arange(8) + 0.5) / 8)
