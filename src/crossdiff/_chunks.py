@@ -1,0 +1,137 @@
+"""Independent work split over every CPU this process may use, with os.fork.
+
+in_chunks(work, weights) cuts the items 0..len(weights)-1 into contiguous
+chunks, one per usable CPU at most, so that the heaviest chunk (by the sum
+of its items' weights) is as light as possible; no chunk is empty.  The
+parent runs work(lo, hi) on the first chunk and a forked child each other
+one.  Children see the parent's data through fork; each sends back its
+chunk's return value, or its exception, pickled through a pipe.  Every
+child is reaped before in_chunks returns or raises, and the error raised
+is the earliest failing chunk's, so a caller whose work stops at its
+first failing item fails on the same item as a sequential loop would.  A
+child that ends without sending its result raises a RuntimeError naming
+the work.  With one CPU, or without os.fork, the parent runs the only
+chunk.
+
+The only threads the parent may have are OpenBLAS's pool, which OpenBLAS
+stops before a fork with its pthread_atfork handler, so children may call
+BLAS and LAPACK (study levels do).  The test suite runs without
+OPENBLAS_NUM_THREADS=1 and so checks that this is safe.
+"""
+
+from __future__ import annotations
+
+import bisect
+import itertools
+import os
+import pickle
+from typing import Callable, NoReturn, Sequence
+
+
+def chunk_bounds(weights: Sequence[int], chunks: int) -> list[int]:
+    """Cut points lo_0 = 0 < lo_1 < ... < len(weights) of at most `chunks`
+    contiguous chunks with the smallest possible heaviest chunk, for one
+    or more positive integer weights.  Each cut is the last item boundary
+    at or before its share k/chunks of the total weight, moved only as far
+    as that heaviest-chunk bound needs, and cuts that meet are merged.  So
+    equal weights give the cuts count * k // chunks."""
+    count = len(weights)
+    chunks = max(1, min(chunks, count))
+    prefix = list(itertools.accumulate(weights, initial=0))
+    total = prefix[-1]
+
+    def reach(lo: int, cap: int) -> int:  # the furthest end of a chunk from lo
+        return bisect.bisect_right(prefix, prefix[lo] + cap) - 1
+
+    def fits(cap: int) -> bool:  # greedy: `chunks` chunks of at most cap cover all
+        lo = 0
+        for _ in range(chunks):
+            lo = reach(lo, cap)
+        return lo == count
+
+    lo, hi = max(weights), total  # bisect for the least cap that fits
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
+    cap = lo
+    # least[j]: the first item from which j chunks of at most cap reach the end
+    least = [count]
+    while least[-1] > 0:
+        least.append(bisect.bisect_left(prefix, prefix[least[-1]] - cap))
+    scaled = [p * chunks for p in prefix]
+    bounds = [0]
+    for k in range(1, chunks):
+        share = bisect.bisect_right(scaled, total * k) - 1
+        floor = least[chunks - k] if chunks - k < len(least) else 0
+        bounds.append(min(max(share, floor), reach(bounds[-1], cap)))
+    bounds.append(count)
+    return sorted(set(bounds))
+
+
+def in_chunks(work: Callable[[int, int], object], weights: Sequence[int]) -> list:
+    """[work(lo, hi) for each chunk] over chunk_bounds(weights, usable CPUs):
+    the parent runs the first chunk and an os.fork child each other one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    bounds = chunk_bounds(weights, (cpus or 1) if hasattr(os, "fork") else 1)
+    children = []  # (pid, read end of the pipe that carries its result)
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_child(work, lo, hi, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [work(bounds[0], bounds[1])]
+    finally:
+        outcomes = [_reap(work, pid, read_fd) for pid, read_fd in children]
+    for result, err in outcomes:
+        if err is not None:
+            raise err
+        results.append(result)
+    return results
+
+
+def _run_child(work, lo: int, hi: int, write_fd: int) -> NoReturn:
+    """A forked chunk: (work(lo, hi), None), or (None, its exception), sent
+    pickled through write_fd, an exception that does not survive pickling
+    as a RuntimeError holding its repr; always os._exit, so no handler or
+    cleanup of the parent's stack runs in the child.  It exits 0 only once
+    the whole message is written."""
+    code = 1
+    try:
+        try:
+            message = pickle.dumps((work(lo, hi), None))
+        except BaseException as err:  # the parent raises it again
+            try:
+                message = pickle.dumps((None, err))
+                pickle.loads(message)
+            except Exception:
+                message = pickle.dumps((None, RuntimeError(repr(err))))
+        with open(write_fd, "wb") as fh:
+            fh.write(message)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(work, pid: int, read_fd: int) -> tuple:
+    """Wait for a chunk's child: the (result, exception) pair it sent, or a
+    RuntimeError when it ended before sending one.  The pipe is read to its
+    end before waitpid: a child blocks on a message larger than the pipe's
+    buffer until the parent reads it."""
+    try:
+        with open(read_fd, "rb") as fh:
+            message = fh.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return pickle.loads(message)  # bytes our own child wrote
+    how = f"by signal {-code}" if code < 0 else f"with exit status {code}"
+    return None, RuntimeError(f"{work.__qualname__} worker {pid} ended {how}, "
+                              "sending no error")

@@ -12,16 +12,15 @@ goes to one flat `float` pass, which owns every error message and also
 reads what only `float` accepts (`1_0`, Unicode digits).
 
 Snapshot files are independent, so write_snapshots and read_snapshots
-split them in time order into one contiguous chunk per CPU this process
-may use, at most one per file.  The parent handles the first chunk and an
-`os.fork` child each other one (with one CPU, or without `os.fork`, the
-parent handles the only chunk).  Children see the trajectory through fork,
-and readers parse straight into a (T, 2, n) array over one shared mmap,
-so only errors are pickled.  Each chunk stops at its first failing file,
+split them in time order over every CPU this process may use with
+`_chunks.in_chunks`, each file of weight 1 (so the cuts are count * k //
+chunks): the first chunk in this process and each other in an `os.fork`
+child.  Children see the trajectory through fork, and readers parse
+straight into a (T, 2, n) array over one shared mmap, so a child sends
+back nothing but its error.  Each chunk stops at its first failing file,
 and the earliest failing chunk's error is raised once every child is
 reaped: a read fails on the first bad file in time order, as a sequential
-reader would.  A child that dies without sending an error raises a
-RuntimeError.  Each snapshot is formatted and written on its own, so a
+reader would.  Each snapshot is formatted and written on its own, so a
 trajectory's text is never held in memory whole.
 
 Files are written to a temporary file and atomically renamed into place; a
@@ -36,12 +35,11 @@ import io
 import math
 import mmap
 import os
-import pickle
 from pathlib import Path
-from typing import Callable, NoReturn
 
 import numpy as np
 
+from ._chunks import in_chunks
 from .diagnostics import SCALAR_COLUMNS, DiagnosticsReport
 from .solver import Trajectory
 from .study import StudyReport
@@ -68,76 +66,6 @@ def write_atomic(path: Path, text: str) -> None:
         with contextlib.suppress(OSError):  # a directory is not ours to remove
             tmp.unlink(missing_ok=True)
         raise
-
-
-def _in_chunks(work: Callable[[int, int], None], count: int) -> None:
-    """work(lo, hi) over range(count) split into one contiguous chunk per CPU
-    this process may use, at most count chunks: the parent runs the first
-    chunk and an os.fork child each other one.  Every child is reaped before
-    this returns or raises; the error raised is the earliest failing
-    chunk's."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    chunks = max(1, min(cpus or 1, count)) if hasattr(os, "fork") else 1
-    bounds = [count * k // chunks for k in range(chunks + 1)]
-    # the only other threads are OpenBLAS's pool, which stops itself at fork
-    # (pthread_atfork); children parse and format, calling no BLAS
-    children = []  # (pid, read end of the pipe that carries its error)
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _run_child(work, lo, hi, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        work(bounds[0], bounds[1])
-    finally:
-        errors = [_reap(pid, read_fd) for pid, read_fd in children]
-    for err in errors:
-        if err is not None:
-            raise err
-
-
-def _run_child(work, lo: int, hi: int, write_fd: int) -> NoReturn:
-    """A forked chunk: work(lo, hi), any exception sent pickled through
-    write_fd (a RuntimeError holding its repr when it does not survive
-    pickling), and always os._exit, so no handler or cleanup of the
-    parent's stack runs in the child."""
-    code = 1
-    try:
-        work(lo, hi)
-        code = 0
-    except BaseException as err:  # the parent raises it again
-        try:
-            message = pickle.dumps(err)
-            pickle.loads(message)
-        except Exception:
-            message = pickle.dumps(RuntimeError(repr(err)))
-        with open(write_fd, "wb") as fh:
-            fh.write(message)
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, read_fd: int) -> BaseException | None:
-    """Wait for a chunk's child: the error it sent, a RuntimeError when it
-    ended with a nonzero status and sent none, or None."""
-    try:
-        with open(read_fd, "rb") as fh:
-            message = fh.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if message:
-        return pickle.loads(message)  # bytes our own child wrote
-    if code:
-        how = f"by signal {-code}" if code < 0 else f"with exit status {code}"
-        return RuntimeError(f"snapshot worker {pid} ended {how}, sending no error")
-    return None
 
 
 def _write_tables(out_dir, tables, precision: int) -> list[Path]:
@@ -184,7 +112,7 @@ def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path
             flat[2::3] = mu.tolist()
             write_atomic(path, "x,rho,mu\n" + _lines("%s,%g,%g", flat, precision))
 
-    _in_chunks(write, len(paths))
+    in_chunks(write, [1] * len(paths))
     return paths
 
 
@@ -232,7 +160,7 @@ def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
             except ValueError as err:
                 raise ValueError(f"{path}: {err}") from None
 
-    _in_chunks(read, len(stamped))
+    in_chunks(read, [1] * len(stamped))
     states.setflags(write=False)
     return np.array([t for t, _ in stamped]), states
 

@@ -3,6 +3,16 @@ a StudyPlan (dyadically nested grids and/or a viscosity schedule, as
 config.build_plan builds them), then tabulate uniformity of the bounded
 functionals, L1-Cauchy differences between consecutive levels, and
 convergence-rate fits.
+
+The levels are independent until they are compared, so run_study runs
+them over every CPU this process may use with `_chunks.in_chunks`: a
+chunk of consecutive levels per CPU, level l weighted n_l^2, the first
+chunk in this process and each other in an `os.fork` child.  A chunk
+integrates and diagnoses its levels and sends back each level's times,
+states, report and dissipation integral; the tables are formed here from
+those, so they are bitwise the same on any CPU count.  Each chunk stops at
+its first failing level, and the earliest failing level's error is the one
+raised.
 """
 
 from __future__ import annotations
@@ -12,18 +22,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import grad, integrate
+from ._chunks import in_chunks
+from .grid import MAX_CELLS, grad, integrate
 from .model import ProblemSpec
 from .diagnostics import DiagnosticsReport, build_report, default_bank_k
 from .diagnostics import make_test_bank  # noqa: F401 (bench/trace_cli.py)
 from .solver import Trajectory, run
 
 
+# the most levels a refining study can have: 4 cells doubled up to MAX_CELLS
+MAX_LEVELS = (MAX_CELLS // 4).bit_length()
+
+
 def check_levels(levels: int, viscosity_schedule) -> tuple[float, ...]:
-    """Check a study's level count and its viscosity schedule (empty, or
-    one finite nonnegative eps per level); returns the schedule as floats."""
+    """Check a study's level count (2 to MAX_LEVELS) and its viscosity
+    schedule (empty, or one finite nonnegative eps per level); returns the
+    schedule as floats."""
     if levels < 2:
         raise ValueError(f"a study needs at least 2 levels, got {levels}")
+    if levels > MAX_LEVELS:
+        raise ValueError(f"levels must be at most {MAX_LEVELS}, got {levels}")
     schedule = tuple(float(e) for e in viscosity_schedule)
     if schedule and len(schedule) != levels:
         raise ValueError(f"viscosity_schedule length must give one entry per level "
@@ -69,10 +87,8 @@ class LevelSummary:
 
 @dataclass(frozen=True)
 class StudyReport:
-    plan: StudyPlan
     summaries: tuple[LevelSummary, ...]
     reports: tuple[DiagnosticsReport, ...]
-    trajectories: tuple[Trajectory, ...]
     cauchy_rho: tuple[float, ...]
     cauchy_mu: tuple[float, ...]
     rate_weak_residual: float
@@ -105,6 +121,17 @@ def _int_diss(traj: Trajectory) -> float:
     return float(np.trapezoid(integrate(g * g, dx), traj.times))
 
 
+def _run_level(level: int, problem: ProblemSpec, bank_k: int, residuals: bool,
+               moduli: bool) -> tuple:
+    """Integrate and diagnose one level: (times, states, report, int_diss)."""
+    try:
+        traj = run(problem)
+        report = build_report(traj, bank_k, residuals, moduli)
+        return traj.times, traj.states, report, _int_diss(traj)
+    except Exception as err:
+        raise RuntimeError(f"study level {level} failed: {err}") from err
+
+
 def run_study(plan: StudyPlan,
               reference: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
               bank_k: Optional[int] = None, residuals: bool = True,
@@ -114,37 +141,35 @@ def run_study(plan: StudyPlan,
     `reference`, when given, maps (t, x) to the exact species-rho profile
     and feeds the reference-error rate fit.  Each level's report is
     build_report(traj, bank_k, residuals, moduli), bank_k defaulting to the
-    coarsest grid's.
+    coarsest grid's.  The levels run on every usable CPU; the first failing
+    level raises RuntimeError("study level L failed: ...").
     """
+    problems = plan.problems
     # one bank for every level, so the residual-order fit compares like with like
-    bank_k = default_bank_k(plan.problems[0].grid.n_cells) if bank_k is None else bank_k
-    trajectories = []
-    reports = []
-    summaries = []
-    for level, problem in enumerate(plan.problems):
-        try:
-            traj = run(problem)
-            rep = build_report(traj, bank_k, residuals, moduli)
-        except Exception as err:
-            raise RuntimeError(f"study level {level} failed: {err}") from err
-        trajectories.append(traj)
-        reports.append(rep)
-        summaries.append(LevelSummary(
-            level=level, n_cells=problem.grid.n_cells, eps=problem.eps_viscosity,
-            mass_rho=float(rep.mass_rho[0]), mass_mu=float(rep.mass_mu[0]),
-            entropy_min=float(np.min(rep.entropy)),
-            entropy_max=float(np.max(rep.entropy)),
-            sup_bv_u=float(np.max(rep.bv_u)), int_diss=_int_diss(traj)))
+    bank_k = default_bank_k(problems[0].grid.n_cells) if bank_k is None else bank_k
+
+    def run_levels(lo: int, hi: int) -> list[tuple]:
+        return [_run_level(level, problems[level], bank_k, residuals, moduli)
+                for level in range(lo, hi)]
+
+    # a semi-implicit level takes about n steps, each costing about n
+    chunks = in_chunks(run_levels, [problem.grid.n_cells**2 for problem in problems])
+    times, states, reports, int_diss = zip(*[out for chunk in chunks for out in chunk])
+    summaries = tuple(LevelSummary(
+        level=level, n_cells=problem.grid.n_cells, eps=problem.eps_viscosity,
+        mass_rho=float(rep.mass_rho[0]), mass_mu=float(rep.mass_mu[0]),
+        entropy_min=float(np.min(rep.entropy)), entropy_max=float(np.max(rep.entropy)),
+        sup_bv_u=float(np.max(rep.bv_u)), int_diss=diss)
+        for level, (problem, rep, diss) in enumerate(zip(problems, reports, int_diss)))
 
     cauchy_rho, cauchy_mu = [], []
-    for coarse, fine in zip(trajectories, trajectories[1:]):
-        factor = fine.problem.grid.n_cells // coarse.problem.grid.n_cells
-        diff = np.abs(fine.states - prolong(coarse.states, factor))
-        dr, dm = np.max(integrate(diff, fine.problem.grid.dx), axis=0).tolist()
+    for coarse, fine, u_coarse, u_fine in zip(problems, problems[1:], states, states[1:]):
+        diff = np.abs(u_fine - prolong(u_coarse, fine.grid.n_cells // coarse.grid.n_cells))
+        dr, dm = np.max(integrate(diff, fine.grid.dx), axis=0).tolist()
         cauchy_rho.append(dr)
         cauchy_mu.append(dm)
 
-    scales = [1.0 / t.problem.grid.n_cells for t in trajectories]
+    scales = [1.0 / problem.grid.n_cells for problem in problems]
     res_pairs = [(s, r.residual_max) for s, r in zip(scales, reports)
                  if np.isfinite(r.residual_max) and r.residual_max > 0.0]
     distinct = len({s for s, _ in res_pairs}) >= 2
@@ -153,16 +178,14 @@ def run_study(plan: StudyPlan,
     rate_ref = float("nan")
     if reference is not None:
         errs = []
-        for traj in trajectories:
-            xc = traj.problem.grid.cell_centers()
-            err = max(float(np.max(np.abs(rho - reference(t, xc))))
-                      for t, rho in zip(traj.times, traj.states[:, 0]))
-            errs.append(err)
+        for problem, ts, u in zip(problems, times, states):
+            xc = problem.grid.cell_centers()
+            errs.append(max(float(np.max(np.abs(rho - reference(t, xc))))
+                            for t, rho in zip(ts, u[:, 0])))
         pairs = [(s, e) for s, e in zip(scales, errs) if e > 0.0]
         if len({s for s, _ in pairs}) >= 2:
             rate_ref = fit_rate(pairs)
 
-    return StudyReport(plan=plan, summaries=tuple(summaries),
-                       reports=tuple(reports), trajectories=tuple(trajectories),
+    return StudyReport(summaries=summaries, reports=reports,
                        cauchy_rho=tuple(cauchy_rho), cauchy_mu=tuple(cauchy_mu),
                        rate_weak_residual=rate_res, rate_reference_error=rate_ref)

@@ -1,0 +1,54 @@
+import itertools
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossdiff import _chunks
+from crossdiff._chunks import chunk_bounds, in_chunks
+
+
+def _heaviest(weights, bounds):
+    return max(sum(weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def test_chunk_bounds_put_the_heaviest_level_alone():
+    # study weights n^2 of four dyadic levels
+    for cpus in (2, 3, 8):
+        assert chunk_bounds([1, 4, 16, 64], cpus) == [0, 3, 4]
+    assert chunk_bounds([1, 4, 16, 64], 1) == [0, 4]
+
+
+def test_equal_weights_give_equal_count_chunks():
+    for cpus in (1, 2, 3, 64):
+        assert chunk_bounds([1] * 401, cpus) == [401 * k // cpus for k in range(cpus + 1)]
+    assert chunk_bounds([1] * 3, 8) == [0, 1, 2, 3]
+    assert chunk_bounds([7], 1) == chunk_bounds([7], 8) == [0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=8), st.integers(1, 9))
+def test_chunk_bounds_minimise_the_heaviest_chunk(weights, cpus):
+    bounds = chunk_bounds(weights, cpus)
+    count = len(weights)
+    assert bounds[0] == 0 and bounds[-1] == count
+    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))  # no empty chunk
+    assert len(bounds) - 1 <= min(cpus, count)
+    # every set of at most cpus - 1 cut points, as the reference
+    best = min(_heaviest(weights, [0, *cuts, count])
+               for n_cuts in range(min(cpus, count))
+               for cuts in itertools.combinations(range(1, count), n_cuts))
+    assert _heaviest(weights, bounds) == best
+
+
+def test_in_chunks_returns_every_chunk_in_order(monkeypatch):
+    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(3)))
+    parent = os.getpid()
+    # each child's result is larger than a pipe's buffer
+    results = in_chunks(lambda lo, hi: (lo, hi, os.getpid() == parent, bytes(200_000)),
+                        [1] * 7)
+    assert [r[:3] for r in results] == [(0, 2, True), (2, 4, False), (4, 7, False)]
+    assert all(r[3] == bytes(200_000) for r in results)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

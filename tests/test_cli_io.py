@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import signal
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import crossdiff
 import crossdiff.cli
 import crossdiff.study
-from crossdiff import csvio
+from crossdiff import _chunks, csvio
 from crossdiff.cli import main
 from crossdiff.config import (ConfigError, build_plan, build_problem,
                               dump_config, parse_config)
@@ -833,7 +834,7 @@ def test_read_snapshots_array(tmp_path):
 
 
 def _use_cpus(monkeypatch, count):
-    monkeypatch.setattr(csvio.os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def _assert_no_child_left():
@@ -941,6 +942,100 @@ def test_failed_writes_leave_no_temporary_file(tmp_path, monkeypatch):
         write_snapshots(traj, out)
     _assert_no_child_left()
     assert not list(out.glob("*.tmp"))
+
+
+# a refining semi-implicit study (weights n^2: on 2 or more CPUs levels 0-2
+# run in this process and level 3 in a child) and a fixed-grid one (equal
+# weights: one chunk per level on as many CPUs)
+STUDIES = {
+    "refining": FAST.replace("n = 64", "n = 16").replace(
+        "snapshots = 5", "snapshots = 5\nstepper = semi-implicit") + "\n[study]\nlevels = 4\n",
+    "fixed": FAST.replace("n = 64", "n = 16") + "\n[study]\nlevels = 4\nrefine_space = false\n"
+             "viscosity = 4e-3, 2e-3, 1e-3, 5e-4\n",
+}
+
+
+def _bits(value):
+    """value with each array and float replaced by its exact bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_study_is_bitwise_equal_on_any_cpu_count(tmp_path, monkeypatch):
+    for name, text in STUDIES.items():
+        plan = build_plan(parse_config(text))
+        cfg = _write_cfg(tmp_path, text, f"{name}.cfg")
+        reports, files = {}, {}
+        for cpus in (1, 2, 3, 8):
+            _use_cpus(monkeypatch, cpus)
+            report = crossdiff.run_study(
+                plan, reference=lambda t, x: 0.5 + 0.2 * np.cos(2.0 * np.pi * x))
+            _assert_no_child_left()
+            reports[cpus] = _bits(report)
+            out = tmp_path / f"{name}_{cpus}" / "s"
+            out.parent.mkdir()
+            monkeypatch.chdir(out.parent)  # a relative --out: run.cfg names it
+            assert main(["study", cfg, "--out", "s"]) == 0
+            _assert_no_child_left()
+            files[cpus] = {p.relative_to(out): p.read_bytes()
+                           for p in out.rglob("*") if p.is_file()}
+        assert len(files[1]) == 3 + 1 + 4 * 4  # tables, run.cfg, 4 reports per level
+        for cpus in (2, 3, 8):
+            assert reports[cpus] == reports[1], (name, cpus)
+            assert files[cpus] == files[1], (name, cpus)
+        # one grid gives no reference-error rate, refined grids do
+        assert np.isfinite(report.rate_reference_error) == (name == "refining")
+
+
+@pytest.mark.parametrize("failing", [{1}, {3}, {1, 3}])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_study_raises_the_earliest_failing_level(tmp_path, capsys, monkeypatch, cpus,
+                                                 failing):
+    # the fixed-grid levels, told apart by eps: on 2 CPUs levels 0-1 run in
+    # this process and 2-3 in a child, on 4 CPUs levels 1-3 each in a child
+    level_of = {4e-3: 0, 2e-3: 1, 1e-3: 2, 5e-4: 3}
+    solver_run = crossdiff.study.run
+
+    def run(problem):
+        if level_of[problem.eps_viscosity] in failing:
+            raise crossdiff.SolverError("positivity violated")
+        return solver_run(problem)
+    monkeypatch.setattr(crossdiff.study, "run", run)
+    _use_cpus(monkeypatch, cpus)
+    message = f"study level {min(failing)} failed: positivity violated"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        crossdiff.run_study(build_plan(parse_config(STUDIES["fixed"])))
+    _assert_no_child_left()
+    out = tmp_path / "s"
+    assert main(["study", _write_cfg(tmp_path, STUDIES["fixed"]), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: 3: {message}\n"
+    _assert_no_child_left()
+    assert not out.exists()
+
+
+def test_study_worker_killed_by_a_signal(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    solver_run = crossdiff.study.run
+
+    def killed_in_child(problem):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return solver_run(problem)
+    monkeypatch.setattr(crossdiff.study, "run", killed_in_child)
+    _use_cpus(monkeypatch, 2)
+    ended = f"run_study.<locals>.run_levels worker \\d+ ended by signal {int(signal.SIGKILL)}"
+    with pytest.raises(RuntimeError, match=f"^{ended}, sending no error$"):
+        crossdiff.run_study(build_plan(parse_config(STUDIES["refining"])))
+    _assert_no_child_left()
+    assert main(["study", _write_cfg(tmp_path, STUDIES["refining"]),
+                 "--out", str(tmp_path / "s")]) == 3
+    assert re.fullmatch(f"error: 3: {ended}, sending no error\n", capsys.readouterr().err)
+    _assert_no_child_left()
 
 
 def test_main_stepper_and_eps_overrides(tmp_path):
@@ -1076,6 +1171,20 @@ def test_main_flags_get_the_checks_of_their_keys(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: 2: " + message + "\n", err)
     assert not (tmp_path / "o").exists()
+
+
+def test_study_levels_are_capped_before_anything_is_built(tmp_path, capsys, monkeypatch):
+    # on one grid the cell cap never fires, so the level cap must
+    built = []
+    monkeypatch.setattr(crossdiff.config, "build_problem", built.append)
+    text = FAST + "\n[study]\nlevels = 2\nrefine_space = false\n"
+    assert parse_config(text, {"study": {"levels": "19"}}).study_levels == 19
+    out = tmp_path / "s"
+    for cfg, args in ((_write_cfg(tmp_path, text), ("--levels", "20")),
+                      (_write_cfg(tmp_path, text.replace("levels = 2", "levels = 20")), ())):
+        assert main(["study", cfg, "--out", str(out), *args]) == 2
+        assert capsys.readouterr().err == "error: 2: [study] levels must be at most 19, got 20\n"
+    assert built == [] and not out.exists()
 
 
 @pytest.mark.parametrize("args", [("--ep", "-1e-3"), ("--ep=1e-3",)])

@@ -78,6 +78,8 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="level 2's snapshot_times differ from level 1's"):
         cd.StudyPlan(tuple(heat_problem(n, snaps=s) for n, s in ((16, 3), (32, 3), (64, 5))))
     cd.StudyPlan((heat_problem(32, snaps=3), heat_problem(32, snaps=3)))  # fixed grid
+    with pytest.raises(ValueError, match="levels must be at most 19, got 20"):
+        cd.StudyPlan((heat_problem(4, snaps=3),) * 20)
     # the schedule rules that parse_config applies to [study] viscosity
     with pytest.raises(ValueError, match="viscosity_schedule length"):
         check_levels(3, (1e-2, 5e-3))
