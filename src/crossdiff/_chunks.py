@@ -8,10 +8,13 @@ one.  Children see the parent's data through fork; each sends back its
 chunk's return value, or its exception, pickled through a pipe.  Every
 child is reaped before in_chunks returns or raises, and the error raised
 is the earliest failing chunk's, so a caller whose work stops at its
-first failing item fails on the same item as a sequential loop would.  A
-child that ends without sending its result raises a RuntimeError naming
-the work.  With one CPU, or without os.fork, the parent runs the only
-chunk.
+first failing item fails on the same item as a sequential loop would.
+When the parent's own chunk fails, its error is that earliest one, so the
+children are stopped with SIGTERM, which a child raises as SystemExit
+(its `finally` and `except BaseException` cleanup still runs), before
+they are reaped.  A child that ends without sending its result raises a
+RuntimeError naming the work.  With one CPU, or without os.fork, the
+parent runs the only chunk.
 
 The only threads the parent may have are OpenBLAS's pool, which OpenBLAS
 stops before a fork with its pthread_atfork handler, so children may call
@@ -25,6 +28,7 @@ import bisect
 import itertools
 import os
 import pickle
+import signal
 from typing import Callable, NoReturn, Sequence
 
 
@@ -88,6 +92,10 @@ def in_chunks(work: Callable[[int, int], object], weights: Sequence[int]) -> lis
             os.close(write_fd)
             children.append((pid, read_fd))
         results = [work(bounds[0], bounds[1])]
+    except BaseException:  # the earliest error: no child's outcome is needed
+        for pid, _ in children:
+            os.kill(pid, signal.SIGTERM)  # not yet reaped, so still our child
+        raise
     finally:
         outcomes = [_reap(work, pid, read_fd) for pid, read_fd in children]
     for result, err in outcomes:
@@ -102,9 +110,10 @@ def _run_child(work, lo: int, hi: int, write_fd: int) -> NoReturn:
     pickled through write_fd, an exception that does not survive pickling
     as a RuntimeError holding its repr; always os._exit, so no handler or
     cleanup of the parent's stack runs in the child.  It exits 0 only once
-    the whole message is written."""
+    the whole message is written.  SIGTERM raises SystemExit in it."""
     code = 1
     try:
+        signal.signal(signal.SIGTERM, _stop)
         try:
             message = pickle.dumps((work(lo, hi), None))
         except BaseException as err:  # the parent raises it again
@@ -118,6 +127,10 @@ def _run_child(work, lo: int, hi: int, write_fd: int) -> NoReturn:
         code = 0
     finally:
         os._exit(code)
+
+
+def _stop(signum, frame) -> NoReturn:
+    raise SystemExit(f"stopped by signal {signum}")
 
 
 def _reap(work, pid: int, read_fd: int) -> tuple:

@@ -1,7 +1,8 @@
 """Run configuration: a sectioned key-value document parsed into a RunConfig
 that every builder accepts, plus the builders build_problem and build_plan.
 
-Schema (INI syntax; unknown sections or keys are rejected):
+Schema (INI syntax; unknown sections or keys are rejected).  The table KEYS
+is where every key and its default live:
 
     [grid]        n = 128
     [model]       alpha = 0.5            s_floor = 1e-12
@@ -16,17 +17,15 @@ Schema (INI syntax; unknown sections or keys are rejected):
                   residuals = true       moduli = true
     [study]       levels = 3   refine_space = true   viscosity = 1e-2,5e-3,...
 
-Defaults: eps=0, cfl_safety=0.5, stepper=explicit, bank_k=min(8, n/4),
-s_floor=1e-12, snapshots=11, dir=out, precision=17.
-
 parse_config checks syntax, finiteness, precision in [1, 17], a snapshot
-count >= 1 (>= 2 when t_final > 0), bank_k in [0, n/4] and that no species
-has both values and offset or modes.  Each other value rule has one owner,
-whose ValueError it re-raises as a ConfigError prefixed with the section:
-grid.GridSpec (n), model.Nonlinearity (alpha, s_floor), model.check_modes
-(V, W, rho_modes, mu_modes), grid.Field (rho_values, mu_values),
-model.check_time ([time]) and study.check_levels ([study]).  build_problem
-stacks the initial profiles into u0 = [rho0; mu0] and adds its positivity
+count >= 1 (>= 2 when t_final > 0), bank_k in [0, n/4], that no species
+has both values and offset or modes, and that dump_config can write the
+output dir back.  Each other value rule has one owner, whose ValueError it
+re-raises as a ConfigError prefixed with the section: grid.GridSpec (n),
+model.Nonlinearity (alpha, s_floor), model.check_modes (V, W, rho_modes,
+mu_modes), grid.Field (rho_values, mu_values), model.check_time ([time])
+and study.check_levels ([study]).  build_problem stacks the initial
+profiles into u0 = [rho0; mu0] and adds its positivity
 (model.check_initial).  build_plan calls build_problem once per study
 level, so every level is checked before any runs.
 """
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,22 +50,10 @@ class ConfigError(ValueError):
     pass
 
 
-_SECTION_KEYS = {
-    "grid": {"n"},
-    "model": {"alpha", "s_floor"},
-    "potentials": {"V", "W"},
-    "initial": {"rho_offset", "rho_modes", "rho_values",
-                "mu_offset", "mu_modes", "mu_values"},
-    "time": {"t_final", "snapshots", "stepper", "cfl_safety", "eps"},
-    "output": {"dir", "precision", "bank_k", "residuals", "moduli"},
-    "study": {"levels", "refine_space", "viscosity"},
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """A checked configuration; only parse_config builds one, and it owns
-    every default."""
+    """A checked configuration; only parse_config builds one.  A species
+    has either values or an offset and modes; the others are None."""
 
     n_cells: int
     alpha: float
@@ -73,10 +61,10 @@ class RunConfig:
     modes_V: tuple[Mode, ...]
     modes_W: tuple[Mode, ...]
     rho_offset: float | None
-    rho_modes: tuple[Mode, ...]
+    rho_modes: tuple[Mode, ...] | None
     rho_values: tuple[float, ...] | None
     mu_offset: float | None
-    mu_modes: tuple[Mode, ...]
+    mu_modes: tuple[Mode, ...] | None
     mu_values: tuple[float, ...] | None
     t_final: float
     snapshot_times: tuple[float, ...]
@@ -137,6 +125,62 @@ def _floats(raw: str, where: str) -> tuple[float, ...]:
     return tuple(_float(tok, where) for tok in raw.split(",") if tok.strip())
 
 
+def _dir(raw: str, where: str) -> str:
+    """raw, unless configparser would read it back otherwise from run.cfg:
+    stripped, cut at a line break, or cut at a '#' or ';' after whitespace."""
+    if raw != raw.strip() or re.search(r"[\r\n]|(^|\s)[#;]", raw):
+        raise ConfigError(f"{where}: cannot be written back to run.cfg: {raw!r}")
+    return raw
+
+
+def _g17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+_STR = (lambda raw, where: raw, str)
+_INT = (_int, str)
+_FLOAT = (_float, _g17)
+_FLOATS = (_floats, lambda xs: ",".join(map(_g17, xs)))
+_MODES = (_modes, lambda ms: ", ".join(f"{k}:{_g17(a)}:{_g17(b)}" for k, a, b in ms))
+_BOOL = (_bool, lambda b: "true" if b else "false")
+# a snapshot count, or a list of times (a value with ',' or '.'); a lone
+# time is written with a trailing comma, so it reads back as no count
+_TIMES = (lambda raw, where: (_floats if "," in raw or "." in raw else _int)(raw, where),
+          lambda ts: ", ".join(map(_g17, ts)) + "," * (len(ts) == 1))
+
+REQUIRED = object()
+
+# (section, key, RunConfig field, (parse, format), default): the default is
+# a raw value, REQUIRED, or None, which leaves the field to a rule of
+# parse_config.  run.cfg lists the keys in this order.
+KEYS = (
+    ("grid", "n", "n_cells", _INT, REQUIRED),
+    ("model", "alpha", "alpha", _FLOAT, REQUIRED),
+    ("model", "s_floor", "s_floor", _FLOAT, "1e-12"),
+    ("potentials", "V", "modes_V", _MODES, ""),
+    ("potentials", "W", "modes_W", _MODES, ""),
+    ("initial", "rho_offset", "rho_offset", _FLOAT, None),
+    ("initial", "rho_modes", "rho_modes", _MODES, None),
+    ("initial", "rho_values", "rho_values", _FLOATS, None),
+    ("initial", "mu_offset", "mu_offset", _FLOAT, None),
+    ("initial", "mu_modes", "mu_modes", _MODES, None),
+    ("initial", "mu_values", "mu_values", _FLOATS, None),
+    ("time", "t_final", "t_final", _FLOAT, REQUIRED),
+    ("time", "snapshots", "snapshot_times", _TIMES, "11"),
+    ("time", "stepper", "stepper", _STR, "explicit"),
+    ("time", "cfl_safety", "cfl_safety", _FLOAT, "0.5"),
+    ("time", "eps", "eps", _FLOAT, "0"),
+    ("output", "dir", "out_dir", (_dir, str), "out"),
+    ("output", "precision", "precision", _INT, "17"),
+    ("output", "bank_k", "bank_k", _INT, None),
+    ("output", "residuals", "residuals", _BOOL, "true"),
+    ("output", "moduli", "moduli", _BOOL, "true"),
+    ("study", "levels", "study_levels", _INT, "3"),
+    ("study", "refine_space", "study_refine_space", _BOOL, "true"),
+    ("study", "viscosity", "study_viscosity", _FLOATS, ""),
+)
+
+
 def _checked(where: str, check, *args):
     """check(*args), its ValueError re-raised as a ConfigError naming where."""
     try:
@@ -158,154 +202,75 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}") from None
 
+    declared = {(section, key) for section, key, *_ in KEYS}
+    sections = {section for section, _ in declared}
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+            if (section, key) not in declared:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
-    def need(section: str, key: str) -> str:
-        if not cp.has_option(section, key):
+    v = {}  # RunConfig field -> value
+    for section, key, field, (parse, _), default in KEYS:
+        raw = cp.get(section, key) if cp.has_option(section, key) else default
+        if raw is REQUIRED:
             raise ConfigError(f"missing required key [{section}] {key}")
-        return cp.get(section, key)
+        v[field] = None if raw is None else parse(raw, f"[{section}] {key}")
 
-    def opt(section: str, key: str, default=None):
-        return cp.get(section, key) if cp.has_option(section, key) else default
-
-    n = _int(need("grid", "n"), "[grid] n")
+    n = v["n_cells"]
     grid = _checked("[grid]", GridSpec, n)
+    _checked("[model]", Nonlinearity, v["alpha"], v["s_floor"])
+    for key in ("V", "W"):
+        v[f"modes_{key}"] = _checked("[potentials]", check_modes, v[f"modes_{key}"], grid, key)
 
-    alpha = _float(need("model", "alpha"), "[model] alpha")
-    s_floor = _float(opt("model", "s_floor", "1e-12"), "[model] s_floor")
-    _checked("[model]", Nonlinearity, alpha, s_floor)
+    for prefix in ("rho", "mu"):
+        offset, modes, values = (f"{prefix}_{part}" for part in ("offset", "modes", "values"))
+        if v[values] is not None:
+            for key in (offset, modes):
+                if v[key] is not None:
+                    raise ConfigError(f"[initial] {values} and {key} are both set; give one")
+            _checked(f"[initial] {values}:", Field, grid, v[values])
+        elif v[offset] is None:
+            raise ConfigError(f"missing required key [initial] {offset} (or {values})")
+        else:
+            v[modes] = _checked("[initial]", check_modes, v[modes] or (), grid, modes)
 
-    def modes(section: str, key: str) -> tuple[Mode, ...]:
-        return _modes(opt(section, key, ""), f"[{section}] {key}")
-
-    modes_V = _checked("[potentials]", check_modes, modes("potentials", "V"), grid, "V")
-    modes_W = _checked("[potentials]", check_modes, modes("potentials", "W"), grid, "W")
-
-    def initial_side(prefix: str):
-        values = opt("initial", f"{prefix}_values")
-        if values is not None:
-            for key in (f"{prefix}_offset", f"{prefix}_modes"):
-                if cp.has_option("initial", key):
-                    raise ConfigError(
-                        f"[initial] {prefix}_values and {key} are both set; give one")
-            vals = _floats(values, f"[initial] {prefix}_values")
-            _checked(f"[initial] {prefix}_values:", Field, grid, vals)
-            return None, (), vals
-        offset = opt("initial", f"{prefix}_offset")
-        if offset is None:
-            raise ConfigError(
-                f"missing required key [initial] {prefix}_offset (or {prefix}_values)")
-        side_modes = _checked("[initial]", check_modes, modes("initial", f"{prefix}_modes"),
-                              grid, f"{prefix}_modes")
-        return _float(offset, f"[initial] {prefix}_offset"), side_modes, None
-
-    rho_offset, rho_modes, rho_values = initial_side("rho")
-    mu_offset, mu_modes, mu_values = initial_side("mu")
-
-    t_final = _float(need("time", "t_final"), "[time] t_final")
-    snap_raw = opt("time", "snapshots", "11")
-    if "," in snap_raw or "." in snap_raw:
-        times = _floats(snap_raw, "[time] snapshots")
-    else:
-        count = _int(snap_raw, "[time] snapshots")
-        if count < 1:
+    t_final, times = v["t_final"], v["snapshot_times"]
+    if isinstance(times, int):  # a count
+        if times < 1:
             raise ConfigError("[time] snapshots count must be >= 1")
-        if count < 2 and t_final > 0.0:
+        if times < 2 and t_final > 0.0:
             raise ConfigError(f"[time] snapshots count must be >= 2 when t_final > 0, "
-                              f"got {count}")
-        times = tuple(np.linspace(0.0, t_final, count)) if t_final > 0.0 else (0.0,)
+                              f"got {times}")
+        times = tuple(np.linspace(0.0, t_final, times)) if t_final > 0.0 else (0.0,)
     if t_final == 0.0:
         times = (0.0,)
-    stepper = opt("time", "stepper", "explicit")
-    cfl = _float(opt("time", "cfl_safety", "0.5"), "[time] cfl_safety")
-    eps = _float(opt("time", "eps", "0"), "[time] eps")
-    times = _checked("[time]", check_time, t_final, times, stepper, cfl, eps)
+    v["snapshot_times"] = _checked("[time]", check_time, t_final, times, v["stepper"],
+                                   v["cfl_safety"], v["eps"])
 
-    precision = _int(opt("output", "precision", "17"), "[output] precision")
-    if not (1 <= precision <= 17):
+    if not 1 <= v["precision"] <= 17:
         raise ConfigError("[output] precision must lie in [1, 17]")
-    bank_k_raw = opt("output", "bank_k")
-    if bank_k_raw is None:
-        bank_k = default_bank_k(n)
-    else:
-        bank_k = _int(bank_k_raw, "[output] bank_k")
-        if bank_k < 0 or bank_k > n // 4:
-            raise ConfigError(f"[output] bank_k must lie in [0, n/4], got {bank_k}")
+    if v["bank_k"] is None:
+        v["bank_k"] = default_bank_k(n)
+    elif not 0 <= v["bank_k"] <= n // 4:
+        raise ConfigError(f"[output] bank_k must lie in [0, n/4], got {v['bank_k']}")
 
-    levels = _int(opt("study", "levels", "3"), "[study] levels")
-    viscosity = _floats(opt("study", "viscosity", ""), "[study] viscosity")
-    viscosity = _checked("[study]", check_levels, levels, viscosity)
-
-    return RunConfig(
-        n_cells=n, alpha=alpha, s_floor=s_floor,
-        modes_V=modes_V, modes_W=modes_W,
-        rho_offset=rho_offset, rho_modes=rho_modes, rho_values=rho_values,
-        mu_offset=mu_offset, mu_modes=mu_modes, mu_values=mu_values,
-        t_final=t_final, snapshot_times=times,
-        stepper=stepper, cfl_safety=cfl, eps=eps,
-        out_dir=opt("output", "dir", "out"), precision=precision, bank_k=bank_k,
-        residuals=_bool(opt("output", "residuals", "true"), "[output] residuals"),
-        moduli=_bool(opt("output", "moduli", "true"), "[output] moduli"),
-        study_levels=levels,
-        study_refine_space=_bool(opt("study", "refine_space", "true"),
-                                 "[study] refine_space"),
-        study_viscosity=viscosity,
-    )
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+    v["study_viscosity"] = _checked("[study]", check_levels, v["study_levels"],
+                                    v["study_viscosity"])
+    return RunConfig(**v)
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical, lossless re-serialization (used to make runs reproducible
-    from their output directory alone)."""
-    def modes(ms):
-        return ", ".join(f"{k}:{_g17(a)}:{_g17(b)}" for k, a, b in ms)
-
-    lines = [
-        "[grid]", f"n = {cfg.n_cells}", "",
-        "[model]", f"alpha = {_g17(cfg.alpha)}", f"s_floor = {_g17(cfg.s_floor)}", "",
-        "[potentials]", f"V = {modes(cfg.modes_V)}", f"W = {modes(cfg.modes_W)}", "",
-        "[initial]",
-    ]
-    for prefix, offset, ms, values in (
-            ("rho", cfg.rho_offset, cfg.rho_modes, cfg.rho_values),
-            ("mu", cfg.mu_offset, cfg.mu_modes, cfg.mu_values)):
-        if values is not None:
-            lines.append(f"{prefix}_values = " + ",".join(_g17(v) for v in values))
-        else:
-            lines.append(f"{prefix}_offset = {_g17(offset)}")
-            lines.append(f"{prefix}_modes = {modes(ms)}")
-    lines += [
-        "",
-        "[time]",
-        f"t_final = {_g17(cfg.t_final)}",
-        "snapshots = " + ", ".join(_g17(t) for t in cfg.snapshot_times)
-        + ("," if len(cfg.snapshot_times) == 1 else ""),  # a lone time is no count
-        f"stepper = {cfg.stepper}",
-        f"cfl_safety = {_g17(cfg.cfl_safety)}",
-        f"eps = {_g17(cfg.eps)}",
-        "",
-        "[output]",
-        f"dir = {cfg.out_dir}",
-        f"precision = {cfg.precision}",
-        f"bank_k = {cfg.bank_k}",
-        f"residuals = {'true' if cfg.residuals else 'false'}",
-        f"moduli = {'true' if cfg.moduli else 'false'}",
-        "",
-        "[study]",
-        f"levels = {cfg.study_levels}",
-        f"refine_space = {'true' if cfg.study_refine_space else 'false'}",
-        "viscosity = " + ",".join(_g17(e) for e in cfg.study_viscosity),
-        "",
-    ]
-    return "\n".join(lines)
+    from their output directory alone): every key whose field is set, in
+    KEYS order, one section after another."""
+    sections: dict[str, list[str]] = {}
+    for section, key, field, (_, fmt), _ in KEYS:
+        value = getattr(cfg, field)
+        if value is not None:
+            sections.setdefault(section, [f"[{section}]"]).append(f"{key} = {fmt(value)}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def _initial_state(cfg: RunConfig, grid: GridSpec) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -50,5 +51,24 @@ def test_in_chunks_returns_every_chunk_in_order(monkeypatch):
                         [1] * 7)
     assert [r[:3] for r in results] == [(0, 2, True), (2, 4, False), (4, 7, False)]
     assert all(r[3] == bytes(200_000) for r in results)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_first_chunk_stops_every_other_chunk(monkeypatch):
+    # the parent's error is the earliest, so no child's outcome is waited for
+    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(3)))
+    parent = os.getpid()
+
+    def work(lo, hi):
+        if os.getpid() == parent:
+            time.sleep(0.2)  # the children are sleeping by now
+            raise ValueError("first chunk")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^first chunk$"):
+        in_chunks(work, [1, 1, 1])
+    assert time.monotonic() - start < 20
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -20,7 +21,7 @@ import crossdiff.cli
 import crossdiff.study
 from crossdiff import _chunks, csvio
 from crossdiff.cli import main
-from crossdiff.config import (ConfigError, build_plan, build_problem,
+from crossdiff.config import (KEYS, ConfigError, RunConfig, build_plan, build_problem,
                               dump_config, parse_config)
 from crossdiff.csvio import (read_snapshots, read_table, write_report_csv,
                              write_snapshots, write_study_csv)
@@ -187,8 +188,78 @@ def test_dump_config_round_trip():
         assert parse_config(dump_config(cfg)) == cfg
 
 
+def test_dump_config_bytes():
+    # inline values, a lone snapshot time and a viscosity list; every
+    # default written out, floats with 17 significant digits
+    text = """
+[grid]
+n = 4
+[model]
+alpha = 0.3
+[potentials]
+V = 1:0:1
+[initial]
+rho_values = 0.5, 1, 1.5, 2
+mu_offset = 0.5
+mu_modes = 1:0.2:0
+[time]
+t_final = 0
+snapshots = 0,
+stepper = semi-implicit
+[output]
+moduli = no
+[study]
+levels = 2
+viscosity = 1e-3, 5e-4
+"""
+    assert dump_config(parse_config(text)) == """\
+[grid]
+n = 4
+
+[model]
+alpha = 0.29999999999999999
+s_floor = 9.9999999999999998e-13
+
+[potentials]
+V = 1:0:1
+W = 
+
+[initial]
+rho_values = 0.5,1,1.5,2
+mu_offset = 0.5
+mu_modes = 1:0.20000000000000001:0
+
+[time]
+t_final = 0
+snapshots = 0,
+stepper = semi-implicit
+cfl_safety = 0.5
+eps = 0
+
+[output]
+dir = out
+precision = 17
+bank_k = 1
+residuals = true
+moduli = false
+
+[study]
+levels = 2
+refine_space = true
+viscosity = 0.001,0.00050000000000000001
+"""
+
+
+def test_every_field_and_flag_is_one_declared_key():
+    fields = [field for _, _, field, _, _ in KEYS]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    declared = {(section, key) for section, key, *_ in KEYS}
+    assert len(declared) == len(KEYS)
+    assert set(crossdiff.cli._FLAG_KEYS.values()) <= declared
+
+
 RULES = ("n", "alpha", "s_floor", "V", "W", "rho_modes", "mu_modes", "rho_values",
-         "mu_values", "t_final", "snapshots", "stepper", "cfl_safety", "eps",
+         "mu_values", "t_final", "snapshots", "stepper", "cfl_safety", "eps", "dir",
          "precision", "bank_k", "levels", "viscosity")
 
 
@@ -233,9 +304,14 @@ def _config_texts(draw, broken):
               f"cfl_safety = {pick('cfl_safety', (1.0, 0.5, 5e-324), (0.0, 1.0 + 2**-52))!r}",
               f"eps = {pick('eps', (0.0, -0.0, 1e-3, 5e-324), (-5e-324, -1e-3))!r}",
               "[output]", f"precision = {pick('precision', (1, 17), (0, 18))}"]
+    # a continuation line puts a line break in dir, which run.cfg cannot hold
+    out_dir = pick("dir", (None, "out", "a b", "-dir", "x#y;z", "r #1"), ("a\n  b",))
     bank_k = pick("bank_k", (None, 0, n // 4), (-1, n // 4 + 1))
-    if bank_k is not None:
-        lines.append(f"bank_k = {bank_k}")
+    for key, value in (("dir", out_dir), ("bank_k", bank_k),
+                       ("residuals", draw(st.sampled_from((None, "true", "no")))),
+                       ("moduli", draw(st.sampled_from((None, "false", "On"))))):
+        if value is not None:
+            lines.append(f"{key} = {value}")
     levels = pick("levels", (2, 3), (0, 1))
     viscosity = [draw(st.sampled_from((0.0, -0.0, 1e-3))) for _ in range(levels)]
     if broken == "viscosity":
@@ -244,6 +320,7 @@ def _config_texts(draw, broken):
     elif draw(st.booleans()):
         viscosity = []
     lines += ["[study]", f"levels = {levels}",
+              f"refine_space = {draw(st.sampled_from(('true', 'false', '0')))}",
               "viscosity = " + ", ".join(map(repr, viscosity))]
     return "\n".join(lines) + "\n"
 
@@ -944,6 +1021,33 @@ def test_failed_writes_leave_no_temporary_file(tmp_path, monkeypatch):
     assert not list(out.glob("*.tmp"))
 
 
+def test_a_failing_first_chunk_stops_the_others_and_leaves_no_temporary_file(
+        tmp_path, monkeypatch):
+    # the child's chunk is stopped inside write_atomic, its .tmp written;
+    # the parent's first file is a directory, so its own chunk fails
+    traj = crossdiff.run(build_problem(parse_config(FAST)))
+    out = tmp_path / "o"
+    (out / csvio.snapshot_filename(traj.times[0])).mkdir(parents=True)
+    child_tmp = out / (csvio.snapshot_filename(traj.times[2]) + ".tmp")  # chunks 0-1, 2-4
+    parent, replace = os.getpid(), os.replace
+
+    def slow_in_child(src, dst):
+        if os.getpid() != parent:
+            time.sleep(60)
+        while not child_tmp.exists():
+            time.sleep(0.01)
+        replace(src, dst)
+
+    monkeypatch.setattr(csvio.os, "replace", slow_in_child)
+    _use_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(IsADirectoryError):
+        write_snapshots(traj, out)
+    assert time.monotonic() - start < 20
+    _assert_no_child_left()
+    assert not list(out.glob("*.tmp"))
+
+
 # a refining semi-implicit study (weights n^2: on 2 or more CPUs levels 0-2
 # run in this process and level 3 in a child) and a fixed-grid one (equal
 # weights: one chunk per level on as many CPUs)
@@ -1171,6 +1275,21 @@ def test_main_flags_get_the_checks_of_their_keys(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: 2: " + message + "\n", err)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["res #1", "a\nb", "a\rb", " lead", "trail\t", "x ;y",
+                                 "#x", ";x"])
+def test_main_rejects_an_out_dir_run_cfg_cannot_hold(tmp_path, capsys, monkeypatch, out):
+    # run.cfg would read each back as another directory, or not at all
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, FAST)
+    assert main(["run", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: 2: [output] dir: cannot be written back to run.cfg: {out!r}\n")
+    assert os.listdir(tmp_path) == ["run.cfg"]
+    # '#' and ';' inside a name, not after whitespace, stay part of it
+    assert main(["run", cfg, "--out", "r#1;x"]) == 0
+    assert parse_config((tmp_path / "r#1;x" / "run.cfg").read_text()).out_dir == "r#1;x"
 
 
 def test_study_levels_are_capped_before_anything_is_built(tmp_path, capsys, monkeypatch):
