@@ -14,7 +14,10 @@ children are stopped with SIGTERM, which a child raises as SystemExit
 (its `finally` and `except BaseException` cleanup still runs), before
 they are reaped.  A child that ends without sending its result raises a
 RuntimeError naming the work.  With one CPU, or without os.fork, the
-parent runs the only chunk.
+parent runs the only chunk.  So does a call made while this process runs a
+chunk, in the parent or in a forked child: it runs work(0, len(weights))
+in place, so nested parallel work (a study level's report) forks no
+grandchildren and takes no more CPUs than the outer call shares out.
 
 The only threads the parent may have are OpenBLAS's pool, which OpenBLAS
 stops before a fork with its pthread_atfork handler, so children may call
@@ -30,6 +33,8 @@ import os
 import pickle
 import signal
 from typing import Callable, NoReturn, Sequence
+
+_in_chunk = False  # this process is running a chunk of an in_chunks call
 
 
 def chunk_bounds(weights: Sequence[int], chunks: int) -> list[int]:
@@ -74,9 +79,11 @@ def chunk_bounds(weights: Sequence[int], chunks: int) -> list[int]:
 
 def in_chunks(work: Callable[[int, int], object], weights: Sequence[int]) -> list:
     """[work(lo, hi) for each chunk] over chunk_bounds(weights, usable CPUs):
-    the parent runs the first chunk and an os.fork child each other one."""
+    the parent runs the first chunk and an os.fork child each other one;
+    one chunk, in place, when called from inside a chunk."""
+    global _in_chunk
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    bounds = chunk_bounds(weights, (cpus or 1) if hasattr(os, "fork") else 1)
+    bounds = chunk_bounds(weights, (cpus or 1) if hasattr(os, "fork") and not _in_chunk else 1)
     children = []  # (pid, read end of the pipe that carries its result)
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -88,10 +95,15 @@ def in_chunks(work: Callable[[int, int], object], weights: Sequence[int]) -> lis
                 os.close(write_fd)
                 raise
             if pid == 0:
+                _in_chunk = True
                 _run_child(work, lo, hi, write_fd)
             os.close(write_fd)
             children.append((pid, read_fd))
-        results = [work(bounds[0], bounds[1])]
+        outer, _in_chunk = _in_chunk, True
+        try:
+            results = [work(bounds[0], bounds[1])]
+        finally:
+            _in_chunk = outer
     except BaseException:  # the earliest error: no child's outcome is needed
         for pid, _ in children:
             os.kill(pid, signal.SIGTERM)  # not yet reaped, so still our child

@@ -17,6 +17,9 @@ standard Fourier multiplier with exponent one.
 Each functional takes (rho, mu, problem) with cells on the last axis and
 returns one value per leading index: build_report calls it once on the
 (T, n) rows of a trajectory's states, bitwise equal to T per-row calls.
+build_report runs its independent parts on every CPU this process may use
+(`_chunks.in_chunks`) once the states hold 2^18 values, each part on all T
+rows, so the report holds the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._chunks import in_chunks
 from .grid import GridSpec, cell_mean, grad, integrate, interface_mean
 from .model import ProblemSpec
 from .solver import Trajectory
@@ -262,7 +266,7 @@ def equicontinuity_moduli(traj: Trajectory):
 
     space_lags = _dyadic_lags(n // 4)
     om_space = np.empty((2, len(space_lags)))  # rows rho, mu
-    shifted = np.empty_like(rho)  # dens(x + m dx) - dens(x), one row per time
+    shifted = np.empty_like(rho)  # a translate of dens minus dens, one row per time
     for i, m in enumerate(space_lags):
         for om, dens in zip(om_space, (rho, mu)):
             np.subtract(dens[:, m:], dens[:, :n - m], out=shifted[:, :n - m])
@@ -278,7 +282,8 @@ def equicontinuity_moduli(traj: Trajectory):
     om_time = np.empty((2, len(t_lags)))
     for i, ell in enumerate(t_lags):
         for om, dens in zip(om_time, (rho, mu)):
-            diff = np.sum(np.abs(dens[ell:] - dens[:-ell]), axis=1) * dx
+            lagged = np.subtract(dens[ell:], dens[:-ell], out=shifted[ell:])
+            diff = np.sum(np.abs(lagged, out=lagged), axis=1) * dx
             om[i] = np.sum(diff) * spacing
 
     return ((np.array([m * dx for m in space_lags]), *om_space),
@@ -293,6 +298,11 @@ def equicontinuity_moduli(traj: Trajectory):
 SCALAR_COLUMNS = ("mass_rho", "mass_mu", "entropy", "energy", "diss_entropy",
                   "diss_beta_a", "diss_beta_1ma", "fisher_log", "bv_r", "bv_u",
                   "norm_S_2ma", "sup_S_pow", "h_minus_one")
+# the fewest state values for which build_report forks: on a 2-vCPU host a
+# fork and its copy-on-write faults cost 10-13 ms, which smaller reports lose
+_FORK_MIN_VALUES = 2**18
+_MODULI_FIELDS = ("omega_space_h", "omega_space_rho", "omega_space_mu",
+                 "omega_time_k", "omega_time_rho", "omega_time_mu")
 
 
 @dataclass(frozen=True)
@@ -327,38 +337,44 @@ def build_report(traj: Trajectory, bank_k: int | None = None, residuals: bool = 
     weak residuals against make_test_bank(grid, t_final, bank_k), bank_k
     defaulting to default_bank_k(n), unless residuals is off or the run has
     no horizon (t_final 0 or one snapshot); equicontinuity moduli unless
-    moduli is off."""
+    moduli is off.  The parts run on every usable CPU (see above)."""
     problem = traj.problem
     alpha = problem.nonlinearity.alpha
     dx = problem.grid.dx
     rho, mu = traj.states[:, 0], traj.states[:, 1]
-    if moduli:
-        (h, osr, osm), (k, otr, otm) = equicontinuity_moduli(traj)
-    else:
-        h = osr = osm = k = otr = otm = np.zeros(0)
-
+    fields = {**dict.fromkeys(_MODULI_FIELDS, np.zeros(0)),
+              "residuals": (), "residual_max": float("nan")}
+    bank = None
     if residuals and problem.t_final > 0.0 and len(traj.times) >= 2:
         if bank_k is None:
             bank_k = default_bank_k(problem.grid.n_cells)
+        # the one call that raises on a trajectory, so made before any fork
         bank = make_test_bank(problem.grid, problem.t_final, bank_k)
-        rows, res_max = weak_residual(traj, bank)
-    else:
-        rows, res_max = (), float("nan")
 
-    # one call per functional over all rows; each frees its (T, n) temporaries
-    bv_r, bv_u = bv_norms(rho, mu, problem)
-    leb = lebesgue_norms(rho, mu, problem)
-    return DiagnosticsReport(
-        times=traj.times,
-        mass_rho=integrate(rho, dx), mass_mu=integrate(mu, dx),
-        entropy=entropy(rho, mu, problem), energy=energy(rho, mu, problem),
-        diss_entropy=diss_entropy_rate(rho, mu, problem),
-        diss_beta_a=dissipation_beta(rho, mu, problem, alpha).dissipation,
-        diss_beta_1ma=dissipation_beta(rho, mu, problem, 1.0 - alpha).dissipation,
-        fisher_log=leb.fisher_log, bv_r=bv_r, bv_u=bv_u,
-        norm_S_2ma=leb.norm_S_2ma, sup_S_pow=leb.sup_S_pow,
-        h_minus_one=leb.h_minus_one,
-        omega_space_h=h, omega_space_rho=osr, omega_space_mu=osm,
-        omega_time_k=k, omega_time_rho=otr, omega_time_mu=otm,
-        residuals=rows, residual_max=res_max,
-    )
+    # (weight, part, on), weights in proportion to each part's measured cost: in
+    # this order the heaviest of two chunks holds 13/24 of the work, and the
+    # parent's peak memory is bv_norms', as in a serial report.  Parts look their
+    # functionals up here when run, so bench/trace_cli.py records the parent's.
+    parts = [(weight, part) for weight, part, on in (
+        (4, lambda: dict(zip(("bv_r", "bv_u"), bv_norms(rho, mu, problem))), True),
+        (9, lambda: dict(zip(_MODULI_FIELDS, sum(equicontinuity_moduli(traj), ()))), moduli),
+        (5, lambda: dict(zip(("residuals", "residual_max"), weak_residual(traj, bank))),
+         bank is not None),
+        (2, lambda: lebesgue_norms(rho, mu, problem)._asdict(), True),
+        (4, lambda: dict(
+            mass_rho=integrate(rho, dx), mass_mu=integrate(mu, dx),
+            entropy=entropy(rho, mu, problem), energy=energy(rho, mu, problem),
+            diss_entropy=diss_entropy_rate(rho, mu, problem),
+            diss_beta_a=dissipation_beta(rho, mu, problem, alpha).dissipation,
+            diss_beta_1ma=dissipation_beta(rho, mu, problem, 1.0 - alpha).dissipation),
+         True)) if on]
+
+    def work(lo: int, hi: int) -> list[dict]:
+        return [part() for _, part in parts[lo:hi]]
+
+    forks = traj.states.size >= _FORK_MIN_VALUES
+    chunks = in_chunks(work, [w for w, _ in parts]) if forks else [work(0, len(parts))]
+    for chunk in chunks:
+        for part_fields in chunk:
+            fields.update(part_fields)
+    return DiagnosticsReport(times=traj.times, **fields)

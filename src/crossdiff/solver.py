@@ -95,10 +95,12 @@ def cfl_dt(u: np.ndarray, problem: ProblemSpec) -> tuple[float, np.ndarray]:
     grad(pressure(S)) + [V'; W'], S = rho + mu, which advance takes so a
     step computes them once."""
     dx = problem.grid.dx
-    pressure, diffusivity = problem.nonlinearity.pressure_diffusivity(u[0] + u[1])
+    explicit = problem.stepper == "explicit"
+    nl, s = problem.nonlinearity, u[0] + u[1]
+    pressure, diffusivity = nl.pressure_diffusivity(s) if explicit else (nl.pressure(s), None)
     velocities = grad(pressure, dx) + problem.potentials.drift
     dt = dx / max(np.abs(velocities).max(), _VEL_FLOOR)
-    if problem.stepper == "explicit":
+    if explicit:
         diff_max = float(diffusivity.max()) + problem.eps_viscosity
         dt = min(dt, dx * dx / (2.0 * diff_max))
     return problem.cfl_safety * dt, velocities
@@ -204,7 +206,7 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
         lam = 1.0
         for _ in range(30):
             trial = s + lam * delta
-            clamps += nl.clamp_count(trial)
+            clamps += nl.clamp_count(trial) if trial.min() < nl.s_floor else 0
             res_t, q_t = residual(trial)
             norm_t = float(np.max(np.abs(res_t)))
             if norm_t < norm:

@@ -55,6 +55,20 @@ def test_in_chunks_returns_every_chunk_in_order(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_call_inside_a_chunk_runs_in_that_chunks_process(monkeypatch):
+    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(2)))
+
+    def inner(lo, hi):
+        return lo, hi, os.getpid()
+
+    (pid0, nested0), (pid1, nested1) = in_chunks(
+        lambda lo, hi: (os.getpid(), in_chunks(inner, [1, 1, 1])), [1, 1])
+    assert pid0 == os.getpid() != pid1
+    assert nested0 == [(0, 3, pid0)] and nested1 == [(0, 3, pid1)]
+    # the rule ends with the outer call
+    assert [r[:2] for r in in_chunks(inner, [1, 1, 1])] == [(0, 1), (1, 3)]
+
+
 def test_a_failing_first_chunk_stops_every_other_chunk(monkeypatch):
     # the parent's error is the earliest, so no child's outcome is waited for
     monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(3)))

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossdiff as cd
+from crossdiff import _chunks, diagnostics
 from crossdiff.diagnostics import SCALAR_COLUMNS, diss_entropy_rate, make_test_bank
 from crossdiff.solver import Trajectory
 
@@ -408,6 +411,57 @@ def test_report_without_horizon_has_no_residuals():
     rep = cd.build_report(_frozen(prob, [0.0, 5e-13], *prob.u0))
     assert rep.residuals == () and np.isnan(rep.residual_max)
     assert len(rep.times) == 2
+
+
+def _bits(value):
+    """Every bit of a report field: arrays and floats as raw bytes, NaN included."""
+    if isinstance(value, tuple):  # the residual rows
+        return [(*row[:2], _bits(row.residual)) for row in value]
+    return np.asarray(value).dtype.str, np.shape(value), np.asarray(value).tobytes()
+
+
+def test_report_is_bitwise_the_same_on_any_number_of_cpus(monkeypatch):
+    monkeypatch.setattr(diagnostics, "_FORK_MIN_VALUES", 0)  # small reports fork too
+    traj = cd.run(fast_problem(64, snaps=9, t_final=0.01, stepper="semi-implicit"))
+    prob = _standing_problem(64)
+    cases = [(traj, residuals, moduli) for residuals in (True, False)
+             for moduli in (True, False)] + [(_frozen(prob, [0.0], *prob.u0), True, True)]
+    for case, residuals, moduli in cases:
+        reports = {}
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            reports[cpus] = cd.build_report(case, None, residuals, moduli)
+        for field in dataclasses.fields(cd.DiagnosticsReport):
+            want = _bits(getattr(reports[1], field.name))
+            for cpus in (2, 3, 5):
+                assert _bits(getattr(reports[cpus], field.name)) == want, (
+                    field.name, cpus, residuals, moduli)
+        assert (len(reports[1].residuals) > 0) == (residuals and len(case.times) > 1)
+        assert (reports[1].omega_space_h.size > 0) == moduli
+
+
+def test_only_a_large_report_forks(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(2)))
+    monkeypatch.setattr(_chunks.os, "fork", fork)
+    prob = _standing_problem(2048)
+    snaps = diagnostics._FORK_MIN_VALUES // (2 * 2048)  # states hold snaps * 2 * n values
+    cd.build_report(_frozen(prob, np.linspace(0.0, 1.0, snaps - 1), *prob.u0))
+    with pytest.raises(AssertionError, match="^forked$"):
+        cd.build_report(_frozen(prob, np.linspace(0.0, 1.0, snaps), *prob.u0))
+
+
+def test_report_raises_the_bank_error_it_raised_serially(monkeypatch):
+    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(2)))
+    monkeypatch.setattr(diagnostics, "_FORK_MIN_VALUES", 0)
+    traj = cd.run(stationary_problem(16, snaps=3))
+    message = "test bank k_max exceeds n/4 (k_max=5, n=16)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cd.build_report(traj, bank_k=16 // 4 + 1)
+    with pytest.raises(ChildProcessError):  # no child was left behind
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_moduli_nonuniform_spacing_skips_time_curve():
