@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, build_plan, build_problem, dump_config, parse_config
-from .csvio import (read_snapshots, read_table, write_report_csv,
+from .csvio import (read_snapshots, read_table, write_atomic, write_report_csv,
                     write_snapshots, write_study_csv)
 from .diagnostics import build_report
 from .diagnostics import make_test_bank  # noqa: F401 (bench/run.py, bench/trace_cli.py)
@@ -104,8 +104,7 @@ def _cmd_run(args) -> int:
     traj = run(problem)
     report = build_report(traj, cfg.bank_k, cfg.residuals, cfg.moduli)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run.cfg").write_text(dump_config(cfg))
+    write_atomic(out / "run.cfg", dump_config(cfg))
     write_snapshots(traj, out, cfg.precision)
     write_report_csv(report, out, cfg.precision)
     print(f"run complete: {len(traj.times)} snapshots, "
@@ -121,8 +120,7 @@ def _cmd_study(args) -> int:
     report = run_study(plan, bank_k=cfg.bank_k, residuals=cfg.residuals,
                        moduli=cfg.moduli)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run.cfg").write_text(dump_config(cfg))
+    write_atomic(out / "run.cfg", dump_config(cfg))
     write_study_csv(report, out, cfg.precision)
     for summary, level_report in zip(report.summaries, report.reports):
         write_report_csv(level_report, out / f"level_{summary.level}", cfg.precision)

@@ -15,11 +15,16 @@ M = sup_drift, the grid sup of |V'|, |W'|.  The negative H^-1 diagnostic uses th
 standard Fourier multiplier with exponent one.
 
 Each functional takes (rho, mu, problem) with cells on the last axis and
-returns one value per leading index: build_report calls it once on the
-(T, n) rows of a trajectory's states, bitwise equal to T per-row calls.
+returns one value per leading index, bitwise equal to one call per row.
+build_report calls each on blocks of max(1, 2^16 // n) of a trajectory's T
+snapshots and joins the blocks' values, so its temporaries hold about 2^16
+values, not T n; the moduli and the weak residual's pressure gradient work
+by blocks too.  The residual's matmuls alone take whole (T, n) operands,
+as OpenBLAS gemv is not bitwise stable across row counts (at n = 2048,
+blocks of 16 rows differ from the whole call in the last bit).
 build_report runs its independent parts on every CPU this process may use
 (`_chunks.in_chunks`) once the states hold 2^18 values, each part on all T
-rows, so the report holds the same bits on any CPU count.
+rows, so the report holds the same bits on any CPU count and block size.
 """
 
 from __future__ import annotations
@@ -34,6 +39,24 @@ from .grid import GridSpec, cell_mean, grad, integrate, interface_mean
 from .model import ProblemSpec
 from .solver import Trajectory
 from .transforms import shifted_gradient, to_sum_ratio
+
+
+# the values (rows x n) of one block of rows that the row-wise parts work on
+_BLOCK_VALUES = 2**16
+
+
+def _blocks(rows: np.ndarray, start: int = 0) -> list[tuple[int, int]]:
+    """(lo, hi) of each block of max(1, _BLOCK_VALUES // n) rows of a (T, n)
+    array from row start on, in order; one empty block when T is 0."""
+    count, n = rows.shape
+    step = max(1, _BLOCK_VALUES // n)
+    return [(lo, min(lo + step, count)) for lo in range(start, max(count, 1), step)]
+
+
+def _by_blocks(fields: Callable, rho: np.ndarray, mu: np.ndarray) -> dict:
+    """fields(rho[lo:hi], mu[lo:hi]) on each block, each field concatenated."""
+    blocks = [fields(rho[lo:hi], mu[lo:hi]) for lo, hi in _blocks(rho)]
+    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
 
 def entropy(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec) -> np.ndarray:
@@ -219,25 +242,25 @@ def weak_residual(traj: Trajectory, bank: TestFunctionBank
 
     rho, mu = traj.states[:, 0], traj.states[:, 1]
     # centered pressure gradient at cells: mean of the two interface values
-    dp_cells = cell_mean(grad(nl.pressure(rho + mu), dx))
+    dp_cells = np.empty_like(rho)
+    for lo, hi in _blocks(rho):
+        dp_cells[lo:hi] = cell_mean(grad(nl.pressure(rho[lo:hi] + mu[lo:hi]), dx))
 
-    flux_rho = rho * (dp_cells + pot.d_cells[0])
-    flux_mu = mu * (dp_cells + pot.d_cells[1])
-
-    rows = []
-    for phi in bank.phis:
-        chi_t = np.array([phi.chi(t) for t in times])
-        dchi = np.diff(chi_t)
-        for species, dens, flux in (("rho", rho, flux_rho), ("mu", mu, flux_mu)):
+    chis = [np.array([phi.chi(t) for t in times]) for phi in bank.phis]
+    flux = np.empty_like(dp_cells)  # each species' flux in turn
+    rows = [None] * (2 * len(chis))  # for each test function, rho then mu
+    for k, (species, dens) in enumerate((("rho", rho), ("mu", mu))):
+        np.multiply(dens, np.add(dp_cells, pot.d_cells[k], out=flux), out=flux)
+        for j, (phi, chi_t) in enumerate(zip(bank.phis, chis)):
             space_mass = dens @ phi.x_vals * dx        # int dens X dx per time
             space_flux = flux @ phi.dx_vals * dx       # int flux X' dx per time
+            dchi = np.diff(chi_t)
             dt_term = -float(np.sum(0.5 * (space_mass[:-1] + space_mass[1:]) * dchi))
             flux_term = float(np.sum(w_trap * chi_t * space_flux))
             init_term = float(space_mass[0] * chi_t[0])
-            rows.append(ResidualRow(phi.phi_id, species,
-                                    dt_term + flux_term - init_term))
-    res_max = max(abs(r.residual) for r in rows)
-    return tuple(rows), res_max
+            rows[2 * j + k] = ResidualRow(phi.phi_id, species,
+                                          dt_term + flux_term - init_term)
+    return tuple(rows), max(abs(r.residual) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +287,23 @@ def equicontinuity_moduli(traj: Trajectory):
     rho, mu = traj.states[:, 0], traj.states[:, 1]
     w_trap = _trapezoid_weights(times)
 
+    buf = np.empty((_blocks(rho)[0][1], n))  # one block of translate-minus-state rows
+
+    def l1_rows(dens, lag, m):
+        """int |dens(t_j, x + m dx) - dens(t_{j-lag}, x)| dx for j >= lag."""
+        out = np.empty(len(dens) - lag)
+        for lo, hi in _blocks(dens, lag):
+            a, b, d = dens[lo:hi], dens[lo - lag:hi - lag], buf[:hi - lo]
+            np.subtract(a[:, m:], b[:, :n - m], out=d[:, :n - m])
+            np.subtract(a[:, :m], b[:, n - m:], out=d[:, n - m:])
+            out[lo - lag:hi - lag] = np.sum(np.abs(d, out=d), axis=1) * dx
+        return out
+
     space_lags = _dyadic_lags(n // 4)
     om_space = np.empty((2, len(space_lags)))  # rows rho, mu
-    shifted = np.empty_like(rho)  # a translate of dens minus dens, one row per time
     for i, m in enumerate(space_lags):
         for om, dens in zip(om_space, (rho, mu)):
-            np.subtract(dens[:, m:], dens[:, :n - m], out=shifted[:, :n - m])
-            np.subtract(dens[:, :m], dens[:, n - m:], out=shifted[:, n - m:])
-            diff = np.sum(np.abs(shifted, out=shifted), axis=1) * dx
-            om[i] = np.sum(w_trap * diff)
+            om[i] = np.sum(w_trap * l1_rows(dens, 0, m))
 
     nt = len(times)
     uniform = nt > 1 and np.allclose(np.diff(times), times[1] - times[0],
@@ -282,9 +313,7 @@ def equicontinuity_moduli(traj: Trajectory):
     om_time = np.empty((2, len(t_lags)))
     for i, ell in enumerate(t_lags):
         for om, dens in zip(om_time, (rho, mu)):
-            lagged = np.subtract(dens[ell:], dens[:-ell], out=shifted[ell:])
-            diff = np.sum(np.abs(lagged, out=lagged), axis=1) * dx
-            om[i] = np.sum(diff) * spacing
+            om[i] = np.sum(l1_rows(dens, ell, 0)) * spacing
 
     return ((np.array([m * dx for m in space_lags]), *om_space),
             (np.array([ell * spacing for ell in t_lags]), *om_time))
@@ -351,23 +380,29 @@ def build_report(traj: Trajectory, bank_k: int | None = None, residuals: bool = 
         # the one call that raises on a trajectory, so made before any fork
         bank = make_test_bank(problem.grid, problem.t_final, bank_k)
 
+    def bv(r, m):
+        return dict(zip(("bv_r", "bv_u"), bv_norms(r, m, problem)))
+
+    def other_scalars(r, m):
+        return dict(
+            mass_rho=integrate(r, dx), mass_mu=integrate(m, dx),
+            entropy=entropy(r, m, problem), energy=energy(r, m, problem),
+            diss_entropy=diss_entropy_rate(r, m, problem),
+            diss_beta_a=dissipation_beta(r, m, problem, alpha).dissipation,
+            diss_beta_1ma=dissipation_beta(r, m, problem, 1.0 - alpha).dissipation)
+
     # (weight, part, on), weights in proportion to each part's measured cost: in
-    # this order the heaviest of two chunks holds 13/24 of the work, and the
-    # parent's peak memory is bv_norms', as in a serial report.  Parts look their
-    # functionals up here when run, so bench/trace_cli.py records the parent's.
+    # this order the heaviest of two chunks holds 13/24 of the work.  Parts look
+    # their functionals up here when run, so bench/trace_cli.py records the
+    # parent's, one span per block.
     parts = [(weight, part) for weight, part, on in (
-        (4, lambda: dict(zip(("bv_r", "bv_u"), bv_norms(rho, mu, problem))), True),
+        (4, lambda: _by_blocks(bv, rho, mu), True),
         (9, lambda: dict(zip(_MODULI_FIELDS, sum(equicontinuity_moduli(traj), ()))), moduli),
         (5, lambda: dict(zip(("residuals", "residual_max"), weak_residual(traj, bank))),
          bank is not None),
-        (2, lambda: lebesgue_norms(rho, mu, problem)._asdict(), True),
-        (4, lambda: dict(
-            mass_rho=integrate(rho, dx), mass_mu=integrate(mu, dx),
-            entropy=entropy(rho, mu, problem), energy=energy(rho, mu, problem),
-            diss_entropy=diss_entropy_rate(rho, mu, problem),
-            diss_beta_a=dissipation_beta(rho, mu, problem, alpha).dissipation,
-            diss_beta_1ma=dissipation_beta(rho, mu, problem, 1.0 - alpha).dissipation),
-         True)) if on]
+        (2, lambda: _by_blocks(lambda r, m: lebesgue_norms(r, m, problem)._asdict(), rho, mu),
+         True),
+        (4, lambda: _by_blocks(other_scalars, rho, mu), True)) if on]
 
     def work(lo: int, hi: int) -> list[dict]:
         return [part() for _, part in parts[lo:hi]]

@@ -150,9 +150,10 @@ def _lapack():
     return module
 
 
-def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray, b=None) -> np.ndarray:
     """Solve J x = rhs for the cyclic tridiagonal J[i, i] = 1 + 2 cd[i],
-    J[i, i -+ 1] = -cd[i -+ 1] (indices mod n) in O(n).
+    J[i, i -+ 1] = -cd[i -+ 1] (indices mod n) in O(n); b, if given, is an
+    (n, 2) Fortran-ordered array that the solve overwrites.
 
     J = T + u v^T, u = gamma e_0 + J[n-1, 0] e_{n-1}, v = e_0 + (J[0, n-1] /
     gamma) e_{n-1} with gamma = -J[0, 0], leaves T tridiagonal.  One LAPACK
@@ -167,8 +168,9 @@ def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     lower, upper = -cd[0], -cd[-1]  # the corners J[n-1, 0] and J[0, n-1]
     diag[0] -= gamma
     diag[-1] -= lower * upper / gamma
-    b = np.zeros((n, 2), order="F")
+    b = np.empty((n, 2), order="F") if b is None else b
     b[:, 0] = rhs
+    b[:, 1] = 0.0
     b[0, 1] = gamma
     b[-1, 1] = lower
     _, _, _, yz, info = dgtsv(-cd[:-1], diag, -cd[1:], b, overwrite_dl=True,
@@ -190,11 +192,18 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     c = dt / (dx * dx)
 
     def residual(s):
-        q = nl.kirchhoff(s) + eps * s
-        q_wrap = np.concatenate((q[-1:], q, q[:1]))  # one periodic ghost cell a side
-        return s - c * (q_wrap[2:] - 2.0 * q + q_wrap[:-2]) - s_rhs, q
+        q = nl.kirchhoff(s)
+        if eps != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of q
+            q += eps * s
+        lap = np.empty_like(q)  # q[i+1] - 2 q[i] + q[i-1], indices mod n
+        np.subtract(q[1:], 2.0 * q[:-1], out=lap[:-1])
+        lap[-1] = q[0] - 2.0 * q[-1]
+        lap[1:] += q[:-1]
+        lap[0] += q[-1]
+        return s - c * lap - s_rhs, q
 
     s = s_rhs.copy()
+    b = np.empty((s.size, 2), order="F")  # the solves' right-hand sides
     res, q = residual(s)
     norm = float(np.max(np.abs(res)))
     clamps = 0
@@ -202,7 +211,7 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
         if norm <= NEWTON_TOL:
             return s, q, it, clamps
         slope = np.where(s < nl.s_floor, 0.0, nl.diffusivity(s))  # q is flat there
-        delta = _solve_periodic_tridiagonal(c * (slope + eps), -res)
+        delta = _solve_periodic_tridiagonal(c * (slope + eps), -res, b)
         lam = 1.0
         for _ in range(30):
             trial = s + lam * delta

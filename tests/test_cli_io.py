@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import re
 import signal
@@ -1019,6 +1020,37 @@ def test_failed_writes_leave_no_temporary_file(tmp_path, monkeypatch):
         write_snapshots(traj, out)
     _assert_no_child_left()
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["run", "study"])
+def test_a_run_cfg_write_that_fails_part_way_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                                             command):
+    class HalfWritten:  # takes half of the text, then finds the disk full
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def opener(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return HalfWritten(fh) if Path(path).name == "run.cfg.tmp" else fh
+
+    monkeypatch.setattr(csvio, "open", opener, raising=False)
+    text = FAST if command == "run" else STUDIES["fixed"]
+    out = tmp_path / "out"
+    assert main([command, _write_cfg(tmp_path, text), "--out", str(out)]) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (out / "run.cfg").exists()
+    assert not (out / "run.cfg.tmp").exists()
 
 
 def test_a_failing_first_chunk_stops_the_others_and_leaves_no_temporary_file(

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,6 +441,41 @@ def test_report_is_bitwise_the_same_on_any_number_of_cpus(monkeypatch):
         assert (reports[1].omega_space_h.size > 0) == moduli
 
 
+def test_report_is_bitwise_the_same_for_any_block_size():
+    traj = cd.run(fast_problem(64, snaps=9, t_final=0.01, stepper="semi-implicit"))
+    for residuals in (True, False):
+        for moduli in (True, False):
+            want = cd.build_report(traj, None, residuals, moduli)
+            for rows in (1, 2, 9):  # one row, a count that does not divide T = 9, all
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(diagnostics, "_BLOCK_VALUES", rows * 64)
+                    assert len(diagnostics._blocks(traj.states[:, 0])) == -(-9 // rows)
+                    got = cd.build_report(traj, None, residuals, moduli)
+                for field in dataclasses.fields(cd.DiagnosticsReport):
+                    assert (_bits(getattr(got, field.name))
+                            == _bits(getattr(want, field.name))), (field.name, rows)
+            assert (len(want.residuals) > 0) == residuals
+            assert (want.omega_space_h.size > 0) == moduli
+
+
+def test_report_peak_memory_stays_near_the_states_size(monkeypatch):
+    # every part but the weak residual works on blocks of rows; the residual
+    # holds two whole (T, n) arrays, states.nbytes together, and little more
+    monkeypatch.setattr(diagnostics, "_FORK_MIN_VALUES", 2**62)  # serial: one process
+    n, snaps = 2048, 401
+    prob = _standing_problem(n)
+    states = 1.0 + 0.5 * np.random.default_rng(0).random((snaps, 2, n))
+    traj = Trajectory(prob, np.linspace(0.0, 1.0, snaps), states, ())
+    tracemalloc.start()
+    try:
+        rep = cd.build_report(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.residuals and rep.omega_time_k.size > 0
+    assert peak < 1.5 * states.nbytes, peak / states.nbytes
+
+
 def test_only_a_large_report_forks(monkeypatch):
     def fork():
         raise AssertionError("forked")
@@ -593,6 +629,13 @@ def _trajectory_cases(draw):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_trajectory_cases())
 def test_report_rows_match_per_snapshot_oracle(case):
+    _check_against_oracle(case)
+    with pytest.MonkeyPatch.context() as mp:  # blocks of one row: every boundary
+        mp.setattr(diagnostics, "_BLOCK_VALUES", 1)
+        _check_against_oracle(case)
+
+
+def _check_against_oracle(case):
     alpha, times, states, modes = case
     n = states.shape[-1]
     g = cd.make_grid(n)
@@ -617,3 +660,4 @@ def test_report_rows_match_per_snapshot_oracle(case):
     rows = _oracle_residual(times, rhos, mus, prob, bank)
     assert [tuple(r) for r in rep.residuals] == rows
     assert rep.residual_max == max(abs(r[2]) for r in rows)
+
