@@ -308,20 +308,33 @@ def test_sum_equation_residual_first_order():
     assert r64 / r128 >= 1.4  # roughly first order in (dt, dx)
 
 
-def test_run_annotates_solver_errors(monkeypatch):
+@pytest.mark.parametrize("stepper", ("explicit", "semi-implicit"))
+def test_run_annotates_solver_errors(monkeypatch, stepper):
+    """A SolverError from run's third step gets the target time appended.
+    run steps an explicit problem through its kernel's transport and a
+    semi-implicit one through advance, so the failure goes in there."""
     g = cd.make_grid(32)
-    prob = _problem(g, t_final=0.05)
-    real_advance = crossdiff.solver.advance
+    prob = _problem(g, modes_V=[(1, 0.3, 0.0)], stepper=stepper, t_final=0.05)
     original = SolverError("positivity violated: rho at cell 3, t=0.001")
     calls = []
 
-    def advance(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise original
-        return real_advance(*args)
+    def third_fails(step):
+        def wrapped(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise original
+            return step(*args)
+        return wrapped
 
-    monkeypatch.setattr(crossdiff.solver, "advance", advance)
+    if stepper == "explicit":
+        real_kernel = crossdiff.solver._explicit_kernel
+
+        def kernel(problem):
+            velocities_dt, transport = real_kernel(problem)
+            return velocities_dt, third_fails(transport)
+        monkeypatch.setattr(crossdiff.solver, "_explicit_kernel", kernel)
+    else:
+        monkeypatch.setattr(crossdiff.solver, "advance", third_fails(crossdiff.solver.advance))
     with pytest.raises(SolverError) as info:
         cd.run(prob)
     assert len(calls) == 3
@@ -329,27 +342,83 @@ def test_run_annotates_solver_errors(monkeypatch):
     assert info.value.__cause__ is original
 
 
-@pytest.mark.parametrize("stepper", ("explicit", "semi-implicit"))
-@pytest.mark.parametrize("make", (fast_problem, heat_problem))
-def test_hand_stepping_reproduces_run(make, stepper):
-    """The public cfl_dt/advance pair, with dt truncated at each snapshot
-    time, is exactly what run does."""
-    prob = dataclasses.replace(make(64), stepper=stepper)
-    traj = cd.run(prob)
+def _hand_run(prob):
+    """run as hand-stepping with the public cfl_dt/advance pair, dt
+    truncated at each snapshot time: (times, states, step log)."""
     t, u = 0.0, prob.u0
-    log = []
-    for j, target in enumerate(prob.snapshot_times[1:], 1):
+    times, states, log = [t], [u], []
+    for target in prob.snapshot_times[1:]:
         while t < target:
             dt, velocities = cd.cfl_dt(u, prob)
             landing = dt >= target - t
             if landing:
                 dt = target - t
-            u, rec = cd.advance(u, velocities, t, dt, prob)
+            try:
+                u, rec = cd.advance(u, velocities, t, dt, prob)
+            except SolverError as err:
+                raise SolverError(f"{err} (while integrating to t={target:.6g})") from err
             log.append(rec)
             t = target if landing else t + dt
-        assert traj.times[j] == t
-        assert np.array_equal(traj.states[j], u)
-    assert tuple(log) == traj.step_log
+        times.append(t)
+        states.append(u)
+    return np.array(times), np.stack(states), tuple(log)
+
+
+def _assert_run_is_hand_stepping(prob):
+    try:
+        times, states, log = _hand_run(prob)
+    except SolverError as err:
+        with pytest.raises(SolverError) as info:
+            cd.run(prob)
+        assert str(info.value) == str(err)
+        return None
+    traj = cd.run(prob)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.step_log == log
+    return log
+
+
+@pytest.mark.parametrize("stepper", ("explicit", "semi-implicit"))
+@pytest.mark.parametrize("make", (fast_problem, heat_problem))
+def test_hand_stepping_reproduces_run(make, stepper):
+    """The public cfl_dt/advance pair, with dt truncated at each snapshot
+    time, is exactly what run does."""
+    assert _assert_run_is_hand_stepping(dataclasses.replace(make(64), stepper=stepper))
+
+
+@st.composite
+def _run_cases(draw):
+    n = draw(st.integers(8, 32))
+    coef = st.floats(-1.0, 1.0, allow_subnormal=False)
+    modes = st.lists(st.tuples(st.integers(0, n // 4), coef, coef), min_size=1, max_size=2)
+    density = st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n)
+    t_final = draw(st.floats(0.5, 16.0)) / (4 * n * n)  # dx^2 / 4: one explicit step at alpha = 1
+    return dict(n=n, alpha=draw(st.floats(0.05, 1.0, exclude_max=True) | st.just(1.0)),
+                eps=draw(st.just(0.0) | st.floats(1e-6, 0.05)),
+                s_floor=draw(st.sampled_from((1e-12, 0.5, 2.0))),
+                modes_V=draw(modes), modes_W=draw(modes),
+                rho=np.array(draw(density)), mu=np.array(draw(density)),
+                t_final=t_final,
+                snapshot_times=np.linspace(0.0, t_final, draw(st.integers(2, 4))))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_run_cases(), st.sampled_from(("explicit", "semi-implicit")))
+def test_run_is_bitwise_hand_stepping(case, stepper):
+    """run, which steps an explicit problem through one kernel per run and
+    reuses each step's minimum for the next clamp test, gives the times,
+    states, step log or error of hand-stepping with cfl_dt/advance.  An
+    s_floor of 0.5 or 2.0 lies above some of the densities, so clamps
+    occur."""
+    g = cd.make_grid(case["n"])
+    prob = cd.ProblemSpec(
+        grid=g, nonlinearity=cd.Nonlinearity(case["alpha"], case["s_floor"]),
+        potentials=cd.build_potentials(case["modes_V"], case["modes_W"], g),
+        u0=np.stack((case["rho"], case["mu"])), t_final=case["t_final"],
+        snapshot_times=tuple(case["snapshot_times"]), eps_viscosity=case["eps"],
+        stepper=stepper)
+    _assert_run_is_hand_stepping(prob)
 
 
 def test_small_alpha_run_stays_positive():
@@ -667,13 +736,16 @@ def _newton_cases(draw):
                                                      min_size=n, max_size=n))))
 
 
+def _newton_problem(case):
+    return dataclasses.replace(
+        _problem(cd.make_grid(case["n"]), stepper="semi-implicit", eps=case["eps"]),
+        nonlinearity=cd.Nonlinearity(case["alpha"], case["s_floor"]))
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_newton_cases())
 def test_newton_matches_sparse_reference(case):
-    g = cd.make_grid(case["n"])
-    prob = dataclasses.replace(
-        _problem(g, stepper="semi-implicit", eps=case["eps"]),
-        nonlinearity=cd.Nonlinearity(case["alpha"], case["s_floor"]))
+    prob = _newton_problem(case)
     s_rhs = case["s_rhs"]
     try:
         s_ref, iters_ref, clamps_ref = _reference_implicit_diffusion(s_rhs, case["dt"], prob)
@@ -685,6 +757,72 @@ def test_newton_matches_sparse_reference(case):
     assert (iters, clamps) == (iters_ref, clamps_ref)
     assert np.array_equal(q, prob.nonlinearity.kirchhoff(s) + case["eps"] * s)
     assert np.abs(s - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
+
+
+def _every_term_implicit_diffusion(s_rhs, dt, problem):
+    """_implicit_diffusion as it was before it skipped terms: the Jacobian
+    coefficients c * (slope + eps) at every eps and every trial s + lam *
+    delta, lam = 1 included; kept as the oracle for bitwise equality."""
+    nl = problem.nonlinearity
+    eps = problem.eps_viscosity
+    dx = problem.grid.dx
+    c = dt / (dx * dx)
+
+    def residual(s):
+        q = nl.kirchhoff(s)
+        if eps != 0.0:
+            q += eps * s
+        lap = np.empty_like(q)
+        np.subtract(q[1:], 2.0 * q[:-1], out=lap[:-1])
+        lap[-1] = q[0] - 2.0 * q[-1]
+        lap[1:] += q[:-1]
+        lap[0] += q[-1]
+        return s - c * lap - s_rhs, q
+
+    s = s_rhs.copy()
+    b = np.empty((s.size, 2), order="F")
+    res, q = residual(s)
+    norm = float(np.max(np.abs(res)))
+    clamps = 0
+    for it in range(crossdiff.solver.NEWTON_MAXIT):
+        if norm <= crossdiff.solver.NEWTON_TOL:
+            return s, q, it, clamps
+        slope = np.where(s < nl.s_floor, 0.0, nl.diffusivity(s))
+        delta = crossdiff.solver._solve_periodic_tridiagonal(c * (slope + eps), -res, b)
+        lam = 1.0
+        for _ in range(30):
+            trial = s + lam * delta
+            clamps += nl.clamp_count(trial) if trial.min() < nl.s_floor else 0
+            res_t, q_t = residual(trial)
+            norm_t = float(np.max(np.abs(res_t)))
+            if norm_t < norm:
+                s, res, q, norm = trial, res_t, q_t, norm_t
+                break
+            lam *= 0.5
+        else:
+            raise SolverError(
+                f"newton stalled, residual {norm:.3e} after {it + 1} iterations")
+    raise SolverError(f"newton did not converge, residual {norm:.3e}")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_newton_cases())
+def test_newton_is_bitwise_the_every_term_iteration(case):
+    """Skipping + eps at eps = 0 and the 1.0 * delta of the first trial
+    changes no bit of S, q, the iterations, the clamps or an error."""
+    prob = _newton_problem(case)
+    args = (case["s_rhs"], case["dt"], prob)
+    try:
+        s_ref, q_ref, iters_ref, clamps_ref = _every_term_implicit_diffusion(*args)
+    except SolverError as err:
+        with pytest.raises(SolverError) as info:
+            crossdiff.solver._implicit_diffusion(*args)
+        assert str(info.value) == str(err)
+        return
+    s, q, iters, clamps = crossdiff.solver._implicit_diffusion(*args)
+    assert (iters, clamps) == (iters_ref, clamps_ref)
+    assert s.tobytes() == s_ref.tobytes()
+    assert q.tobytes() == q_ref.tobytes()
 
 
 @st.composite

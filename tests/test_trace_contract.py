@@ -60,6 +60,7 @@ CONFIG = """
 n = 32
 [model]
 alpha = 0.5
+s_floor = 1.0
 [initial]
 rho_offset = 0.5
 rho_modes = 1:0.2:0
@@ -74,7 +75,7 @@ def test_traced_run_and_diagnose_record_their_spans(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    spans = {}
+    spans, stdout = {}, {}
     for command, source, out in (("run", cfg, tmp_path / "out"),
                                  ("diagnose", tmp_path / "out", tmp_path / "diag")):
         path = tmp_path / f"{command}.json"
@@ -84,9 +85,16 @@ def test_traced_run_and_diagnose_record_their_spans(tmp_path):
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         spans[command] = {s[0]: s for s in json.loads(path.read_text())}
+        stdout[command] = proc.stdout
     run_span = spans["run"]["solver.run"]
     assert run_span[4] == 0  # no Field is built while stepping
     assert run_span[5]["steps"] > 0 and run_span[5]["n_cells"] == 32
+    # an explicit run steps through its kernel, not the traced cfl_dt and
+    # advance, so the run span's counts are all the tracer sees of the steps
+    steps, clamps = re.search(r"run complete: \d+ snapshots, (\d+) steps, "
+                              r"clamp_events=(\d+),", stdout["run"]).groups()
+    assert (run_span[5]["steps"], run_span[5]["clamp_events"]) == (int(steps), int(clamps))
+    assert int(clamps) > 0  # s_floor = 1.0 lies above S = rho + mu in some cells
     assert spans["run"]["csvio.write_snapshots"][5]["bytes"] > 0
     assert spans["diagnose"]["csvio.read_snapshots"][5]["bytes"] > 0
     assert "diagnostics.build_report" in spans["diagnose"]
