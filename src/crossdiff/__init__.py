@@ -5,7 +5,7 @@ the periodic unit interval."""
 from .grid import Field, GridSpec, integrate, make_grid
 from .model import Nonlinearity, PotentialPair, ProblemSpec, build_potentials
 from .transforms import shifted_gradient, to_sum_ratio
-from .solver import SolverError, StepRecord, Trajectory, advance, cfl_dt, run
+from .solver import SolverError, StepLog, StepRecord, Trajectory, advance, cfl_dt, run
 from .diagnostics import (DiagnosticsReport, TestFunctionBank, build_report,
                           bv_norms, dissipation_beta, energy, entropy,
                           equicontinuity_moduli, lebesgue_norms,
@@ -18,7 +18,7 @@ __all__ = [
     "Field", "GridSpec", "integrate", "make_grid",
     "Nonlinearity", "PotentialPair", "ProblemSpec", "build_potentials",
     "shifted_gradient", "to_sum_ratio",
-    "SolverError", "StepRecord", "Trajectory", "advance", "cfl_dt", "run",
+    "SolverError", "StepLog", "StepRecord", "Trajectory", "advance", "cfl_dt", "run",
     "DiagnosticsReport", "TestFunctionBank", "build_report", "bv_norms",
     "dissipation_beta", "energy", "entropy", "equicontinuity_moduli",
     "lebesgue_norms", "make_test_bank", "weak_residual",

@@ -29,7 +29,7 @@ from .csvio import (read_snapshots, read_table, write_atomic, write_report_csv,
 from .diagnostics import build_report
 from .diagnostics import make_test_bank  # noqa: F401 (bench/run.py, bench/trace_cli.py)
 from .grid import make_grid
-from .solver import SolverError, Trajectory, run
+from .solver import SolverError, StepLog, Trajectory, run
 from .study import run_study
 from .svgplot import emit_plot
 
@@ -109,7 +109,7 @@ def _cmd_run(args) -> int:
     write_report_csv(report, out, cfg.precision)
     print(f"run complete: {len(traj.times)} snapshots, "
           f"{len(traj.step_log)} steps, "
-          f"clamp_events={sum(rec.clamps for rec in traj.step_log)}, "
+          f"clamp_events={int(traj.step_log.clamps.sum())}, "
           f"output in {out}")
     return EXIT_OK
 
@@ -140,8 +140,8 @@ def _cmd_diagnose(args) -> int:
         problem = replace(problem, snapshot_times=tuple(times.tolist()))
     except ValueError as err:  # the stored times break a snapshot rule
         raise ValueError(f"{traj_dir}: {err}") from None
-    report = build_report(Trajectory(problem, times, states, ()), cfg.bank_k,
-                          cfg.residuals, cfg.moduli)
+    report = build_report(Trajectory(problem, times, states, StepLog.of(StepLog.buffers())),
+                          cfg.bank_k, cfg.residuals, cfg.moduli)
     out = Path(args.out) if args.out else traj_dir / "diagnose"
     write_report_csv(report, out, cfg.precision)
     print(f"diagnose complete: {len(times)} snapshots, output in {out}")

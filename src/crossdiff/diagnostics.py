@@ -21,7 +21,9 @@ snapshots and joins the blocks' values, so its temporaries hold about 2^16
 values, not T n; the moduli and the weak residual's pressure gradient work
 by blocks too.  The residual's matmuls alone take whole (T, n) operands,
 as OpenBLAS gemv is not bitwise stable across row counts (at n = 2048,
-blocks of 16 rows differ from the whole call in the last bit).
+blocks of 16 rows differ from the whole call in the last bit), so the
+residual holds one (T, n) array, each species' flux in turn, filled block
+by block with the pressure gradient formed again for each species.
 build_report runs its independent parts on every CPU this process may use
 (`_chunks.in_chunks`) once the states hold 2^18 values, each part on all T
 rows, so the report holds the same bits on any CPU count and block size.
@@ -241,16 +243,14 @@ def weak_residual(traj: Trajectory, bank: TestFunctionBank
     w_trap = _trapezoid_weights(times)
 
     rho, mu = traj.states[:, 0], traj.states[:, 1]
-    # centered pressure gradient at cells: mean of the two interface values
-    dp_cells = np.empty_like(rho)
-    for lo, hi in _blocks(rho):
-        dp_cells[lo:hi] = cell_mean(grad(nl.pressure(rho[lo:hi] + mu[lo:hi]), dx))
-
     chis = [np.array([phi.chi(t) for t in times]) for phi in bank.phis]
-    flux = np.empty_like(dp_cells)  # each species' flux in turn
+    flux = np.empty_like(rho)  # each species' flux in turn
     rows = [None] * (2 * len(chis))  # for each test function, rho then mu
     for k, (species, dens) in enumerate((("rho", rho), ("mu", mu))):
-        np.multiply(dens, np.add(dp_cells, pot.d_cells[k], out=flux), out=flux)
+        for lo, hi in _blocks(rho):
+            # centered pressure gradient at cells: mean of the two interface values
+            dp = cell_mean(grad(nl.pressure(rho[lo:hi] + mu[lo:hi]), dx))
+            np.multiply(dens[lo:hi], np.add(dp, pot.d_cells[k], out=dp), out=flux[lo:hi])
         for j, (phi, chi_t) in enumerate(zip(bank.phis, chis)):
             space_mass = dens @ phi.x_vals * dx        # int dens X dx per time
             space_flux = flux @ phi.dx_vals * dx       # int flux X' dx per time

@@ -58,15 +58,6 @@ class Nonlinearity:
             return np.log(s)
         return -(self.alpha / (1.0 - self.alpha)) * s ** (self.alpha - 1.0)
 
-    def pressure_diffusivity(self, s):
-        """(pressure(s), diffusivity(s)) from one power evaluation; each is
-        bitwise equal to the separate call."""
-        s = self._clamped(s)
-        if self.alpha == 1.0:
-            return np.log(s), np.ones_like(s)  # alpha * s**0 is exactly 1
-        power = s ** (self.alpha - 1.0)
-        return -(self.alpha / (1.0 - self.alpha)) * power, self.alpha * power
-
     def pressure_slope(self, s):
         s = self._clamped(s)
         return self.alpha * s ** (self.alpha - 2.0)

@@ -40,7 +40,10 @@ for one step, so the explicit arithmetic exists once.  The semi-implicit
 stepper calls cfl_dt and advance once per step.  run starts from
 problem.u0 and copies each snapshot it keeps into one preallocated
 (T, 2, n) array, rho in [:, 0] and mu in [:, 1], whose rows the
-diagnostics evaluate directly.
+diagnostics evaluate directly.  It logs each step's t, dt, clamps and
+Newton iterations in four array.array buffers, 32 bytes a step, which the
+StepLog then views as read-only numpy columns without a copy; iterating
+the log builds the StepRecords only then.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import os
+from array import array
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -76,6 +80,40 @@ class StepRecord:
     newton_iters: int
 
 
+@dataclass(frozen=True, eq=False)
+class StepLog:
+    """The steps of a run as four read-only columns, one entry a step: start
+    times t and steps dt (float64), clamps and newton_iters (int64).  len()
+    counts the steps; iterating yields each step's StepRecord, of Python
+    floats and ints."""
+
+    t: np.ndarray
+    dt: np.ndarray
+    clamps: np.ndarray
+    newton_iters: np.ndarray
+
+    @staticmethod
+    def buffers() -> tuple[array, array, array, array]:
+        """Empty t, dt, clamps and newton_iters buffers to log steps in."""
+        return array("d"), array("d"), array("q"), array("q")
+
+    @classmethod
+    def of(cls, buffers: tuple[array, array, array, array]) -> StepLog:
+        """The log over filled buffers(), each viewed read-only without a
+        copy; the buffers can no longer grow."""
+        columns = [np.frombuffer(b, b.typecode) for b in buffers]
+        for column in columns:
+            column.setflags(write=False)
+        return cls(*columns)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        return map(StepRecord, self.t.tolist(), self.dt.tolist(),
+                   self.clamps.tolist(), self.newton_iters.tolist())
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Snapshot times (T,), the read-only (T, 2, n) array of the states at
@@ -84,7 +122,7 @@ class Trajectory:
     problem: ProblemSpec
     times: np.ndarray
     states: np.ndarray
-    step_log: tuple[StepRecord, ...]
+    step_log: StepLog
 
 
 def _donor(u: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -100,7 +138,7 @@ def _donor(u: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _explicit_kernel(problem: ProblemSpec):
     """The explicit step as two closures over buffers allocated once:
     velocities_dt(u) -> (dt, velocities) and transport(u, velocities, t, dt)
-    -> (u_new, StepRecord), with the problem's scalars read here, not per
+    -> (u_new, clamps), with the problem's scalars read here, not per
     step.  The velocities are the kernel's own buffer, valid until the next
     velocities_dt call.
 
@@ -160,7 +198,7 @@ def _explicit_kernel(problem: ProblemSpec):
         u_new *= dt
         u_new += u
         last, last_min = u_new, _check_positive(u_new, t + dt)
-        return u_new, StepRecord(t, dt, clamps, 0)
+        return u_new, clamps
 
     return velocities_dt, transport
 
@@ -317,7 +355,8 @@ def advance(u: np.ndarray, velocities: np.ndarray, t: float, dt: float,
     and the StepRecord.  On the explicit stepper this is the per-run
     kernel's transport, built for one step."""
     if problem.stepper == "explicit":
-        return _explicit_kernel(problem)[1](u, velocities, t, dt)
+        u_new, clamps = _explicit_kernel(problem)[1](u, velocities, t, dt)
+        return u_new, StepRecord(t, dt, clamps, 0)
     if dt <= 0.0:
         raise SolverError(f"nonpositive dt {dt}")
     u_new, clamps, iters = _semi_implicit_update(u, velocities, t + dt, dt, problem)
@@ -327,19 +366,24 @@ def advance(u: np.ndarray, velocities: np.ndarray, t: float, dt: float,
 def run(problem: ProblemSpec) -> Trajectory:
     """Integrate from t = 0 to t_final with adaptive CFL steps, truncating
     dt to land exactly on every snapshot time (never interpolating)."""
-    if problem.stepper == "explicit":
+    buffers = StepLog.buffers()
+    log_t, log_dt, log_clamps = (b.append for b in buffers[:3])
+    iters = buffers[3]
+    explicit = problem.stepper == "explicit"
+    if explicit:
         velocities_dt, step = _explicit_kernel(problem)
     else:  # looked up at every step, so a wrapper of either (the tracer's) sees each
         def velocities_dt(u):
             return cfl_dt(u, problem)
 
         def step(u, velocities, t, dt):
-            return advance(u, velocities, t, dt, problem)
+            u_new, rec = advance(u, velocities, t, dt, problem)
+            iters.append(rec.newton_iters)
+            return u_new, rec.clamps
     t, u = 0.0, problem.u0
     times = np.zeros(len(problem.snapshot_times))
     states = np.empty((times.size, 2, problem.grid.n_cells))
     states[0] = u
-    log: list[StepRecord] = []
     for j, target in enumerate(problem.snapshot_times[1:], 1):
         while t < target:
             remaining = target - t
@@ -348,13 +392,17 @@ def run(problem: ProblemSpec) -> Trajectory:
             if landing:
                 dt = remaining
             try:
-                u, rec = step(u, velocities, t, dt)
+                u, clamps = step(u, velocities, t, dt)
             except SolverError as err:
                 raise SolverError(f"{err} (while integrating to t={target:.6g})") from err
-            log.append(rec)
+            log_t(t)
+            log_dt(dt)
+            log_clamps(clamps)
             t = target if landing else t + dt
         times[j] = t
         states[j] = u
+    if explicit:  # no Newton iterations
+        iters.frombytes(bytes(iters.itemsize * len(buffers[0])))
     times.setflags(write=False)
     states.setflags(write=False)
-    return Trajectory(problem, times, states, tuple(log))
+    return Trajectory(problem, times, states, StepLog.of(buffers))

@@ -55,7 +55,7 @@ def _entropy_energy_budget(traj, quantity):
     rep = cd.build_report(traj, residuals=False, moduli=False)
     vals = getattr(rep, quantity)
     times = rep.times
-    dt_max = max(rec.dt for rec in traj.step_log)
+    dt_max = float(traj.step_log.dt.max())
     budget = dt_max + problem.grid.dx
     c_measured = -np.inf
     for j in range(len(times) - 1):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import crossdiff as cd
 from crossdiff import _chunks, diagnostics
 from crossdiff.diagnostics import SCALAR_COLUMNS, diss_entropy_rate, make_test_bank
+from crossdiff.grid import cell_mean, grad
 from crossdiff.solver import Trajectory
 
 from scenarios import fast_problem, heat_problem, stationary_problem
@@ -307,6 +308,89 @@ def test_weak_residual_refinement():
     assert 1.5 <= res[64] / res[128] <= 4.0
 
 
+def _two_array_weak_residual(traj, bank):
+    """weak_residual as it was with the whole (T, n) cell pressure gradient
+    beside the flux; kept as the oracle for bitwise equality."""
+    times = traj.times
+    problem = traj.problem
+    nl, pot = problem.nonlinearity, problem.potentials
+    dx = problem.grid.dx
+    w_trap = diagnostics._trapezoid_weights(times)
+    rho, mu = traj.states[:, 0], traj.states[:, 1]
+    dp_cells = np.empty_like(rho)
+    for lo, hi in diagnostics._blocks(rho):
+        dp_cells[lo:hi] = cell_mean(grad(nl.pressure(rho[lo:hi] + mu[lo:hi]), dx))
+    chis = [np.array([phi.chi(t) for t in times]) for phi in bank.phis]
+    flux = np.empty_like(dp_cells)
+    rows = [None] * (2 * len(chis))
+    for k, (species, dens) in enumerate((("rho", rho), ("mu", mu))):
+        np.multiply(dens, np.add(dp_cells, pot.d_cells[k], out=flux), out=flux)
+        for j, (phi, chi_t) in enumerate(zip(bank.phis, chis)):
+            space_mass = dens @ phi.x_vals * dx
+            space_flux = flux @ phi.dx_vals * dx
+            dchi = np.diff(chi_t)
+            dt_term = -float(np.sum(0.5 * (space_mass[:-1] + space_mass[1:]) * dchi))
+            flux_term = float(np.sum(w_trap * chi_t * space_flux))
+            init_term = float(space_mass[0] * chi_t[0])
+            rows[2 * j + k] = (phi.phi_id, species, dt_term + flux_term - init_term)
+    return rows, max(abs(r[2]) for r in rows)
+
+
+@st.composite
+def _residual_cases(draw):
+    n_times, n = draw(st.integers(2, 40)), draw(st.integers(4, 96))
+    alpha = draw(st.sampled_from((1.0, 0.5)) | st.floats(0.01, 1.0))
+    coef = st.floats(-3.0, 3.0, allow_subnormal=False)
+    modes = st.lists(st.tuples(st.integers(0, n // 4), coef, coef), max_size=3)
+    times = np.cumsum(np.concatenate(([0.0], draw(st.lists(
+        st.floats(1e-3, 1.0), min_size=n_times - 1, max_size=n_times - 1)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return dict(alpha=alpha, modes_V=draw(modes), modes_W=draw(modes), times=times,
+                states=10.0 ** rng.uniform(-2.0, 1.0, (n_times, 2, n)),
+                k_max=draw(st.integers(0, n // 4)),
+                block_rows=draw(st.integers(1, n_times + 1)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_residual_cases())
+def test_weak_residual_bitwise_equals_two_array_reference(case):
+    times, states = case["times"], case["states"]
+    n = states.shape[-1]
+    g = cd.make_grid(n)
+    prob = cd.ProblemSpec(
+        grid=g, nonlinearity=cd.Nonlinearity(case["alpha"]),
+        potentials=cd.build_potentials(case["modes_V"], case["modes_W"], g),
+        u0=states[0], t_final=float(times[-1]), snapshot_times=tuple(times.tolist()))
+    traj = Trajectory(prob, times, states, ())
+    bank = make_test_bank(g, prob.t_final, case["k_max"])
+    with pytest.MonkeyPatch.context() as mp:  # blocks that need not divide T
+        mp.setattr(diagnostics, "_BLOCK_VALUES", case["block_rows"] * n)
+        rows, res_max = cd.weak_residual(traj, bank)
+        want_rows, want_max = _two_array_weak_residual(traj, bank)
+    assert [(*r[:2], _bits(r.residual)) for r in rows] == [
+        (*r[:2], _bits(r[2])) for r in want_rows]
+    assert _bits(res_max) == _bits(want_max)
+
+
+def test_weak_residual_peak_memory_is_one_flux_array():
+    # the flux, filled block by block, is the one (T, n) array it holds; a
+    # whole cell pressure gradient beside it held 2 T n values
+    n, snaps = 2048, 512  # T n = 2^20 values, blocks of 32 rows
+    prob = _standing_problem(n)
+    states = 1.0 + 0.5 * np.random.default_rng(1).random((snaps, 2, n))
+    traj = Trajectory(prob, np.linspace(0.0, 1.0, snaps), states, ())
+    bank = make_test_bank(prob.grid, 1.0, k_max=8)
+    assert len(diagnostics._blocks(states[:, 0])) > 1
+    tracemalloc.start()
+    try:
+        rows, _ = cd.weak_residual(traj, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2 * len(bank.phis)
+    assert peak < 1.6 * snaps * n * 8, peak / (snaps * n * 8)
+
+
 def test_bank_validation():
     g = cd.make_grid(16)
     with pytest.raises(ValueError, match="n/4"):
@@ -460,7 +544,7 @@ def test_report_is_bitwise_the_same_for_any_block_size():
 
 def test_report_peak_memory_stays_near_the_states_size(monkeypatch):
     # every part but the weak residual works on blocks of rows; the residual
-    # holds two whole (T, n) arrays, states.nbytes together, and little more
+    # holds one whole (T, n) flux, half of states.nbytes, and little more
     monkeypatch.setattr(diagnostics, "_FORK_MIN_VALUES", 2**62)  # serial: one process
     n, snaps = 2048, 401
     prob = _standing_problem(n)

@@ -244,13 +244,3 @@ def test_problem_spec_rejects_nan_snapshot_time(times, message):
         cd.ProblemSpec(grid=g, nonlinearity=cd.Nonlinearity(1.0),
                        potentials=cd.build_potentials([], [], g), u0=np.ones((2, 16)),
                        t_final=1.0, snapshot_times=times)
-
-
-@pytest.mark.parametrize("alpha", (0.01, 0.3, 0.5, 0.999, 1.0))
-def test_pressure_diffusivity_equals_separate_calls_bitwise(alpha):
-    nl = cd.Nonlinearity(alpha, s_floor=1e-3)
-    s = np.random.default_rng(4).uniform(0.0, 5.0, 257)
-    s[:3] = (0.0, 1e-6, 1e-3)  # clamped, clamped, at the floor
-    pressure, diffusivity = nl.pressure_diffusivity(s)
-    assert pressure.tobytes() == nl.pressure(s).tobytes()
-    assert diffusivity.tobytes() == nl.diffusivity(s).tobytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -375,7 +376,11 @@ def _assert_run_is_hand_stepping(prob):
     traj = cd.run(prob)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
-    assert traj.step_log == log
+    for name in ("t", "dt", "clamps", "newton_iters"):
+        got = getattr(traj.step_log, name)
+        want = np.array([getattr(rec, name) for rec in log], dtype=got.dtype)
+        assert got.tobytes() == want.tobytes(), name
+    assert tuple(traj.step_log) == log
     return log
 
 
@@ -385,6 +390,24 @@ def test_hand_stepping_reproduces_run(make, stepper):
     """The public cfl_dt/advance pair, with dt truncated at each snapshot
     time, is exactly what run does."""
     assert _assert_run_is_hand_stepping(dataclasses.replace(make(64), stepper=stepper))
+
+
+def test_step_log_retains_at_most_40_bytes_a_step():
+    # four 8-byte columns and their buffers' slack; one StepRecord object a
+    # step held about 200 bytes
+    prob = heat_problem(128, snaps=3)
+    cd.run(prob)  # lazy imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        traj = cd.run(prob)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    steps = len(traj.step_log)
+    assert steps > 3000
+    retained -= traj.states.nbytes + traj.times.nbytes
+    assert retained <= 40 * steps, retained / steps
+    assert not any(column.flags.writeable for column in vars(traj.step_log).values())
 
 
 @st.composite

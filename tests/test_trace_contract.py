@@ -53,6 +53,7 @@ def test_trajectory_counts_match_the_run():
                       "clamp_events": sum(r.clamps for r in traj.step_log),
                       "n_cells": 32}
     assert counts["steps"] > 0 and counts["newton_iters"] >= counts["steps"]
+    json.dumps(counts)  # as the tracer writes its spans: no numpy scalar in the log
 
 
 CONFIG = """
