@@ -394,7 +394,7 @@ def test_hand_stepping_reproduces_run(make, stepper):
 
 def test_step_log_retains_at_most_40_bytes_a_step():
     # four 8-byte columns and their buffers' slack; one StepRecord object a
-    # step held about 200 bytes
+    # step held about 160 bytes
     prob = heat_problem(128, snaps=3)
     cd.run(prob)  # lazy imports and caches stay out of the count
     tracemalloc.start()
