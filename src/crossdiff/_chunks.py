@@ -2,22 +2,24 @@
 
 in_chunks(work, weights) cuts the items 0..len(weights)-1 into contiguous
 chunks, one per usable CPU at most, so that the heaviest chunk (by the sum
-of its items' weights) is as light as possible; no chunk is empty.  The
-parent runs work(lo, hi) on the first chunk and a forked child each other
-one.  Children see the parent's data through fork; each sends back its
-chunk's return value, or its exception, pickled through a pipe.  Every
-child is reaped before in_chunks returns or raises, and the error raised
-is the earliest failing chunk's, so a caller whose work stops at its
-first failing item fails on the same item as a sequential loop would.
-When the parent's own chunk fails, its error is that earliest one, so the
-children are stopped with SIGTERM, which a child raises as SystemExit
-(its `finally` and `except BaseException` cleanup still runs), before
-they are reaped.  A child that ends without sending its result raises a
-RuntimeError naming the work.  With one CPU, or without os.fork, the
-parent runs the only chunk.  So does a call made while this process runs a
-chunk, in the parent or in a forked child: it runs work(0, len(weights))
-in place, so nested parallel work (a study level's report) forks no
-grandchildren and takes no more CPUs than the outer call shares out.
+of its items' weights) is as light as possible; no chunk is empty.  Each
+chunk is filled up to that least heaviest weight from the last item back,
+so only the first chunk can be lighter.  The parent runs work(lo, hi) on
+the first chunk and a forked child each other one.  Children see the
+parent's data through fork; each sends back its chunk's return value, or
+its exception, pickled through a pipe.  Every child is reaped before
+in_chunks returns or raises, and the error raised is the earliest failing
+chunk's, so a caller whose work stops at its first failing item fails on
+the same item as a sequential loop would.  When the parent's own chunk
+fails, its error is that earliest one, so the children are stopped with
+SIGTERM, which a child raises as SystemExit (its `finally` and `except
+BaseException` cleanup still runs), before they are reaped.  A child that
+ends without sending its result raises a RuntimeError naming the work.
+With one CPU, or without os.fork, the parent runs the only chunk.  So does
+a call made while this process runs a chunk, in the parent or in a forked
+child: it runs work(0, len(weights)) in place, so nested parallel work (a
+study level's report) forks no grandchildren and takes no more CPUs than
+the outer call shares out.
 
 The only threads the parent may have are OpenBLAS's pool, which OpenBLAS
 stops before a fork with its pthread_atfork handler, so children may call
@@ -40,41 +42,23 @@ _in_chunk = False  # this process is running a chunk of an in_chunks call
 def chunk_bounds(weights: Sequence[int], chunks: int) -> list[int]:
     """Cut points lo_0 = 0 < lo_1 < ... < len(weights) of at most `chunks`
     contiguous chunks with the smallest possible heaviest chunk, for one
-    or more positive integer weights.  Each cut is the last item boundary
-    at or before its share k/chunks of the total weight, moved only as far
-    as that heaviest-chunk bound needs, and cuts that meet are merged.  So
-    equal weights give the cuts count * k // chunks."""
-    count = len(weights)
-    chunks = max(1, min(chunks, count))
+    or more positive integer weights: the least cap on a chunk's weight
+    that `chunks` chunks can keep to, with each chunk filled up to it from
+    the last item back, so only the first chunk (the parent's) can be
+    lighter than the cap."""
     prefix = list(itertools.accumulate(weights, initial=0))
-    total = prefix[-1]
 
-    def reach(lo: int, cap: int) -> int:  # the furthest end of a chunk from lo
-        return bisect.bisect_right(prefix, prefix[lo] + cap) - 1
+    def fill(cap: int) -> list[int]:  # greedy from the end: the fewest chunks of at most cap
+        bounds = [len(weights)]
+        while bounds[-1] > 0:
+            bounds.append(bisect.bisect_left(prefix, prefix[bounds[-1]] - cap))
+        return bounds[::-1]
 
-    def fits(cap: int) -> bool:  # greedy: `chunks` chunks of at most cap cover all
-        lo = 0
-        for _ in range(chunks):
-            lo = reach(lo, cap)
-        return lo == count
-
-    lo, hi = max(weights), total  # bisect for the least cap that fits
+    lo, hi = max(weights), prefix[-1]  # bisect for the least cap that fits
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
-    cap = lo
-    # least[j]: the first item from which j chunks of at most cap reach the end
-    least = [count]
-    while least[-1] > 0:
-        least.append(bisect.bisect_left(prefix, prefix[least[-1]] - cap))
-    scaled = [p * chunks for p in prefix]
-    bounds = [0]
-    for k in range(1, chunks):
-        share = bisect.bisect_right(scaled, total * k) - 1
-        floor = least[chunks - k] if chunks - k < len(least) else 0
-        bounds.append(min(max(share, floor), reach(bounds[-1], cap)))
-    bounds.append(count)
-    return sorted(set(bounds))
+        lo, hi = (lo, mid) if len(fill(mid)) <= chunks + 1 else (mid + 1, hi)
+    return fill(lo)
 
 
 def in_chunks(work: Callable[[int, int], object], weights: Sequence[int]) -> list:

@@ -13,15 +13,16 @@ reads what only `float` accepts (`1_0`, Unicode digits).
 
 Snapshot files are independent, so write_snapshots and read_snapshots
 split them in time order over every CPU this process may use with
-`_chunks.in_chunks`, each file of weight 1 (so the cuts are count * k //
-chunks): the first chunk in this process and each other in an `os.fork`
-child.  Children see the trajectory through fork, and readers parse
-straight into a (T, 2, n) array over one shared mmap, so a child sends
-back nothing but its error.  Each chunk stops at its first failing file,
-and the earliest failing chunk's error is raised once every child is
-reaped: a read fails on the first bad file in time order, as a sequential
-reader would.  Each snapshot is formatted and written on its own, so a
-trajectory's text is never held in memory whole.
+`_chunks.in_chunks`, each file of weight 1 (so every chunk but the first,
+which may be smaller, holds ceil(count / CPUs) files): the first chunk in
+this process and each other in an `os.fork` child.  Children see the
+trajectory through fork, and readers parse straight into a (T, 2, n) array
+over one shared mmap, so a child sends back nothing but its error.  Each
+chunk stops at its first failing file, and the earliest failing chunk's
+error is raised once every child is reaped: a read fails on the first bad
+file in time order, as a sequential reader would.  Each snapshot is
+formatted and written on its own, so a trajectory's text is never held in
+memory whole.
 
 Files are written to a temporary file and atomically renamed into place; a
 failed write removes its temporary file, so no partial table is left

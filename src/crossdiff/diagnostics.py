@@ -154,7 +154,7 @@ def diss_entropy_rate(rho: np.ndarray, mu: np.ndarray, problem: ProblemSpec
 # weak-form residuals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiSpec:
     phi_id: str
     x_vals: np.ndarray    # spatial factor at cell centers
@@ -334,7 +334,7 @@ _MODULI_FIELDS = ("omega_space_h", "omega_space_rho", "omega_space_mu",
                  "omega_time_k", "omega_time_rho", "omega_time_mu")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagnosticsReport:
     times: np.ndarray
     mass_rho: np.ndarray

@@ -51,7 +51,7 @@ def make_grid(n_cells: int) -> GridSpec:
     return GridSpec(int(n_cells))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Cell-averaged (or interface-located) scalar field on a GridSpec.
 

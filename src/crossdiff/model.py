@@ -101,7 +101,7 @@ def check_modes(modes, grid: GridSpec, name: str) -> tuple[Mode, ...]:
     return checked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialPair:
     """Two potentials given by finite trigonometric sums, with exact value
     and derivative tables.  Each table is one read-only (2, n) array, V in
@@ -195,7 +195,7 @@ def check_time(t_final: float, snapshot_times, stepper: str, cfl_safety: float,
     return ts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A complete, validated problem: grid, model data, the initial state
     u0 = [rho0; mu0] checked by check_initial, horizon and stepper policy,

@@ -114,7 +114,7 @@ class StepLog:
                    self.clamps.tolist(), self.newton_iters.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Snapshot times (T,), the read-only (T, 2, n) array of the states at
     those times (rho in [:, 0], mu in [:, 1]) and the log of the steps."""
@@ -388,6 +388,9 @@ def run(problem: ProblemSpec) -> Trajectory:
         while t < target:
             remaining = target - t
             dt, velocities = velocities_dt(u)
+            if target - dt == target:  # also dt = 0: steps of dt never reach the target
+                raise SolverError(f"CFL step dt={dt:.6g} cannot move t toward t={target:.6g} "
+                                  f"(cfl_safety = {problem.cfl_safety!r})")
             landing = dt >= remaining
             if landing:
                 dt = remaining

@@ -4,8 +4,8 @@ config.build_plan builds them), then tabulate uniformity of the bounded
 functionals, L1-Cauchy differences between consecutive levels, and
 convergence-rate fits.
 
-The levels are independent until they are compared, so run_study runs
-them over every CPU this process may use with `_chunks.in_chunks`: a
+The levels are independent until they are compared, so run_study runs them
+over every CPU this process may use with `_chunks.in_chunks`: at most one
 chunk of consecutive levels per CPU, level l weighted n_l^2, the first
 chunk in this process and each other in an `os.fork` child.  A chunk
 integrates and diagnoses its levels and sends back each level's times,

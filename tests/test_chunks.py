@@ -19,11 +19,21 @@ def test_chunk_bounds_put_the_heaviest_level_alone():
     for cpus in (2, 3, 8):
         assert chunk_bounds([1, 4, 16, 64], cpus) == [0, 3, 4]
     assert chunk_bounds([1, 4, 16, 64], 1) == [0, 4]
+    # the benchmark's snapshot files, and the report's parts (bv, moduli,
+    # residuals, lebesgue, scalars) as the moduli and residuals flags leave them
+    for weights, cut in (([1] * 21, 10), ([1] * 401, 200), ([4, 9, 5, 2, 4], 2),
+                         ([4, 9, 2, 4], 2), ([4, 5, 2, 4], 2), ([4, 2, 4], 1)):
+        assert chunk_bounds(weights, 2) == [0, cut, len(weights)]
+        assert chunk_bounds(weights, 1) == [0, len(weights)]
 
 
 def test_equal_weights_give_equal_count_chunks():
-    for cpus in (1, 2, 3, 64):
-        assert chunk_bounds([1] * 401, cpus) == [401 * k // cpus for k in range(cpus + 1)]
+    # every chunk but the first holds the least feasible count, ceil(401 / cpus)
+    assert chunk_bounds([1] * 401, 1) == [0, 401]
+    assert chunk_bounds([1] * 401, 2) == [0, 200, 401]
+    assert chunk_bounds([1] * 401, 3) == [0, 133, 267, 401]
+    # 64 CPUs: 57 chunks of 7 files after a first chunk of 2
+    assert chunk_bounds([1] * 401, 64) == [0, *range(2, 402, 7)]
     assert chunk_bounds([1] * 3, 8) == [0, 1, 2, 3]
     assert chunk_bounds([7], 1) == chunk_bounds([7], 8) == [0, 1]
 
@@ -49,7 +59,7 @@ def test_in_chunks_returns_every_chunk_in_order(monkeypatch):
     # each child's result is larger than a pipe's buffer
     results = in_chunks(lambda lo, hi: (lo, hi, os.getpid() == parent, bytes(200_000)),
                         [1] * 7)
-    assert [r[:3] for r in results] == [(0, 2, True), (2, 4, False), (4, 7, False)]
+    assert [r[:3] for r in results] == [(0, 1, True), (1, 4, False), (4, 7, False)]
     assert all(r[3] == bytes(200_000) for r in results)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1060,13 +1060,17 @@ def test_a_failing_first_chunk_stops_the_others_and_leaves_no_temporary_file(
     traj = crossdiff.run(build_problem(parse_config(FAST)))
     out = tmp_path / "o"
     (out / csvio.snapshot_filename(traj.times[0])).mkdir(parents=True)
-    child_tmp = out / (csvio.snapshot_filename(traj.times[2]) + ".tmp")  # chunks 0-1, 2-4
+    child_first = _chunks.chunk_bounds([1] * len(traj.times), 2)[1]
+    child_tmp = out / (csvio.snapshot_filename(traj.times[child_first]) + ".tmp")
     parent, replace = os.getpid(), os.replace
 
     def slow_in_child(src, dst):
         if os.getpid() != parent:
             time.sleep(60)
+        deadline = time.monotonic() + 20
         while not child_tmp.exists():
+            if time.monotonic() > deadline:
+                pytest.fail(f"the child never wrote {child_tmp.name}")
             time.sleep(0.01)
         replace(src, dst)
 
@@ -1248,6 +1252,21 @@ def test_main_io_error_exit_code(tmp_path, capsys):
     code = main(["run", cfg, "--out", str(blocker)])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: 4:")
+
+
+@pytest.mark.parametrize("alpha", ("0.001", "0.5"))
+def test_a_cfl_step_that_cannot_move_time_exits_3(tmp_path, alpha):
+    # at cfl_safety = 5e-324 the CFL step is 0 (alpha = 0.5) or too small to
+    # change t (alpha = 0.001, which used to step without end)
+    text = (MINIMAL.replace("n = 128", "n = 16").replace("alpha = 1.0", f"alpha = {alpha}")
+            .replace("t_final = 0.05", "t_final = 1e-13\ncfl_safety = 5e-324"))
+    env = dict(os.environ, PYTHONPATH=str(Path(crossdiff.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossdiff.cli", "run", _write_cfg(tmp_path, text),
+         "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: 3: CFL step dt=")
+    assert "cannot move t toward t=1e-14 (cfl_safety = 5e-324)" in proc.stderr
 
 
 def test_output_toggles(tmp_path):

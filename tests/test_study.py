@@ -100,6 +100,24 @@ def test_stationary_study_is_flat():
     assert max(masses) - min(masses) <= 1e-13
 
 
+def test_equality_of_array_holders_is_identity():
+    # dataclasses that hold arrays compare by identity, so == gives a bool
+    # (a field-wise == would ask an array for its truth value and raise)
+    problem = heat_problem(16, snaps=3)
+    traj = cd.run(problem)
+    assert (problem == heat_problem(16, snaps=3)) is False
+    assert (traj == cd.run(problem)) is False and (traj == traj) is True
+    assert (problem.potentials == replace(problem.potentials)) is False
+    assert (cd.Field.constant(problem.grid, 1.0) == cd.Field.constant(problem.grid, 1.0)) is False
+    phis = cd.make_test_bank(problem.grid, problem.t_final, 1).phis
+    assert (phis[0] == replace(phis[0])) is False
+    assert (cd.build_report(traj) == cd.build_report(traj)) is False
+    plan = cd.StudyPlan((problem, heat_problem(32, snaps=3)))
+    assert plan == replace(plan) and plan != cd.StudyPlan((problem, heat_problem(32, snaps=3)))
+    report = cd.run_study(plan)
+    assert report == replace(report) and report != cd.run_study(plan)
+
+
 def test_heat_study_cauchy_and_rates():
     plan = cd.StudyPlan(tuple(heat_problem(32 * 2**level, snaps=65) for level in range(4)))
     rep = cd.run_study(plan, reference=lambda t, x: 0.5 * heat_reference(t, x))
