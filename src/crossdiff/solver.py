@@ -34,7 +34,11 @@ advance(u, velocities, t, dt, problem) transports with them.  On the
 explicit stepper run builds that pair once per run as one kernel
 (_explicit_kernel): two closures over working arrays allocated once, with
 the problem's scalars read once, so a step goes through no layer of the
-model or the grid and allocates little more than its new state.  The
+model or the grid and, at eps = 0, allocates no array: each new state goes
+into one of two buffers that the steps alternate, so a state the kernel
+returned stays valid until the step after next.  Every max and min of a
+step, explicit or semi-implicit, is a.item(a.argmax()) or
+a.item(a.argmin()) (see _explicit_kernel).  The
 public cfl_dt and advance on an explicit problem are the same kernel built
 for one step, so the explicit arithmetic exists once.  The semi-implicit
 stepper calls cfl_dt and advance once per step.  run starts from
@@ -63,9 +67,6 @@ from .model import ProblemSpec
 NEWTON_TOL = 1e-11
 NEWTON_MAXIT = 50
 _VEL_FLOOR = 1e-30  # guards the advective CFL division
-# ndarray.max() and .min() without their method wrapper: the same reduction,
-# about 0.2 us less per call, which the explicit kernel makes four times a step
-_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 class SolverError(RuntimeError):
@@ -140,24 +141,40 @@ def _explicit_kernel(problem: ProblemSpec):
     velocities_dt(u) -> (dt, velocities) and transport(u, velocities, t, dt)
     -> (u_new, clamps), with the problem's scalars read here, not per
     step.  The velocities are the kernel's own buffer, valid until the next
-    velocities_dt call.
+    velocities_dt call.  transport writes u_new into whichever of two state
+    buffers u is not, so the buffers alternate and a state it returned
+    stays valid until the step after next.  At eps = 0 a step allocates no
+    array.
 
     The arithmetic is cfl_dt's and advance's, bit for bit: the diffusive
     bound takes alpha * max(power), which rounding (monotone) makes equal to
-    max(alpha * power); the donor flux is the product with the shifted u,
-    overwritten by u * a where a < 0.  The minimum of the state that
-    transport returns, found by its positivity check, is reused as the next
-    call's `u.min() < s_floor` clamp test when that same state comes back,
-    and it skips clamping S up to s_floor when no density lies below it."""
+    max(alpha * power); the donor is the shifted u with u copied in where
+    a < 0, and the flux their product with a; the flux sits in [:, 1:] of
+    an (2, n + 1) buffer whose column 0 repeats its last one, so the
+    divergence is one subtraction.  Every max and min is
+    a.item(a.argmax()) or a.item(a.argmin()): the reduction's value (the
+    first NaN if there is one) for less call overhead.  Which of two signed
+    zeros it picks never matters: |a| and the power are >= +0, and a zero
+    minimum fails positivity either way.  The minimum of the state
+    that transport returns, found by its positivity check, is reused as
+    the next call's `u.min() < s_floor` clamp test when that same state
+    comes back, and it skips clamping S up to s_floor when no density lies
+    below it."""
     n, dx, eps = problem.grid.n_cells, problem.grid.dx, problem.eps_viscosity
     nl, drift, safety = problem.nonlinearity, problem.potentials.drift, problem.cfl_safety
     alpha, s_floor = nl.alpha, nl.s_floor
     exponent = alpha - 1.0
     scale = -(alpha / (1.0 - alpha)) if alpha != 1.0 else 1.0
     s, grad_p = np.empty(n), np.empty(n)
-    velocities, speed, flux = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
-    padded = np.empty((2, n + 1))  # u with its first column repeated at the end
+    s_next, s_here, grad_head = s[1:], s[:-1], grad_p[:-1]
+    velocities, speed = np.empty((2, n)), np.empty((2, n))
+    (v_drift, w_drift), (rho_velocity, mu_velocity) = drift, velocities
+    padded = np.empty((2, n + 1))  # u, then its first column again; [:, 1:] the donor
+    head, tail, donor = padded[:, :-1], padded[:, -1:], padded[:, 1:]
+    flux = np.empty((2, n + 1))  # the interface fluxes in [:, 1:], the last again in [:, 0]
+    first, last_face, faces, behind = flux[:, :1], flux[:, -1:], flux[:, 1:], flux[:, :-1]
     downwind = np.empty((2, n), dtype=bool)
+    state_a, state_b = np.empty((2, n)), np.empty((2, n))
     last = None  # the state transport returned last, and its minimum
     last_min = 0.0
 
@@ -170,31 +187,35 @@ def _explicit_kernel(problem: ProblemSpec):
             diff_max = 1.0 + eps
         else:
             np.power(s, exponent, out=s)
-            diff_max = alpha * float(_max(s)) + eps
+            diff_max = alpha * s.item(s.argmax()) + eps
             np.multiply(s, scale, out=s)
-        np.subtract(s[1:], s[:-1], out=grad_p[:-1])
+        np.subtract(s_next, s_here, out=grad_head)
         grad_p[-1] = s[0] - s[-1]
         np.divide(grad_p, dx, out=grad_p)
-        np.add(grad_p, drift, out=velocities)
+        np.add(grad_p, v_drift, out=rho_velocity)  # row by row: no broadcast buffer
+        np.add(grad_p, w_drift, out=mu_velocity)
         np.abs(velocities, out=speed)
-        dt = dx / max(_max(speed, None), _VEL_FLOOR)
+        dt = dx / max(speed.item(speed.argmax()), _VEL_FLOOR)
         return safety * min(dt, dx * dx / (2.0 * diff_max)), velocities
 
     def transport(u, a, t, dt):
         nonlocal last, last_min
         if dt <= 0.0:
             raise SolverError(f"nonpositive dt {dt}")
-        u_min = last_min if u is last else _min(u, None)
+        u_min = last_min if u is last else u.item(u.argmin())
         # rho + mu < s_floor needs a density below s_floor, so S is formed only then
         clamps = nl.clamp_count(u[0] + u[1]) if u_min < s_floor else 0
-        padded[:, :-1] = u
-        padded[:, -1] = u[:, 0]
-        np.multiply(padded[:, 1:], a, out=flux)
+        np.copyto(head, u)
+        np.copyto(tail, u[:, :1])
         np.less(a, 0.0, out=downwind)
-        np.multiply(u, a, out=flux, where=downwind)
+        np.copyto(donor, u, where=downwind)
+        np.multiply(donor, a, out=faces)
         if eps != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of u
-            np.add(flux, eps * grad(u, dx), out=flux)
-        u_new = div(flux, dx)
+            np.add(faces, eps * grad(u, dx), out=faces)
+        np.copyto(first, last_face)
+        u_new = state_b if u is state_a else state_a
+        np.subtract(faces, behind, out=u_new)
+        u_new /= dx
         u_new *= dt
         u_new += u
         last, last_min = u_new, _check_positive(u_new, t + dt)
@@ -220,8 +241,8 @@ def cfl_dt(u: np.ndarray, problem: ProblemSpec) -> tuple[float, np.ndarray]:
 
 def _check_positive(u: np.ndarray, t: float) -> float:
     """u.min() if every value of u is finite and positive; else SolverError."""
-    u_min = _min(u, None)
-    if u_min > 0.0 and _max(u, None) < np.inf:  # NaN fails both: bad data goes on
+    u_min = u.item(u.argmin())
+    if u_min > 0.0 and u.item(u.argmax()) < np.inf:  # NaN fails both: bad data goes on
         return u_min
     for v, name in zip(u, ("rho", "mu")):
         if not np.all(np.isfinite(v)):
@@ -297,12 +318,13 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
         lap[-1] = q[0] - 2.0 * q[-1]
         lap[1:] += q[:-1]
         lap[0] += q[-1]
-        return s - c * lap - s_rhs, q
+        res = s - c * lap - s_rhs
+        size = np.abs(res)
+        return res, q, size.item(size.argmax())  # max |res|, NaN if res holds one
 
     s = s_rhs.copy()
     b = np.empty((s.size, 2), order="F")  # the solves' right-hand sides
-    res, q = residual(s)
-    norm = float(np.max(np.abs(res)))
+    res, q, norm = residual(s)
     clamps = 0
     for it in range(NEWTON_MAXIT):
         if norm <= NEWTON_TOL:
@@ -314,9 +336,8 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
         lam = 1.0
         for _ in range(30):
             trial = s + delta if lam == 1.0 else s + lam * delta  # 1.0 * delta is delta
-            clamps += nl.clamp_count(trial) if trial.min() < nl.s_floor else 0
-            res_t, q_t = residual(trial)
-            norm_t = float(np.max(np.abs(res_t)))
+            clamps += nl.clamp_count(trial) if trial.item(trial.argmin()) < nl.s_floor else 0
+            res_t, q_t, norm_t = residual(trial)
             if norm_t < norm:
                 s, res, q, norm = trial, res_t, q_t, norm_t
                 break

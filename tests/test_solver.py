@@ -482,9 +482,44 @@ def test_positivity_check_accepts_extreme_positive_values():
     crossdiff.solver._check_positive(np.stack((v, v)), 0.0)
 
 
-def _reference_explicit_step(rho, mu, t, prob):
+@pytest.mark.parametrize("row, name", [(0, "rho"), (1, "mu")])
+@pytest.mark.parametrize("bad, message", [
+    ((np.nan, np.inf, -np.inf), "positivity violated: non-finite {} at t=0.25"),
+    ((-np.inf, np.nan, np.inf), "positivity violated: non-finite {} at t=0.25"),
+    ((np.inf, 0.0, np.nan), "positivity violated: non-finite {} at t=0.25"),
+    ((np.inf, np.inf, np.inf), "positivity violated: non-finite {} at t=0.25"),
+    ((-0.0, 0.0, -1.0), "positivity violated: {} at cell 3, t=0.25"),
+    ((5e-324, -5e-324, -np.finfo(float).max), "positivity violated: {} at cell 5, t=0.25"),
+])
+def test_positivity_check_messages_for_mixed_values_in_either_row(bad, message, row, name):
+    """The index reductions find the same failures as whole-array min and
+    max: NaN and +-inf sharing one row, and a row of mu that is bad while
+    rho is good."""
+    u = np.ones((2, 16))
+    u[row, [3, 5, 7]] = bad
+    with pytest.raises(SolverError) as info:
+        crossdiff.solver._check_positive(u, 0.25)
+    assert str(info.value) == message.format(name)
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=np.finfo(float).max)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda m: st.lists(_POSITIVE, min_size=2 * m, max_size=2 * m)))
+@example([5e-324, np.finfo(float).max])
+@example([np.finfo(float).max, 5e-324, 1.0, 5e-324])
+def test_positivity_check_returns_the_minimum_bitwise(values):
+    u = np.array(values).reshape(2, -1)
+    got = crossdiff.solver._check_positive(u, 0.0)
+    assert np.float64(got).tobytes() == np.minimum.reduce(u, None).tobytes()
+
+
+def _reference_explicit_step(rho, mu, t, prob, until=np.inf):
     """cfl_dt followed by one explicit advance, as written with np.roll and
-    two velocity evaluations before the slice stencils; kept as the oracle."""
+    two velocity evaluations before the slice stencils; kept as the oracle.
+    The step is cut to end at `until` when the CFL step would pass it."""
     nl, pot = prob.nonlinearity, prob.potentials
     dx, eps = prob.grid.dx, prob.eps_viscosity
 
@@ -503,6 +538,7 @@ def _reference_explicit_step(rho, mu, t, prob):
     dt = dx / amax
     diff_max = float(np.max(nl.diffusivity(rho + mu))) + eps
     dt = prob.cfl_safety * min(dt, dx * dx / (2.0 * diff_max))
+    dt = min(dt, until - t)
     clamps = nl.clamp_count(rho + mu)
     new = []
     for v, a in zip((rho, mu), velocities()):
@@ -552,6 +588,73 @@ def test_explicit_step_bitwise_equals_roll_reference(case):
     assert rho_new.tobytes() == rho_ref.tobytes()
     assert mu_new.tobytes() == mu_ref.tobytes()
     assert rec == rec_ref
+
+
+def test_explicit_run_bitwise_equals_iterated_roll_reference():
+    """About 300 steps of the benchmark's explicit problem (scenario C at
+    n = 512, its initial data and potentials) through run's kernel equal
+    the np.roll oracle iterated step by step, landing on snapshot times
+    that cut steps short, two of them less than one step apart.  A state
+    buffer that aliases across steps, a wrong pad column or an inverted
+    donor mask changes bits here."""
+    snapshot_times = (0.0, 1e-4, 1e-4 + 3e-7, 2e-4, 2.5e-4, 3e-4, 3.5e-4, 4.2e-4)
+    prob = dataclasses.replace(fast_problem(512), t_final=snapshot_times[-1],
+                               snapshot_times=snapshot_times)
+    traj = cd.run(prob)
+    rho, mu = prob.u0
+    t, states, log = 0.0, [prob.u0], []
+    for target in snapshot_times[1:]:
+        while t < target:
+            dt, rho, mu, rec, positive = _reference_explicit_step(rho, mu, t, prob, target)
+            assert positive
+            log.append(rec)
+            t = target if dt == target - t else t + dt
+        states.append(np.stack((rho, mu)))
+    assert 250 <= len(log) <= 350
+    assert traj.times.tobytes() == np.array(snapshot_times).tobytes()
+    assert traj.states.tobytes() == np.stack(states).tobytes()
+    assert tuple(traj.step_log) == tuple(log)
+
+
+def test_explicit_kernel_steps_through_two_state_buffers():
+    """1,000 kernel steps return at most two distinct arrays, each state
+    stays valid until the step after next, and the steps allocate no array;
+    a state that public advance returned is its own."""
+    prob = fast_problem(512)
+    velocities_dt, transport = crossdiff.solver._explicit_kernel(prob)
+    u, t, states = prob.u0, 0.0, []
+    for _ in range(1000):
+        kept = u.copy()
+        dt, velocities = velocities_dt(u)
+        u, _ = transport(u, velocities, t, dt)
+        t += dt
+        if states:  # the state this step read is intact
+            assert states[-1].tobytes() == kept.tobytes()
+        states.append(u)
+    assert len({id(state) for state in states}) <= 2
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            dt, velocities = velocities_dt(u)
+            u, _ = transport(u, velocities, t, dt)
+            t += dt
+        allocated = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert allocated < u.nbytes // 4, allocated  # views and scalars, no (2, n) array
+
+    u = prob.u0
+    dt, velocities = cd.cfl_dt(u, prob)
+    first, _ = cd.advance(u, velocities, 0.0, dt, prob)
+    kept = first.copy()
+    u = first
+    for _ in range(3):
+        dt, velocities = cd.cfl_dt(u, prob)
+        u, _ = cd.advance(u, velocities, 0.0, dt, prob)
+    assert u is not first
+    assert first.tobytes() == kept.tobytes()
 
 
 def _per_species_check(v, t, name):
