@@ -25,7 +25,8 @@ MAX_CELLS = 2**20
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [0, 1) with dx = 1/n_cells, 4 <= n_cells <=
-    2^20 (an explicit run at the cap would take ~10^11 steps)."""
+    2^20 (an explicit run at the cap needs ~10^11 steps; solver.run raises
+    SolverError where a snapshot interval needs over 2^32 steps)."""
 
     n_cells: int
 

@@ -29,25 +29,25 @@ extension module (scipy.linalg._flapack) from its file; scipy.linalg and its
 package init never load, and an explicit run loads no scipy at all.
 
 A step evaluates the velocities once: cfl_dt(u, problem) returns (dt,
-velocities), with the same pressure power giving the diffusive bound, and
-advance(u, velocities, t, dt, problem) transports with them.  On the
-explicit stepper run builds that pair once per run as one kernel
-(_explicit_kernel): two closures over working arrays allocated once, with
-the problem's scalars read once, so a step goes through no layer of the
-model or the grid and, at eps = 0, allocates no array: each new state goes
-into one of two buffers that the steps alternate, so a state the kernel
-returned stays valid until the step after next.  Every max and min of a
-step, explicit or semi-implicit, is a.item(a.argmax()) or
-a.item(a.argmin()) (see _explicit_kernel).  The
-public cfl_dt and advance on an explicit problem are the same kernel built
-for one step, so the explicit arithmetic exists once.  The semi-implicit
-stepper calls cfl_dt and advance once per step.  run starts from
-problem.u0 and copies each snapshot it keeps into one preallocated
-(T, 2, n) array, rho in [:, 0] and mu in [:, 1], whose rows the
-diagnostics evaluate directly.  It logs each step's t, dt, clamps and
-Newton iterations in four array.array buffers, 32 bytes a step, which the
-StepLog then views as read-only numpy columns without a copy; iterating
-the log builds the StepRecords only then.
+velocities), with the same pressure power giving the explicit stepper's
+diffusive bound (the semi-implicit stepper has none), and advance(u,
+velocities, t, dt, problem) steps with them.  run builds that pair once per
+run as one kernel for both steppers (_kernel, the only reader of
+problem.stepper): two closures over working arrays allocated once, with
+the problem's scalars read once.  An explicit step goes through no layer of
+the model or the grid and, at eps = 0, allocates no array: each new state
+goes into one of two buffers that the steps alternate, so a state the
+kernel returned stays valid until the step after next.  Every max and min
+of a step is a.item(a.argmax()) or a.item(a.argmin()) (see _kernel).  The
+public cfl_dt and advance are the same kernel built for one step, so the
+arithmetic exists once; advance alone checks dt > 0, as run's guards never
+pass a dt of 0.  run starts from problem.u0 and copies each snapshot it
+keeps into one preallocated (T, 2, n) array, rho in [:, 0] and mu in
+[:, 1], whose rows the diagnostics evaluate directly.  It logs each step's
+t, dt, clamps and Newton iterations in four array.array buffers, 32 bytes
+a step, which the StepLog then views as read-only numpy columns without a
+copy; iterating the log builds the StepRecords only then.  A dt that would
+need more than 2^32 steps to reach the next snapshot time is a SolverError.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .model import ProblemSpec
 NEWTON_TOL = 1e-11
 NEWTON_MAXIT = 50
 _VEL_FLOOR = 1e-30  # guards the advective CFL division
+_STEP_BUDGET = 2**32  # most steps of one dt that run may take to reach a snapshot time
 
 
 class SolverError(RuntimeError):
@@ -136,32 +137,35 @@ def _donor(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     return up
 
 
-def _explicit_kernel(problem: ProblemSpec):
-    """The explicit step as two closures over buffers allocated once:
-    velocities_dt(u) -> (dt, velocities) and transport(u, velocities, t, dt)
-    -> (u_new, clamps), with the problem's scalars read here, not per
-    step.  The velocities are the kernel's own buffer, valid until the next
-    velocities_dt call.  transport writes u_new into whichever of two state
-    buffers u is not, so the buffers alternate and a state it returned
-    stays valid until the step after next.  At eps = 0 a step allocates no
-    array.
+def _kernel(problem: ProblemSpec):
+    """One step of the problem's stepper as two closures over buffers
+    allocated once: velocities_dt(u) -> (dt, velocities) and transport(u,
+    velocities, t, dt) -> (u_new, clamps, newton_iters), with the problem's
+    scalars read here, not per step.  The velocities are the kernel's own
+    buffer, valid until the next velocities_dt call.  The semi-implicit
+    stepper's dt is the advective bound alone, and its transport is
+    _semi_implicit_update.  The explicit transport writes u_new into
+    whichever of two state buffers u is not, so the buffers alternate and a
+    state it returned stays valid until the step after next.  At eps = 0 an
+    explicit step allocates no array.
 
-    The arithmetic is cfl_dt's and advance's, bit for bit: the diffusive
-    bound takes alpha * max(power), which rounding (monotone) makes equal to
-    max(alpha * power); the donor is the shifted u with u copied in where
-    a < 0, and the flux their product with a; the flux sits in [:, 1:] of
-    an (2, n + 1) buffer whose column 0 repeats its last one, so the
-    divergence is one subtraction.  Every max and min is
-    a.item(a.argmax()) or a.item(a.argmin()): the reduction's value (the
-    first NaN if there is one) for less call overhead.  Which of two signed
-    zeros it picks never matters: |a| and the power are >= +0, and a zero
-    minimum fails positivity either way.  The minimum of the state
-    that transport returns, found by its positivity check, is reused as
-    the next call's `u.min() < s_floor` clamp test when that same state
-    comes back, and it skips clamping S up to s_floor when no density lies
-    below it."""
+    The arithmetic is the reference formulas', bit for bit: the velocities
+    are grad(pressure(S)) + [V'; W']; the diffusive bound takes alpha *
+    max(power), which rounding (monotone) makes equal to max(alpha * power);
+    the donor is the shifted u with u copied in where a < 0, and the flux
+    their product with a; the flux sits in [:, 1:] of an (2, n + 1) buffer
+    whose column 0 repeats its last one, so the divergence is one
+    subtraction.  Every max and min is a.item(a.argmax()) or
+    a.item(a.argmin()): the reduction's value (the first NaN if there is
+    one) for less call overhead.  Which of two signed zeros it picks never
+    matters: |a| and the power are >= +0, and a zero minimum fails
+    positivity either way.  The minimum of the state that the explicit
+    transport returns, found by its positivity check, is reused as the next
+    call's `u.min() < s_floor` clamp test when that same state comes back,
+    and it skips clamping S up to s_floor when no density lies below it."""
     n, dx, eps = problem.grid.n_cells, problem.grid.dx, problem.eps_viscosity
     nl, drift, safety = problem.nonlinearity, problem.potentials.drift, problem.cfl_safety
+    explicit = problem.stepper == "explicit"
     alpha, s_floor = nl.alpha, nl.s_floor
     exponent = alpha - 1.0
     scale = -(alpha / (1.0 - alpha)) if alpha != 1.0 else 1.0
@@ -169,13 +173,7 @@ def _explicit_kernel(problem: ProblemSpec):
     s_next, s_here, grad_head = s[1:], s[:-1], grad_p[:-1]
     velocities, speed = np.empty((2, n)), np.empty((2, n))
     (v_drift, w_drift), (rho_velocity, mu_velocity) = drift, velocities
-    padded = np.empty((2, n + 1))  # u, then its first column again; [:, 1:] the donor
-    head, tail, donor = padded[:, :-1], padded[:, -1:], padded[:, 1:]
-    flux = np.empty((2, n + 1))  # the interface fluxes in [:, 1:], the last again in [:, 0]
-    first, last_face, faces, behind = flux[:, :1], flux[:, -1:], flux[:, 1:], flux[:, :-1]
-    downwind = np.empty((2, n), dtype=bool)
-    state_a, state_b = np.empty((2, n)), np.empty((2, n))
-    last = None  # the state transport returned last, and its minimum
+    last = None  # the state the explicit transport returned last, and its minimum
     last_min = 0.0
 
     def velocities_dt(u):
@@ -187,7 +185,8 @@ def _explicit_kernel(problem: ProblemSpec):
             diff_max = 1.0 + eps
         else:
             np.power(s, exponent, out=s)
-            diff_max = alpha * s.item(s.argmax()) + eps
+            if explicit:  # the semi-implicit stepper has no diffusive bound
+                diff_max = alpha * s.item(s.argmax()) + eps
             np.multiply(s, scale, out=s)
         np.subtract(s_next, s_here, out=grad_head)
         grad_p[-1] = s[0] - s[-1]
@@ -196,12 +195,24 @@ def _explicit_kernel(problem: ProblemSpec):
         np.add(grad_p, w_drift, out=mu_velocity)
         np.abs(velocities, out=speed)
         dt = dx / max(speed.item(speed.argmax()), _VEL_FLOOR)
-        return safety * min(dt, dx * dx / (2.0 * diff_max)), velocities
+        if explicit:
+            dt = min(dt, dx * dx / (2.0 * diff_max))
+        return safety * dt, velocities
+
+    if not explicit:
+        def semi_implicit(u, a, t, dt):
+            return _semi_implicit_update(u, t + dt, dt, problem)
+        return velocities_dt, semi_implicit
+
+    padded = np.empty((2, n + 1))  # u, then its first column again; [:, 1:] the donor
+    head, tail, donor = padded[:, :-1], padded[:, -1:], padded[:, 1:]
+    flux = np.empty((2, n + 1))  # the interface fluxes in [:, 1:], the last again in [:, 0]
+    first, last_face, faces, behind = flux[:, :1], flux[:, -1:], flux[:, 1:], flux[:, :-1]
+    downwind = np.empty((2, n), dtype=bool)
+    state_a, state_b = np.empty((2, n)), np.empty((2, n))
 
     def transport(u, a, t, dt):
         nonlocal last, last_min
-        if dt <= 0.0:
-            raise SolverError(f"nonpositive dt {dt}")
         u_min = last_min if u is last else u.item(u.argmin())
         # rho + mu < s_floor needs a density below s_floor, so S is formed only then
         clamps = nl.clamp_count(u[0] + u[1]) if u_min < s_floor else 0
@@ -219,7 +230,7 @@ def _explicit_kernel(problem: ProblemSpec):
         u_new *= dt
         u_new += u
         last, last_min = u_new, _check_positive(u_new, t + dt)
-        return u_new, clamps
+        return u_new, clamps, 0
 
     return velocities_dt, transport
 
@@ -230,13 +241,9 @@ def cfl_dt(u: np.ndarray, problem: ProblemSpec) -> tuple[float, np.ndarray]:
 
     Returns (dt, velocities), velocities being the (2, n) species velocities
     grad(pressure(S)) + [V'; W'], S = rho + mu, which advance takes so a
-    step computes them once.  On the explicit stepper this is the per-run
-    kernel's velocities_dt, built for one step."""
-    if problem.stepper == "explicit":
-        return _explicit_kernel(problem)[0](u)
-    dx = problem.grid.dx
-    velocities = grad(problem.nonlinearity.pressure(u[0] + u[1]), dx) + problem.potentials.drift
-    return problem.cfl_safety * (dx / max(np.abs(velocities).max(), _VEL_FLOOR)), velocities
+    step computes them once.  This is the per-run kernel's velocities_dt,
+    built for one step."""
+    return _kernel(problem)[0](u)
 
 
 def _check_positive(u: np.ndarray, t: float) -> float:
@@ -348,9 +355,8 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     raise SolverError(f"newton did not converge, residual {norm:.3e}")
 
 
-def _semi_implicit_update(u, velocities, t_new: float, dt: float,
-                          problem: ProblemSpec):
-    # velocities go unused: pressure is implicit here, the drift is [V'; W']
+def _semi_implicit_update(u, t_new: float, dt: float, problem: ProblemSpec):
+    # pressure is implicit here, so the step takes no velocities; the drift is [V'; W']
     drift = problem.potentials.drift
     dx = problem.grid.dx
 
@@ -373,14 +379,11 @@ def advance(u: np.ndarray, velocities: np.ndarray, t: float, dt: float,
             problem: ProblemSpec) -> tuple[np.ndarray, StepRecord]:
     """One step from time t with the problem's stepper; velocities are the
     ones cfl_dt returned for u = [rho; mu].  Returns the new (2, n) state
-    and the StepRecord.  On the explicit stepper this is the per-run
-    kernel's transport, built for one step."""
-    if problem.stepper == "explicit":
-        u_new, clamps = _explicit_kernel(problem)[1](u, velocities, t, dt)
-        return u_new, StepRecord(t, dt, clamps, 0)
+    and the StepRecord.  This is the per-run kernel's transport, built for
+    one step; a dt <= 0 raises SolverError."""
     if dt <= 0.0:
         raise SolverError(f"nonpositive dt {dt}")
-    u_new, clamps, iters = _semi_implicit_update(u, velocities, t + dt, dt, problem)
+    u_new, clamps, iters = _kernel(problem)[1](u, velocities, t, dt)
     return u_new, StepRecord(t, dt, clamps, iters)
 
 
@@ -388,19 +391,8 @@ def run(problem: ProblemSpec) -> Trajectory:
     """Integrate from t = 0 to t_final with adaptive CFL steps, truncating
     dt to land exactly on every snapshot time (never interpolating)."""
     buffers = StepLog.buffers()
-    log_t, log_dt, log_clamps = (b.append for b in buffers[:3])
-    iters = buffers[3]
-    explicit = problem.stepper == "explicit"
-    if explicit:
-        velocities_dt, step = _explicit_kernel(problem)
-    else:  # looked up at every step, so a wrapper of either (the tracer's) sees each
-        def velocities_dt(u):
-            return cfl_dt(u, problem)
-
-        def step(u, velocities, t, dt):
-            u_new, rec = advance(u, velocities, t, dt, problem)
-            iters.append(rec.newton_iters)
-            return u_new, rec.clamps
+    log_t, log_dt, log_clamps, log_iters = (b.append for b in buffers)
+    velocities_dt, transport = _kernel(problem)
     t, u = 0.0, problem.u0
     times = np.zeros(len(problem.snapshot_times))
     states = np.empty((times.size, 2, problem.grid.n_cells))
@@ -412,21 +404,23 @@ def run(problem: ProblemSpec) -> Trajectory:
             if target - dt == target:  # also dt = 0: steps of dt never reach the target
                 raise SolverError(f"CFL step dt={dt:.6g} cannot move t toward t={target:.6g} "
                                   f"(cfl_safety = {problem.cfl_safety!r})")
+            if remaining > dt * _STEP_BUDGET:
+                raise SolverError(f"CFL step dt={dt:.6g} needs more than {_STEP_BUDGET} steps "
+                                  f"to reach t={target:.6g} (cfl_safety = {problem.cfl_safety!r})")
             landing = dt >= remaining
             if landing:
                 dt = remaining
             try:
-                u, clamps = step(u, velocities, t, dt)
+                u, clamps, iters = transport(u, velocities, t, dt)
             except SolverError as err:
                 raise SolverError(f"{err} (while integrating to t={target:.6g})") from err
             log_t(t)
             log_dt(dt)
             log_clamps(clamps)
+            log_iters(iters)
             t = target if landing else t + dt
         times[j] = t
         states[j] = u
-    if explicit:  # no Newton iterations
-        iters.frombytes(bytes(iters.itemsize * len(buffers[0])))
     times.setflags(write=False)
     states.setflags(write=False)
     return Trajectory(problem, times, states, StepLog.of(buffers))

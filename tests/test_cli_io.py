@@ -1254,19 +1254,25 @@ def test_main_io_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: 4:")
 
 
-@pytest.mark.parametrize("alpha", ("0.001", "0.5"))
-def test_a_cfl_step_that_cannot_move_time_exits_3(tmp_path, alpha):
+@pytest.mark.parametrize("alpha, cfl_safety, message", [
+    pytest.param("0.001", "5e-324", "cannot move t toward t=1e-14", id="0.001"),
+    pytest.param("0.5", "5e-324", "cannot move t toward t=1e-14", id="0.5"),
+    pytest.param("0.001", "1e-30", "needs more than 4294967296 steps to reach t=1e-14",
+                 id="0.001-budget"),
+])
+def test_a_cfl_step_that_cannot_move_time_exits_3(tmp_path, alpha, cfl_safety, message):
     # at cfl_safety = 5e-324 the CFL step is 0 (alpha = 0.5) or too small to
-    # change t (alpha = 0.001, which used to step without end)
+    # change t (alpha = 0.001, which used to step without end); at 1e-30 it
+    # moves t but would take about 5e15 steps, past the step budget
     text = (MINIMAL.replace("n = 128", "n = 16").replace("alpha = 1.0", f"alpha = {alpha}")
-            .replace("t_final = 0.05", "t_final = 1e-13\ncfl_safety = 5e-324"))
+            .replace("t_final = 0.05", f"t_final = 1e-13\ncfl_safety = {cfl_safety}"))
     env = dict(os.environ, PYTHONPATH=str(Path(crossdiff.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "crossdiff.cli", "run", _write_cfg(tmp_path, text),
          "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: 3: CFL step dt=")
-    assert "cannot move t toward t=1e-14 (cfl_safety = 5e-324)" in proc.stderr
+    assert f"{message} (cfl_safety = {cfl_safety})" in proc.stderr
 
 
 def test_output_toggles(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -196,6 +197,24 @@ def test_cfl_formula():
                                                        rel=1e-12)
 
 
+def _reference_semi_implicit_dt(u, prob):
+    """The semi-implicit cfl_dt as written before the kernel shared both
+    steppers: one pressure gradient plus the drift, and the advective bound
+    alone; kept as the oracle."""
+    dx = prob.grid.dx
+    velocities = grad(prob.nonlinearity.pressure(u[0] + u[1]), dx) + prob.potentials.drift
+    return prob.cfl_safety * (dx / max(np.abs(velocities).max(), 1e-30)), velocities
+
+
+@pytest.mark.parametrize("stepper", ("explicit", "semi-implicit"))
+@pytest.mark.parametrize("dt", (0.0, -1e-3))
+def test_advance_rejects_a_nonpositive_dt(stepper, dt):
+    prob = fast_problem(32, stepper=stepper)
+    velocities = cd.cfl_dt(prob.u0, prob)[1]
+    with pytest.raises(SolverError, match=f"^nonpositive dt {re.escape(str(dt))}$"):
+        cd.advance(prob.u0, velocities, 0.0, dt, prob)
+
+
 def test_cfl_fast_diffusion_scaling():
     # constant S = 1e-4 isolates the diffusive bound (velocities vanish);
     # diffusivity is 0.5 * (1e-4)^(-1/2) = 50 against 1 for alpha = 1
@@ -312,30 +331,25 @@ def test_sum_equation_residual_first_order():
 @pytest.mark.parametrize("stepper", ("explicit", "semi-implicit"))
 def test_run_annotates_solver_errors(monkeypatch, stepper):
     """A SolverError from run's third step gets the target time appended.
-    run steps an explicit problem through its kernel's transport and a
-    semi-implicit one through advance, so the failure goes in there."""
+    run steps both steppers through their kernel's transport, so the
+    failure goes in there."""
     g = cd.make_grid(32)
     prob = _problem(g, modes_V=[(1, 0.3, 0.0)], stepper=stepper, t_final=0.05)
     original = SolverError("positivity violated: rho at cell 3, t=0.001")
     calls = []
+    real_kernel = crossdiff.solver._kernel
 
-    def third_fails(step):
-        def wrapped(*args):
+    def kernel(problem):
+        velocities_dt, transport = real_kernel(problem)
+
+        def third_fails(*args):
             calls.append(args)
             if len(calls) == 3:
                 raise original
-            return step(*args)
-        return wrapped
+            return transport(*args)
+        return velocities_dt, third_fails
 
-    if stepper == "explicit":
-        real_kernel = crossdiff.solver._explicit_kernel
-
-        def kernel(problem):
-            velocities_dt, transport = real_kernel(problem)
-            return velocities_dt, third_fails(transport)
-        monkeypatch.setattr(crossdiff.solver, "_explicit_kernel", kernel)
-    else:
-        monkeypatch.setattr(crossdiff.solver, "advance", third_fails(crossdiff.solver.advance))
+    monkeypatch.setattr(crossdiff.solver, "_kernel", kernel)
     with pytest.raises(SolverError) as info:
         cd.run(prob)
     assert len(calls) == 3
@@ -429,9 +443,9 @@ def _run_cases(draw):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(_run_cases(), st.sampled_from(("explicit", "semi-implicit")))
 def test_run_is_bitwise_hand_stepping(case, stepper):
-    """run, which steps an explicit problem through one kernel per run and
-    reuses each step's minimum for the next clamp test, gives the times,
-    states, step log or error of hand-stepping with cfl_dt/advance.  An
+    """run, which steps through one kernel per run and, on the explicit
+    stepper, reuses each step's minimum for the next clamp test, gives the
+    times, states, step log or error of hand-stepping with cfl_dt/advance.  An
     s_floor of 0.5 or 2.0 lies above some of the densities, so clamps
     occur."""
     g = cd.make_grid(case["n"])
@@ -590,6 +604,25 @@ def test_explicit_step_bitwise_equals_roll_reference(case):
     assert rec == rec_ref
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_explicit_cases(), st.floats(0.0, 1.0, exclude_min=True))
+def test_semi_implicit_cfl_dt_bitwise_equals_reference(case, cfl):
+    """On the semi-implicit stepper cfl_dt gives the reference's dt and
+    velocities bit for bit: no diffusive bound, and S clamped up to
+    s_floor where it is drawn as 2.0, above some densities."""
+    g = cd.make_grid(case["n"])
+    u = np.stack((case["rho"], case["mu"]))
+    prob = cd.ProblemSpec(
+        grid=g, nonlinearity=cd.Nonlinearity(case["alpha"], case["s_floor"]),
+        potentials=cd.build_potentials(case["modes_V"], case["modes_W"], g), u0=u,
+        t_final=1.0, snapshot_times=(0.0, 1.0), eps_viscosity=case["eps"],
+        stepper="semi-implicit", cfl_safety=cfl)
+    dt_ref, velocities_ref = _reference_semi_implicit_dt(u, prob)
+    dt, velocities = cd.cfl_dt(u, prob)
+    assert np.float64(dt).tobytes() == np.float64(dt_ref).tobytes()
+    assert velocities.tobytes() == velocities_ref.tobytes()
+
+
 def test_explicit_run_bitwise_equals_iterated_roll_reference():
     """About 300 steps of the benchmark's explicit problem (scenario C at
     n = 512, its initial data and potentials) through run's kernel equal
@@ -621,12 +654,12 @@ def test_explicit_kernel_steps_through_two_state_buffers():
     stays valid until the step after next, and the steps allocate no array;
     a state that public advance returned is its own."""
     prob = fast_problem(512)
-    velocities_dt, transport = crossdiff.solver._explicit_kernel(prob)
+    velocities_dt, transport = crossdiff.solver._kernel(prob)
     u, t, states = prob.u0, 0.0, []
     for _ in range(1000):
         kept = u.copy()
         dt, velocities = velocities_dt(u)
-        u, _ = transport(u, velocities, t, dt)
+        u, _, _ = transport(u, velocities, t, dt)
         t += dt
         if states:  # the state this step read is intact
             assert states[-1].tobytes() == kept.tobytes()
@@ -638,7 +671,7 @@ def test_explicit_kernel_steps_through_two_state_buffers():
         start = tracemalloc.get_traced_memory()[0]
         for _ in range(100):
             dt, velocities = velocities_dt(u)
-            u, _ = transport(u, velocities, t, dt)
+            u, _, _ = transport(u, velocities, t, dt)
             t += dt
         allocated = tracemalloc.get_traced_memory()[1] - start
     finally:

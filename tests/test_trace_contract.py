@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import crossdiff as cd
 
 from scenarios import fast_problem
@@ -72,9 +74,10 @@ snapshots = 3
 """
 
 
-def test_traced_run_and_diagnose_record_their_spans(tmp_path):
+@pytest.mark.parametrize("stepper", ("explicit", "semi-implicit"))
+def test_traced_run_and_diagnose_record_their_spans(tmp_path, stepper):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG)
+    cfg.write_text(f"{CONFIG}stepper = {stepper}\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     spans, stdout = {}, {}
     for command, source, out in (("run", cfg, tmp_path / "out"),
@@ -90,8 +93,9 @@ def test_traced_run_and_diagnose_record_their_spans(tmp_path):
     run_span = spans["run"]["solver.run"]
     assert run_span[4] == 0  # no Field is built while stepping
     assert run_span[5]["steps"] > 0 and run_span[5]["n_cells"] == 32
-    # an explicit run steps through its kernel, not the traced cfl_dt and
-    # advance, so the run span's counts are all the tracer sees of the steps
+    # a run of either stepper steps through its kernel, not the traced cfl_dt
+    # and advance, so the run span's counts are all the tracer sees of the steps
+    assert "solver.advance" not in spans["run"] and "solver.cfl_dt" not in spans["run"]
     steps, clamps = re.search(r"run complete: \d+ snapshots, (\d+) steps, "
                               r"clamp_events=(\d+),", stdout["run"]).groups()
     assert (run_span[5]["steps"], run_span[5]["clamp_events"]) == (int(steps), int(clamps))
