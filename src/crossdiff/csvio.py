@@ -2,8 +2,17 @@
 
 All files are comma-separated, decimal-point, line-feed terminated, with
 floats at a configurable number of significant digits (default 17, which
-round-trips binary64 exactly).  Each file's body is built by one
-%-format of a row template repeated once per row (`_lines`).  read_table
+round-trips binary64 exactly).  `%` is the reference for every float's
+text.  A report or study table's body is built by one %-format of a row
+template repeated once per row (`_lines`).  A snapshot's body is one
+(n, columns) uint8 matrix, a row a cell: the x text (formatted once per
+call by `_lines`), a comma, the rho text, a comma, the mu text and a line
+feed, with zero bytes where a text is shorter than its columns, which are
+taken out before the write.  `_format_fixed` gives the rho and mu text of
+one snapshot at a time, exactly the bytes `%` gives, from exact integer
+arithmetic; a snapshot holding a value it does not cover (zero, a
+subnormal, a value in exponential notation, a non-finite one) is formatted
+whole by `_lines`, so either path writes the same bytes.  read_table
 parses a body with numpy's C tokenizer (`np.loadtxt`), which converts each
 field with the routine `float` uses, so the values are correctly rounded
 and bit-identical to `float`'s.  It keeps that array only when it holds
@@ -32,6 +41,7 @@ behind.  After a failed write_snapshots, files of later chunks may exist.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import math
 import mmap
@@ -54,13 +64,14 @@ def _lines(row: str, values: list, precision: int) -> str:
     return (row * (len(values) // row.count("%"))) % tuple(values)
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write text to path through path.tmp and a rename, so path holds either
-    its old content or all of text; on any failure path.tmp is removed."""
+def write_atomic(path: Path, text: str | bytes) -> None:
+    """Write text (or bytes) to path through path.tmp and a rename, so path
+    holds either its old content or all of text; on any failure path.tmp is
+    removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with (open(tmp, "w", newline="") if isinstance(text, str) else open(tmp, "wb")) as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -94,6 +105,136 @@ def write_report_csv(report: DiagnosticsReport, out_dir, precision: int = 17) ->
     ], precision)
 
 
+_U64 = np.uint64
+_FIVES_HI, _FIVES_LO = np.divmod(np.array([5**s for s in range(22)], dtype=_U64),
+                                 _U64(2**32))  # 5^21 < 2^49
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four digits of each of 0..9999 as uint16 pairs (ASCII code, then
+    0xFF) in one uint64, and how many zero digits end each."""
+    group = np.arange(10**4, dtype=np.uint16)
+    pairs = np.full((10**4, 4, 2), 0xFF, dtype=np.uint8)
+    pairs[:, :, 0] = ord("0") + group[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    trailing = sum(group % 10**k == 0 for k in (1, 2, 3, 4))
+    return pairs.reshape(10**4, 8).view(_U64)[:, 0], trailing
+
+
+_TEXT_WIDTH = 40  # bytes of `_format_fixed` text a value: 20 (digit, 0xFF) pairs
+
+
+@functools.cache
+def _layout(precision: int) -> np.ndarray:
+    """Masks over the 20 (digit, 0xFF) pairs of `_format_fixed`, one row for
+    each decimal exponent E in -4..p-1 and count of significant digits in
+    0..p, at (E + 4) (p + 1) + count.  A row keeps the p digits of N up to
+    its last significant one and every integer digit, and puts a point in
+    the 0xFF after digit E for E >= 0 when a fraction digit is kept.  For
+    E < 0 it puts "0." and -E-1 zeros, with a zero byte after an odd count,
+    in the last pairs of the pad, which hold ("0", 0xFF): "0" falls on a
+    digit and "." on a 0xFF."""
+    p, pad = precision, 20 - precision
+    table = np.zeros((p + 4, p + 1, 20, 2), dtype=np.uint8)
+    for exp10 in range(-4, p):
+        for count in range(p + 1):
+            row = table[exp10 + 4, count]
+            kept = max(count, exp10 + 1)
+            row[pad:pad + kept, 0] = 0xFF
+            if exp10 < 0:
+                prefix = b"0." + b"0" * (-exp10 - 1)
+                prefix += b"\0" * (len(prefix) % 2)
+                row[pad - len(prefix) // 2:pad] = np.frombuffer(prefix, np.uint8).reshape(-1, 2)
+            elif kept > exp10 + 1:
+                row[pad + exp10, 1] = ord(".")
+    return table.reshape(-1, _TEXT_WIDTH)
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, s: np.ndarray):
+    """(N, floor, t) for x = m 2^(e-53), 2^52 <= m < 2^53: N is x 10^s
+    rounded half to even, as dtoa rounds, floor is x 10^s rounded down, and
+    t = 53 - s - e.  Exact where t >= 1, 0 <= s <= 21 and x 10^s < 2^62:
+    x 10^s is m 5^s / 2^t, the product m 5^s < 2^102 is formed as
+    hi 2^64 + lo from 32-bit limbs, and the remainder of the shift is zero
+    when m is a multiple of 2^(t-1), as 5^s is odd.  numpy's shifts give 0
+    for a shift of 64 or more, which is also what a negative shift wraps to
+    in uint64.  The limbs are multiplied in place, to keep few arrays."""
+    f_hi, f_lo = _FIVES_HI.take(s), _FIVES_LO.take(s)
+    hi, lo = m >> 32, m & (2**32 - 1)
+    mid = hi * f_lo + lo * f_hi  # < 2^54
+    hi *= f_hi
+    lo *= f_lo
+    hi += mid >> 32
+    mid <<= 32
+    lo += mid
+    hi += lo < mid  # the carry
+    t = 53 - s - e
+    u = (t - 1).astype(_U64)
+    half = (lo >> u) | (hi << (64 - u)) | (hi >> (u - 64))  # floor(2 x 10^s)
+    exact = m & ((1 << u) - 1) == 0  # x 10^s is a multiple of 1/2
+    floor = half >> 1
+    return floor + (half & 1 & (~exact | floor)), floor, t
+
+
+def _decimal(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, E, done) for `_format_fixed`: the p significant digits N of each
+    value, its decimal exponent E after rounding, and whether it is done.
+
+    N = x 10^(p-1-E) rounded half to even, formed exactly in integers, with E
+    first taken as floor(log10 x) and moved by one where N falls outside
+    [10^(p-1), 10^p); a value that rounds up to N = 10^p is 10^(p-1) one
+    decade up."""
+    positive = np.isfinite(values) & (values > 0)
+    x = np.where(positive, values, 1.0)
+    frac, e = np.frexp(x)
+    m = (frac * 2.0**53).astype(_U64)
+    exp10 = np.clip(np.floor(np.log10(x)).astype(np.int64), -4, p - 1)
+    n, floor, t = _scaled(m, e, p - 1 - exp10)
+    move = (floor >= 10**p).astype(np.int64) - (floor < 10**(p - 1))
+    fix = np.flatnonzero(move)
+    if fix.size:
+        exp10[fix] += move[fix]
+        n[fix], _, t[fix] = _scaled(m[fix], e[fix], np.clip(p - 1 - exp10[fix], 0, 21))
+    top = n == 10**p
+    n[top] = 10**(p - 1)
+    exp10 += top
+    return n, exp10, positive & (exp10 >= -4) & (exp10 < p) & (t >= 1)
+
+
+def _format_fixed(values: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
+    """(text, done): the `%.{precision}g` text of each of the float64 values
+    as a (len(values), _TEXT_WIDTH) uint8 matrix whose rows, with their zero
+    bytes taken out, are exactly the bytes `%` gives, and a mask of the
+    values so formatted: at a precision p in 1..17, the finite x > 0 whose
+    text is in fixed notation (decimal exponent E after rounding in
+    -4..p-1) and whose shift t in `_scaled` is positive, as it is for every
+    x below 2^50.  Rows not in `done` mean nothing.
+
+    The text is the 20-digit decimal text of N (`_decimal`), with N's pad of
+    leading zeros and its trailing zeros taken out, "0." and -E-1 zeros put
+    in the pad for E < 0, and a point after digit E for E >= 0 when a
+    fraction digit is left (`_layout`)."""
+    p = precision
+    if not 1 <= p <= 17:
+        return np.zeros((len(values), _TEXT_WIDTH), np.uint8), np.zeros(len(values), bool)
+    n, exp10, done = _decimal(values, p)
+    groups = []  # of four digits, the last first
+    for _ in range(4):
+        rest = n // 10**4
+        groups.append(n - rest * 10**4)
+        n = rest
+    groups.append(n)  # n < 2^64 has 20 digits
+    groups.reverse()
+    digit_pairs, trailing = _digit_tables()
+    zeros = 0  # how many zero digits end the groups so far
+    for group in groups:
+        zeros = np.where(group == 0, zeros + 4, trailing.take(group))
+    text = _layout(p).take(np.where(done, (exp10 + 4) * (p + 1) + p - zeros, 0), axis=0)
+    for column, group in zip(text.view(_U64).T, groups):  # the digits under the masks
+        column &= digit_pairs.take(group)
+    return text, done
+
+
 def snapshot_filename(t: float) -> str:
     return f"snapshot_{format(float(t), '.17g')}.csv"
 
@@ -104,14 +245,29 @@ def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path
     paths = [out / snapshot_filename(t) for t in traj.times]
     xc = traj.problem.grid.cell_centers().tolist()
     x_lines = _lines("%g", xc, precision).splitlines()  # the same in every file
+    x_text = np.array(x_lines, dtype=bytes)  # zero-padded to the longest
+    n, x_end, width = len(xc), x_text.itemsize, _TEXT_WIDTH
+    header = np.frombuffer(b"x,rho,mu\n", dtype=np.uint8)
 
     def write(lo: int, hi: int) -> None:
-        flat = [None] * (3 * len(xc))  # x, rho, mu of each row in turn
-        flat[0::3] = x_lines
-        for path, (rho, mu) in zip(paths[lo:hi], traj.states[lo:hi]):
-            flat[1::3] = rho.tolist()
-            flat[2::3] = mu.tolist()
-            write_atomic(path, "x,rho,mu\n" + _lines("%s,%g,%g", flat, precision))
+        # the header, then a row of x, rho and mu text a cell, with zero bytes
+        # where a text is shorter than its columns
+        body = np.zeros(len(header) + n * (x_end + 2 * width + 3), dtype=np.uint8)
+        body[:len(header)] = header
+        rows = body[len(header):].reshape(n, -1)
+        rows[:, :x_end] = x_text.view(np.uint8).reshape(n, x_end)
+        rows[:, [x_end, x_end + width + 1, -1]] = np.frombuffer(b",,\n", dtype=np.uint8)
+        rho_text = rows[:, x_end + 1:x_end + width + 1]
+        mu_text = rows[:, x_end + width + 2:-1]
+        for path, state in zip(paths[lo:hi], traj.states[lo:hi]):
+            text, done = _format_fixed(np.ravel(state), precision)
+            if done.all():
+                rho_text[...], mu_text[...] = text[:n], text[n:]
+                write_atomic(path, body.tobytes().translate(None, b"\0"))
+            else:
+                flat = [None] * (3 * n)  # x, rho, mu of each row in turn
+                flat[0::3], flat[1::3], flat[2::3] = x_lines, state[0].tolist(), state[1].tolist()
+                write_atomic(path, "x,rho,mu\n" + _lines("%s,%g,%g", flat, precision))
 
     in_chunks(write, [1] * len(paths))
     return paths

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import math
 import os
 import re
 import signal
@@ -7,8 +8,10 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,6 +33,7 @@ from crossdiff.diagnostics import SCALAR_COLUMNS, DiagnosticsReport, ResidualRow
 from crossdiff.model import STEPPERS
 from crossdiff.study import LevelSummary
 from crossdiff.svgplot import emit_plot
+from scenarios import fast_problem, heat_problem
 
 MINIMAL = """
 [grid]
@@ -558,6 +562,121 @@ def test_read_table_matches_per_row_reference(case):
             empty.write_text(text)
             header, data = read_table(empty)
             assert header == ["x", "rho", "mu"] and data.shape == (0, 3)
+
+
+# --------------------------------------------------------------------------
+# the snapshot text kernel against `%`
+
+
+def _kernel_texts(values, precision):
+    text, done = csvio._format_fixed(np.asarray(values, dtype=np.float64), precision)
+    return [row.tobytes().translate(None, b"\0").decode() for row in text], done
+
+
+def _fixed_with_positive_shift(x, precision):
+    """Whether `%.{precision}g` prints x in fixed notation, x > 0, and the
+    kernel's shift t = 53 - s - e is positive: the values it must cover."""
+    text = format(x, f".{precision}g")
+    if not (math.isfinite(x) and x > 0) or "e" in text:
+        return False
+    scale = precision - 1 - Decimal(text).adjusted()  # s = p - 1 - E
+    return 53 - scale - math.frexp(x)[1] >= 1
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(precision, values): doubles of every kind the kernel meets or must
+    turn down, at one drawn precision."""
+    p = draw(st.integers(1, 17))
+    bits = draw(st.lists(st.integers(1, 0x7FEFFFFFFFFFFFFF), max_size=24))
+    logs = draw(st.lists(st.floats(-5, 18, exclude_max=True), max_size=24))
+    odd = draw(st.lists(st.integers(0, 2**p - 1), max_size=24))
+    tens = 10.0 ** np.array(draw(st.lists(st.integers(-6, 18), max_size=8)), dtype=float)
+    return p, np.concatenate([
+        np.array(bits, dtype=np.int64).view(np.float64),  # any positive double
+        10.0 ** np.array(logs, dtype=float),  # log-uniform in [1e-5, 1e18)
+        (2 * np.array(odd, dtype=float) + 1) / 2.0 ** (p + 1),  # exact ties
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        tens * (1 - 4 * 10.0 ** -(p + 1)),  # rounds up to a power of ten
+        [0.99999999999999999, 9.5, *EDGE_FLOATS, -2.5]])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_kernel_cases())
+def test_format_fixed_gives_the_bytes_of_percent_g(case):
+    precision, values = case
+    texts, done = _kernel_texts(values, precision)
+    for x, text, covered in zip(values.tolist(), texts, done):
+        if covered:
+            assert text == format(x, f".{precision}g"), (x, precision)
+        else:
+            assert not _fixed_with_positive_shift(x, precision), (x, precision)
+
+
+def test_format_fixed_rounds_ties_to_even():
+    assert _kernel_texts([0.25, 0.75], 1)[0] == ["0.2", "0.8"]
+    assert _kernel_texts([0.500003814697265625], 17)[0] == ["0.50000381469726562"]
+
+
+def _duck_trajectory(xc, states):
+    grid = SimpleNamespace(cell_centers=lambda: xc.copy())
+    return SimpleNamespace(problem=SimpleNamespace(grid=grid),
+                           times=np.linspace(0.0, 1.0, len(states)), states=states)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 17), st.integers(1, 48), st.data())
+def test_a_snapshot_the_kernel_does_not_cover_is_written_whole_by_percent(precision, n, data):
+    # values in fixed notation below 2^40; one snapshot gets one value outside
+    top = min(precision - 1, 12)
+    logs = data.draw(st.lists(st.floats(-3, top, exclude_max=True), min_size=4 * n,
+                              max_size=4 * n))
+    states = (10.0 ** np.array(logs)).reshape(2, 2, n)
+    at = data.draw(st.integers(0, 2 * n - 1))
+    states[1].reshape(-1)[at] = data.draw(st.sampled_from([0.0, 5e-324, 5e-5, 1e300, 1e17]))
+    assert csvio._format_fixed(states[0].ravel(), precision)[1].all()
+    assert not csvio._format_fixed(states[1].ravel(), precision)[1].all()
+    xc = (np.arange(n) + 0.5) / n
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_snapshots(_duck_trajectory(xc, states), tmp, precision)
+        for path, (rho, mu) in zip(paths, states):
+            assert path.read_text() == _snapshot_text_ref(xc, rho, mu, precision)
+
+
+@pytest.mark.parametrize("problem", [lambda: fast_problem(512),
+                                     lambda: heat_problem(2048, snaps=5, t_final=1e-4)],
+                         ids=["fast-512", "heat-2048"])
+def test_every_snapshot_of_a_scenario_goes_through_the_kernel(tmp_path, monkeypatch, problem):
+    lines = csvio._lines
+
+    def snapshot_rows_refused(row, values, precision):
+        assert row != "%s,%g,%g", "a snapshot was written by %"
+        return lines(row, values, precision)
+
+    monkeypatch.setattr(csvio, "_lines", snapshot_rows_refused)
+    traj = crossdiff.run(problem())
+    paths = write_snapshots(traj, tmp_path)
+    xc = traj.problem.grid.cell_centers()
+    for path, (rho, mu) in zip(paths, traj.states):
+        assert path.read_text() == _snapshot_text_ref(xc, rho, mu, 17)
+
+
+def test_write_snapshots_peak_memory_is_set_by_one_snapshot(tmp_path, monkeypatch):
+    # one snapshot's 2n values are formatted at a time: the peak is its text
+    # and the kernel's temporaries, about 43 times the snapshot's states
+    # whatever the snapshot count; 2^16 values a call read 374 times
+    _use_cpus(monkeypatch, 1)
+    n, snaps = 2048, 64
+    states = 0.5 + np.random.default_rng(0).random((snaps, 2, n))
+    traj = _duck_trajectory((np.arange(n) + 0.5) / n, states)
+    tracemalloc.start()
+    try:
+        write_snapshots(traj, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(list(tmp_path.iterdir())) == snaps
+    assert peak < 64 * states[0].nbytes, peak / states[0].nbytes
 
 
 def _read_table_float_pass(path):
