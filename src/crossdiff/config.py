@@ -244,8 +244,6 @@ def parse_config(text: str, overrides=None) -> RunConfig:
             raise ConfigError(f"[time] snapshots count must be >= 2 when t_final > 0, "
                               f"got {times}")
         times = tuple(np.linspace(0.0, t_final, times)) if t_final > 0.0 else (0.0,)
-    if t_final == 0.0:
-        times = (0.0,)
     v["snapshot_times"] = _checked("[time]", check_time, t_final, times, v["stepper"],
                                    v["cfl_safety"], v["eps"])
 

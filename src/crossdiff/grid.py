@@ -24,13 +24,16 @@ MAX_CELLS = 2**20
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [0, 1) with dx = 1/n_cells, 4 <= n_cells <=
-    2^20 (an explicit run at the cap needs ~10^11 steps; solver.run raises
-    SolverError where a snapshot interval needs over 2^32 steps)."""
+    """Uniform periodic grid on [0, 1) with dx = 1/n_cells, an integer 4 <=
+    n_cells <= 2^20 (an explicit run at the cap needs ~10^11 steps;
+    solver.run raises SolverError where a snapshot interval needs over 2^32
+    steps)."""
 
     n_cells: int
 
     def __post_init__(self):
+        if not isinstance(self.n_cells, (int, np.integer)):
+            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 4:
             raise ValueError(f"n_cells must be >= 4, got {self.n_cells}")
         if self.n_cells > MAX_CELLS:

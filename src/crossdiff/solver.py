@@ -22,9 +22,11 @@ The semi-implicit stepper keeps only the potential drift explicit and
 solves the stiff aggregate diffusion S - dt * Lap(kirchhoff(S) + eps S) =
 S_drift by damped Newton, splitting the diffusive interface flux between
 the species by their donor-cell mobility fractions (exactly conservative
-per species).  Each Newton iteration is one O(n) periodic tridiagonal solve:
-LAPACK gtsv on the Jacobian without its corners, plus a Sherman-Morrison
-correction for them.  The first such solve loads only scipy's LAPACK
+per species).  Its drift substep (a = [V'; W'], no eps term) and that split
+(F = u_up / (rho_up + mu_up) * grad(q), q = kirchhoff(S) + eps S) are the
+same update u + dt * div(F) as the explicit step.  Each Newton iteration is
+one O(n) periodic tridiagonal solve: LAPACK gtsv on the Jacobian without its
+corners, plus a Sherman-Morrison correction for them.  The first such solve loads only scipy's LAPACK
 extension module (scipy.linalg._flapack) from its file; scipy.linalg and its
 package init never load, and an explicit run loads no scipy at all.
 
@@ -34,10 +36,11 @@ diffusive bound (the semi-implicit stepper has none), and advance(u,
 velocities, t, dt, problem) steps with them.  run builds that pair once per
 run as one kernel for both steppers (_kernel, the only reader of
 problem.stepper): two closures over working arrays allocated once, with
-the problem's scalars read once.  An explicit step goes through no layer of
-the model or the grid and, at eps = 0, allocates no array: each new state
-goes into one of two buffers that the steps alternate, so a state the
-kernel returned stays valid until the step after next.  Every max and min
+the problem's scalars read once.  Every upwind update of both steppers
+goes through one closure, and each new state goes into one of two buffers
+that the steps alternate, so a state the kernel returned stays valid until
+the step after next.  An explicit step goes through no layer of the model
+or the grid and, at eps = 0, allocates no array.  Every max and min
 of a step is a.item(a.argmax()) or a.item(a.argmin()) (see _kernel).  The
 public cfl_dt and advance are the same kernel built for one step, so the
 arithmetic exists once; advance alone checks dt > 0, as run's guards never
@@ -61,7 +64,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from .grid import div, grad
+from .grid import grad
 from .model import ProblemSpec
 
 NEWTON_TOL = 1e-11
@@ -127,40 +130,34 @@ class Trajectory:
     step_log: StepLog
 
 
-def _donor(u: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # donor cell of the transport direction -a at interface i; an (n,) a
-    # serves both rows of a (2, n) u
-    up = np.empty_like(u)
-    up[..., :-1] = u[..., 1:]
-    up[..., -1] = u[..., 0]
-    np.copyto(up, u, where=a < 0.0)
-    return up
-
-
 def _kernel(problem: ProblemSpec):
     """One step of the problem's stepper as two closures over buffers
     allocated once: velocities_dt(u) -> (dt, velocities) and transport(u,
     velocities, t, dt) -> (u_new, clamps, newton_iters), with the problem's
     scalars read here, not per step.  The velocities are the kernel's own
     buffer, valid until the next velocities_dt call.  The semi-implicit
-    stepper's dt is the advective bound alone, and its transport is
-    _semi_implicit_update.  The explicit transport writes u_new into
-    whichever of two state buffers u is not, so the buffers alternate and a
-    state it returned stays valid until the step after next.  At eps = 0 an
-    explicit step allocates no array.
+    stepper's dt is the advective bound alone.  Every upwind update of both
+    steppers is the closure upwind (u + dt * div(F) into a given buffer,
+    with the fluxes of the module docstring, then the positivity check).
+    Each transport writes u_new into whichever of two state buffers u is
+    not (the drift substep has a third), so the buffers alternate and a
+    state that transport returned stays valid until the step after next.
+    At eps = 0 an explicit step allocates no array.
 
     The arithmetic is the reference formulas', bit for bit: the velocities
     are grad(pressure(S)) + [V'; W']; the diffusive bound takes alpha *
     max(power), which rounding (monotone) makes equal to max(alpha * power);
-    the donor is the shifted u with u copied in where a < 0, and the flux
-    their product with a; the flux sits in [:, 1:] of an (2, n + 1) buffer
-    whose column 0 repeats its last one, so the divergence is one
-    subtraction.  Every max and min is a.item(a.argmax()) or
-    a.item(a.argmin()): the reduction's value (the first NaN if there is
-    one) for less call overhead.  Which of two signed zeros it picks never
-    matters: |a| and the power are >= +0, and a zero minimum fails
-    positivity either way.  The minimum of the state that the explicit
-    transport returns, found by its positivity check, is reused as the next
+    the donor is the shifted u with u copied in where a < 0, and the donor
+    of S = rho + mu is the sum of the species' donors, as both take the
+    same cell; the flux sits in [:, 1:] of an (2, n + 1) buffer whose column
+    0 repeats its last one, so the divergence is one subtraction, and
+    ((F_i - F_{i-1}) / dx) * dt + u is u + dt * ((F_i - F_{i-1}) / dx), as
+    IEEE addition and multiplication commute.  Every max and min is
+    a.item(a.argmax()) or a.item(a.argmin()): the reduction's value (the
+    first NaN if there is one) for less call overhead.  Which of two signed
+    zeros it picks never matters: |a| and the power are >= +0, and a zero
+    minimum fails positivity either way.  The minimum of the state that
+    upwind wrote last, found by its positivity check, is reused as the next
     call's `u.min() < s_floor` clamp test when that same state comes back,
     and it skips clamping S up to s_floor when no density lies below it."""
     n, dx, eps = problem.grid.n_cells, problem.grid.dx, problem.eps_viscosity
@@ -173,7 +170,7 @@ def _kernel(problem: ProblemSpec):
     s_next, s_here, grad_head = s[1:], s[:-1], grad_p[:-1]
     velocities, speed = np.empty((2, n)), np.empty((2, n))
     (v_drift, w_drift), (rho_velocity, mu_velocity) = drift, velocities
-    last = None  # the state the explicit transport returned last, and its minimum
+    last = None  # the state upwind wrote last, and its minimum
     last_min = 0.0
 
     def velocities_dt(u):
@@ -199,40 +196,52 @@ def _kernel(problem: ProblemSpec):
             dt = min(dt, dx * dx / (2.0 * diff_max))
         return safety * dt, velocities
 
-    if not explicit:
-        def semi_implicit(u, a, t, dt):
-            return _semi_implicit_update(u, t + dt, dt, problem)
-        return velocities_dt, semi_implicit
-
     padded = np.empty((2, n + 1))  # u, then its first column again; [:, 1:] the donor
     head, tail, donor = padded[:, :-1], padded[:, -1:], padded[:, 1:]
     flux = np.empty((2, n + 1))  # the interface fluxes in [:, 1:], the last again in [:, 0]
     first, last_face, faces, behind = flux[:, :1], flux[:, -1:], flux[:, 1:], flux[:, :-1]
     downwind = np.empty((2, n), dtype=bool)
-    state_a, state_b = np.empty((2, n)), np.empty((2, n))
+    state_a, state_b, drifted = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+    viscosity = eps if explicit else 0.0  # the semi-implicit eps is in the Newton solve
+
+    def upwind(u, a, dt, t_new, out, split=False):
+        nonlocal last, last_min
+        np.copyto(head, u)
+        np.copyto(tail, u[:, :1])
+        np.less(a, 0.0, out=downwind)  # an (n,) a serves both rows
+        np.copyto(donor, u, where=downwind)
+        if split:  # each species' donor-cell share of the aggregate flux a
+            np.divide(donor, donor[0] + donor[1], out=faces)
+            np.multiply(faces, a, out=faces)
+        else:
+            np.multiply(donor, a, out=faces)
+        if viscosity != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of u
+            np.add(faces, viscosity * grad(u, dx), out=faces)
+        np.copyto(first, last_face)
+        np.subtract(faces, behind, out=out)
+        out /= dx
+        out *= dt
+        out += u
+        last, last_min = out, _check_positive(out, t_new)
 
     def transport(u, a, t, dt):
-        nonlocal last, last_min
         u_min = last_min if u is last else u.item(u.argmin())
         # rho + mu < s_floor needs a density below s_floor, so S is formed only then
         clamps = nl.clamp_count(u[0] + u[1]) if u_min < s_floor else 0
-        np.copyto(head, u)
-        np.copyto(tail, u[:, :1])
-        np.less(a, 0.0, out=downwind)
-        np.copyto(donor, u, where=downwind)
-        np.multiply(donor, a, out=faces)
-        if eps != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of u
-            np.add(faces, eps * grad(u, dx), out=faces)
-        np.copyto(first, last_face)
         u_new = state_b if u is state_a else state_a
-        np.subtract(faces, behind, out=u_new)
-        u_new /= dx
-        u_new *= dt
-        u_new += u
-        last, last_min = u_new, _check_positive(u_new, t + dt)
+        upwind(u, a, dt, t + dt, u_new)
         return u_new, clamps, 0
 
-    return velocities_dt, transport
+    def semi_implicit(u, a, t, dt):  # the pressure is implicit: a goes unused
+        upwind(u, drift, dt, t + dt, drifted)
+        s_star = drifted[0] + drifted[1]
+        clamps = nl.clamp_count(s_star)
+        _, q_new, iters, newton_clamps = _implicit_diffusion(s_star, dt, problem)
+        u_new = state_b if u is state_a else state_a
+        upwind(drifted, grad(q_new, dx), dt, t + dt, u_new, split=True)
+        return u_new, clamps + newton_clamps, iters
+
+    return velocities_dt, transport if explicit else semi_implicit
 
 
 def cfl_dt(u: np.ndarray, problem: ProblemSpec) -> tuple[float, np.ndarray]:
@@ -353,26 +362,6 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
             raise SolverError(
                 f"newton stalled, residual {norm:.3e} after {it + 1} iterations")
     raise SolverError(f"newton did not converge, residual {norm:.3e}")
-
-
-def _semi_implicit_update(u, t_new: float, dt: float, problem: ProblemSpec):
-    # pressure is implicit here, so the step takes no velocities; the drift is [V'; W']
-    drift = problem.potentials.drift
-    dx = problem.grid.dx
-
-    # explicit upwind potential drift
-    u_s = u + dt * div(_donor(u, drift) * drift, dx)
-    _check_positive(u_s, t_new)
-
-    s_star = u_s[0] + u_s[1]
-    clamps = problem.nonlinearity.clamp_count(s_star)
-    _, q_new, iters, nclamps = _implicit_diffusion(s_star, dt, problem)
-
-    # split the aggregate diffusive flux by donor-cell mobility fractions
-    g_diff = grad(q_new, dx)
-    u_new = u_s + dt * div(_donor(u_s, g_diff) / _donor(s_star, g_diff) * g_diff, dx)
-    _check_positive(u_new, t_new)
-    return u_new, clamps + nclamps, iters
 
 
 def advance(u: np.ndarray, velocities: np.ndarray, t: float, dt: float,

@@ -15,11 +15,18 @@ from .model import Nonlinearity, PotentialPair
 
 
 def to_sum_ratio(rho: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell arrays (S, r) of a positive species pair, cells on the last axis."""
+    """Cell arrays (S, r) of a positive, finite species pair, cells on the
+    last axis.  A ValueError names the first nonpositive cell, else the
+    first non-finite one."""
     bad = np.argwhere((rho <= 0.0) | (mu <= 0.0))
     if bad.size:
         raise ValueError(f"nonpositive density at cell {bad[0, -1]}")
-    return rho + mu, np.log(rho) - np.log(mu)
+    S, r = rho + mu, np.log(rho) - np.log(mu)
+    # |r| < 1500 for finite positive densities: the sum is NaN or inf only if r is
+    if not np.isfinite(r.sum()):
+        bad = np.argwhere(~np.isfinite(r))
+        raise ValueError(f"non-finite density at cell {bad[0, -1]}")
+    return S, r
 
 
 def shifted_gradient(S: np.ndarray, r: np.ndarray, pot: PotentialPair,

@@ -170,6 +170,15 @@ def test_main_snapshot_count_names_the_key(tmp_path, capsys):
     assert zero.snapshot_times == (0.0,)
 
 
+def test_main_snapshot_list_at_t_final_zero_keeps_the_time_rules(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, MINIMAL.replace("t_final = 0.05",
+                                               "t_final = 0\nsnapshots = 0, 1, 2"))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: 2: [time] snapshot_times must end at t_final 0.0, got 2.0")
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_nonpositive_initial_rejected():
     text = MINIMAL.replace("rho_offset = 0.5", "rho_offset = -0.5")
     with pytest.raises(ConfigError, match="nonpositive density"):
@@ -302,8 +311,9 @@ def _config_texts(draw, broken):
     else:
         times = [pick("snapshots", (0.0, -0.0, -0.5 * tol), (2 * tol,))]
         times += [t_final / 2] * (t_final > 1e-6) * (2 if broken == "snapshots" else 1)
-        times.append(t_final + pick("snapshots", (0.0, 0.5 * tol), (-2 * tol, 2 * tol)))
-        snapshots = ", ".join(map(repr, times))
+        if t_final > 0.0 or broken == "snapshots":  # at t_final = 0 the start is the end
+            times.append(t_final + pick("snapshots", (0.0, 0.5 * tol), (-2 * tol, 2 * tol)))
+        snapshots = ", ".join(map(repr, times)) + "," * (len(times) == 1)
     lines += ["[time]", f"t_final = {t_final!r}", f"snapshots = {snapshots}",
               f"stepper = {pick('stepper', STEPPERS, ('rk4', 'Explicit'))}",
               f"cfl_safety = {pick('cfl_safety', (1.0, 0.5, 5e-324), (0.0, 1.0 + 2**-52))!r}",

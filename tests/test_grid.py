@@ -23,6 +23,13 @@ def test_grid_cell_cap():
         cd.GridSpec(2**20 + 1)
 
 
+def test_grid_cell_count_is_an_integer():
+    assert cd.GridSpec(np.int64(8)).dx == 0.125
+    for n in (4.5, 8.0, "8"):
+        with pytest.raises(ValueError, match="n_cells must be an integer, got"):
+            cd.GridSpec(n)
+
+
 def test_positions():
     g = cd.make_grid(8)
     assert np.allclose(g.cell_centers(), (np.arange(8) + 0.5) / 8)

@@ -649,14 +649,13 @@ def test_explicit_run_bitwise_equals_iterated_roll_reference():
     assert tuple(traj.step_log) == tuple(log)
 
 
-def test_explicit_kernel_steps_through_two_state_buffers():
-    """1,000 kernel steps return at most two distinct arrays, each state
-    stays valid until the step after next, and the steps allocate no array;
-    a state that public advance returned is its own."""
-    prob = fast_problem(512)
+def _steps_through_two_state_buffers(prob, steps):
+    """Step prob's kernel; assert that it returns at most two distinct
+    arrays and that each state stays valid until the step after next.
+    Returns the kernel's closures, the last state and its time."""
     velocities_dt, transport = crossdiff.solver._kernel(prob)
     u, t, states = prob.u0, 0.0, []
-    for _ in range(1000):
+    for _ in range(steps):
         kept = u.copy()
         dt, velocities = velocities_dt(u)
         u, _, _ = transport(u, velocities, t, dt)
@@ -665,6 +664,15 @@ def test_explicit_kernel_steps_through_two_state_buffers():
             assert states[-1].tobytes() == kept.tobytes()
         states.append(u)
     assert len({id(state) for state in states}) <= 2
+    return velocities_dt, transport, u, t
+
+
+def test_explicit_kernel_steps_through_two_state_buffers():
+    """1,000 kernel steps return at most two distinct arrays, each state
+    stays valid until the step after next, and the steps allocate no array;
+    a state that public advance returned is its own."""
+    prob = fast_problem(512)
+    velocities_dt, transport, u, t = _steps_through_two_state_buffers(prob, 1000)
 
     tracemalloc.start()
     try:
@@ -688,6 +696,13 @@ def test_explicit_kernel_steps_through_two_state_buffers():
         u, _ = cd.advance(u, velocities, 0.0, dt, prob)
     assert u is not first
     assert first.tobytes() == kept.tobytes()
+
+
+def test_semi_implicit_kernel_steps_through_two_state_buffers():
+    """The semi-implicit kernel keeps the same state contract (its Newton
+    solve allocates, so there is no allocation bound): 200 steps return at
+    most two distinct arrays, each valid until the step after next."""
+    _steps_through_two_state_buffers(fast_problem(128, stepper="semi-implicit"), 200)
 
 
 def _per_species_check(v, t, name):

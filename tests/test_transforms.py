@@ -28,6 +28,19 @@ def test_to_sum_ratio_rejects_nonpositive():
         to_sum_ratio(np.ones((3, 8)), rows)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_to_sum_ratio_rejects_non_finite(bad):
+    vals = np.ones(8)
+    vals[3] = bad
+    what = "nonpositive" if bad < 0.0 else "non-finite"
+    with pytest.raises(ValueError, match=f"{what} density at cell 3"):
+        to_sum_ratio(vals, np.ones(8))
+    rows = np.ones((3, 8))
+    rows[2, 6] = bad
+    with pytest.raises(ValueError, match=f"{what} density at cell 6"):
+        to_sum_ratio(np.ones((3, 8)), rows)
+
+
 def _species(S, r):
     """Inverse of to_sum_ratio: rho = S sigmoid(r), mu = S sigmoid(-r)."""
     return S / (1.0 + np.exp(-r)), S / (1.0 + np.exp(r))
