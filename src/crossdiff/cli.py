@@ -12,8 +12,9 @@
     crossdiff plot CSV... [--out DIR] [--loglog]
         render each CSV (first column = x) as a standalone SVG
 
-Exit codes: 0 success, 2 config error, 3 runtime error, 4 I/O error.
-Failures print a single line `error: <code>: <message>` to stderr.
+Exit codes: 0 success, 2 config error, 3 runtime error (out of memory
+too), 4 I/O error.  Failures print a single line `error: <code>: <message>`
+to stderr.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {EXIT_IO}: {err}", file=sys.stderr)
         return EXIT_IO
-    except (SolverError, ValueError, RuntimeError) as err:
-        print(f"error: {EXIT_RUNTIME}: {err}", file=sys.stderr)
+    except (SolverError, ValueError, RuntimeError, MemoryError) as err:
+        print(f"error: {EXIT_RUNTIME}: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

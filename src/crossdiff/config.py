@@ -22,9 +22,11 @@ count >= 1 (>= 2 when t_final > 0), bank_k in [0, n/4], that no species
 has both values and offset or modes, and that dump_config can write the
 output dir back.  Each other value rule has one owner, whose ValueError it
 re-raises as a ConfigError prefixed with the section: grid.GridSpec (n),
-model.Nonlinearity (alpha, s_floor), model.check_modes (V, W, rho_modes,
-mu_modes), grid.Field (rho_values, mu_values), model.check_time ([time])
-and study.check_levels ([study]).  build_problem stacks the initial
+grid.check_states (the bytes of the (T, 2, n) states, checked from the
+snapshot count before the times are built), model.Nonlinearity (alpha,
+s_floor), model.check_modes (V, W, rho_modes, mu_modes), grid.Field
+(rho_values, mu_values), model.check_time ([time]) and study.check_levels
+([study]).  build_problem stacks the initial
 profiles into u0 = [rho0; mu0] and adds its positivity
 (model.check_initial).  build_plan calls build_problem once per study
 level, so every level is checked before any runs.
@@ -40,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import default_bank_k
-from .grid import Field, GridSpec, make_grid
+from .grid import Field, GridSpec, check_states, make_grid
 from .model import (Mode, Nonlinearity, ProblemSpec, _trig_eval, build_potentials,
                     check_initial, check_modes, check_time)
 from .study import StudyPlan, check_levels, prolong
@@ -243,7 +245,13 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         if times < 2 and t_final > 0.0:
             raise ConfigError(f"[time] snapshots count must be >= 2 when t_final > 0, "
                               f"got {times}")
-        times = tuple(np.linspace(0.0, t_final, times)) if t_final > 0.0 else (0.0,)
+        if not t_final > 0.0:
+            times = (0.0,)
+    # the states' size, from the count alone: before linspace builds the times
+    _checked("[grid] n and [time] snapshots:", check_states,
+             times if isinstance(times, int) else len(times), n)
+    if isinstance(times, int):
+        times = tuple(np.linspace(0.0, t_final, times))
     v["snapshot_times"] = _checked("[time]", check_time, t_final, times, v["stepper"],
                                    v["cfl_safety"], v["eps"])
 
@@ -302,12 +310,16 @@ def build_plan(cfg: RunConfig) -> StudyPlan:
     """The study of cfg.  Level l is build_problem of cfg with n * 2^l cells
     (n when [study] refine_space is off) and eps the l-th entry of [study]
     viscosity, or eps * 2^-l when that schedule is empty.  Every level's
-    grid is checked before any level is built (so a level over the cell cap
-    allocates nothing), and every level is built and its initial state
-    checked before any level runs."""
+    grid, and the size of all levels' states together, is checked before
+    any level is built (so a level over the cell cap or a study over
+    grid.MAX_STATE_BYTES allocates nothing), and every level is built and
+    its initial state checked before any level runs."""
     grids = [_checked(f"[study] level {level}:", GridSpec,
                       cfg.n_cells * 2**level if cfg.study_refine_space else cfg.n_cells)
              for level in range(cfg.study_levels)]
+    # run_study returns every level's states to this process
+    _checked("[grid] n, [time] snapshots and [study] levels:", check_states,
+             len(cfg.snapshot_times), sum(grid.n_cells for grid in grids))
     problems = []
     for level, grid in enumerate(grids):
         eps = cfg.study_viscosity[level] if cfg.study_viscosity else cfg.eps * 0.5**level

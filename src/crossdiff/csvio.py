@@ -54,7 +54,7 @@ from ._chunks import in_chunks
 from .diagnostics import SCALAR_COLUMNS, DiagnosticsReport
 from .solver import Trajectory
 from .study import StudyReport
-from .grid import GridSpec
+from .grid import GridSpec, check_states
 
 
 def _lines(row: str, values: list, precision: int) -> str:
@@ -277,7 +277,8 @@ def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Load snapshot_<t>.csv files, sorted by time, as (times, states): a
     (T,) array and a read-only (T, 2, n) array with rho in [:, 0] and mu in
     [:, 1].  Every time and density must parse and be finite, every density
-    must be positive, and no two files may hold the same time."""
+    must be positive, no two files may hold the same time, and the states
+    must fit grid.MAX_STATE_BYTES."""
     stamped = []
     for path in Path(traj_dir).glob("snapshot_*.csv"):
         try:
@@ -293,6 +294,10 @@ def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     for (t, first), (t_next, path) in zip(stamped, stamped[1:]):
         if t_next == t:
             raise ValueError(f"{path}: duplicate snapshot time {t!r}, also in {first.name}")
+    try:
+        check_states(len(stamped), grid.n_cells)
+    except ValueError as err:
+        raise ValueError(f"{traj_dir}: {err}") from None
     shape = (len(stamped), 2, grid.n_cells)
     # shared with the forked readers, which parse straight into their rows
     states = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)

@@ -16,10 +16,13 @@ standard Fourier multiplier with exponent one.
 
 Each functional takes (rho, mu, problem) with cells on the last axis and
 returns one value per leading index, bitwise equal to one call per row.
-build_report calls each on blocks of max(1, 2^16 // n) of a trajectory's T
-snapshots and joins the blocks' values, so its temporaries hold about 2^16
-values, not T n; the moduli and the weak residual's pressure gradient work
-by blocks too.  The residual's matmuls alone take whole (T, n) operands,
+build_report calls each on blocks of max(1, 2^14 // n) of a trajectory's T
+snapshots and joins the blocks' values, so its temporaries hold about 2^14
+values (128 KiB an array), not T n; the moduli and the weak residual's
+pressure gradient work by blocks too.  The size is set by peak memory: at
+T = 401, n = 2048 the temporaries take 1.8 MiB, against 2.9 MiB with
+blocks of 2^16 and 1.6 MiB with blocks of 2^13.  The residual's matmuls
+alone take whole (T, n) operands,
 as OpenBLAS gemv is not bitwise stable across row counts (at n = 2048,
 blocks of 16 rows differ from the whole call in the last bit), so the
 residual holds one (T, n) array, each species' flux in turn, filled block
@@ -43,8 +46,9 @@ from .solver import Trajectory
 from .transforms import shifted_gradient, to_sum_ratio
 
 
-# the values (rows x n) of one block of rows that the row-wise parts work on
-_BLOCK_VALUES = 2**16
+# the values (rows x n) of one block of rows that the row-wise parts work on,
+# sized for peak memory: 8 rows at n = 2048
+_BLOCK_VALUES = 2**14
 
 
 def _blocks(rows: np.ndarray, start: int = 0) -> list[tuple[int, int]]:
@@ -394,7 +398,8 @@ def build_report(traj: Trajectory, bank_k: int | None = None, residuals: bool = 
     # (weight, part, on), weights in proportion to each part's measured cost: in
     # this order the heaviest of two chunks holds 13/24 of the work.  Parts look
     # their functionals up here when run, so bench/trace_cli.py records the
-    # parent's, one span per block.
+    # parent's, one span per block: 51 blocks of 8 rows at T = 401, n = 2048,
+    # about 4x the spans that blocks of 2^16 values gave (13 of 32 rows).
     parts = [(weight, part) for weight, part, on in (
         (4, lambda: _by_blocks(bv, rho, mu), True),
         (9, lambda: dict(zip(_MODULI_FIELDS, sum(equicontinuity_moduli(traj), ()))), moduli),

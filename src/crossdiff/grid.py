@@ -20,6 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_CELLS = 2**20
+# the most bytes of float64 states, (T, 2, n), that a run, a study's levels
+# together or a snapshot read may hold: 64 snapshots at MAX_CELLS
+MAX_STATE_BYTES = 2**30
+
+
+def check_states(snapshots: int, cells: int) -> None:
+    """Check that (snapshots, 2, cells) float64 states fit MAX_STATE_BYTES,
+    by arithmetic alone, before anything of that size is built."""
+    size = 16 * snapshots * cells
+    if size > MAX_STATE_BYTES:
+        raise ValueError(f"{snapshots} snapshots of {cells} cells hold {size} bytes of "
+                         f"states, more than {MAX_STATE_BYTES}")
 
 
 @dataclass(frozen=True)

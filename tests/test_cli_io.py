@@ -3,6 +3,7 @@ import errno
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -22,6 +23,8 @@ from hypothesis import strategies as st
 
 import crossdiff
 import crossdiff.cli
+import crossdiff.config
+import crossdiff.grid
 import crossdiff.study
 from crossdiff import _chunks, csvio
 from crossdiff.cli import main
@@ -821,6 +824,23 @@ def _write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _run_cli(args, timeout=60, address_limit=None):
+    """`python -m crossdiff.cli *args` in a fresh interpreter, killed after
+    timeout seconds.  address_limit (bytes) caps the child's address space
+    alone, with one BLAS thread, whose pools would reserve address space."""
+    env = dict(os.environ, PYTHONPATH=str(Path(crossdiff.__file__).resolve().parents[1]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (address_limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    if address_limit is not None:
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "crossdiff.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout,
+                          preexec_fn=limit if address_limit is not None else None)
+
+
 def test_main_run_stationary(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "out"
@@ -887,11 +907,7 @@ def test_main_diagnose_builds_problem_once(tmp_path, monkeypatch):
 
 
 def test_module_entry_point(tmp_path):
-    src = str(Path(crossdiff.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "crossdiff.cli", "diagnose", str(tmp_path / "absent")],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_cli(["diagnose", str(tmp_path / "absent")])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: 2:")
 
@@ -1395,13 +1411,82 @@ def test_a_cfl_step_that_cannot_move_time_exits_3(tmp_path, alpha, cfl_safety, m
     # moves t but would take about 5e15 steps, past the step budget
     text = (MINIMAL.replace("n = 128", "n = 16").replace("alpha = 1.0", f"alpha = {alpha}")
             .replace("t_final = 0.05", f"t_final = 1e-13\ncfl_safety = {cfl_safety}"))
-    env = dict(os.environ, PYTHONPATH=str(Path(crossdiff.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "crossdiff.cli", "run", _write_cfg(tmp_path, text),
-         "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env, timeout=30)
+    proc = _run_cli(["run", _write_cfg(tmp_path, text), "--out", str(tmp_path / "o")],
+                    timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: 3: CFL step dt=")
     assert f"{message} (cfl_safety = {cfl_safety})" in proc.stderr
+
+
+# n at the cell cap; 64 snapshots of it hold exactly MAX_STATE_BYTES of states
+HUGE = MINIMAL.replace("n = 128", "n = 1048576").replace("alpha = 1.0", "alpha = 0.5")
+
+
+def _huge(snapshots, t_final="0.01"):
+    return HUGE.replace("t_final = 0.05", f"t_final = {t_final}\nsnapshots = {snapshots}")
+
+
+@pytest.mark.parametrize("snapshots", [3000000, 100000000])
+def test_states_over_the_budget_exit_2_before_anything_is_built(tmp_path, snapshots):
+    # both used to fail on an allocation: 3e6 snapshots on the states (45.8
+    # TiB, exit 1 with a traceback) and 1e8 in parse_config's linspace; the
+    # address limit is below the 800 MB that linspace alone would ask for
+    out = tmp_path / "o"
+    proc = _run_cli(["run", _write_cfg(tmp_path, _huge(snapshots)), "--out", str(out)],
+                    timeout=30, address_limit=2**29)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"error: 2: [grid] n and [time] snapshots: {snapshots} snapshots "
+                           f"of 1048576 cells hold {16 * snapshots * 2**20} bytes of states, "
+                           f"more than {2**30}\n")
+    assert not out.exists()
+
+
+def test_states_at_the_budget_parse():
+    assert len(parse_config(_huge(64)).snapshot_times) == 64
+    with pytest.raises(ConfigError, match=r"^\[grid\] n and \[time\] snapshots: 65 snapshots "
+                                          r"of 1048576 cells hold 1090519040 bytes"):
+        parse_config(_huge(65))
+    # a count at t_final = 0 is one snapshot
+    assert parse_config(_huge(10**12, t_final="0")).snapshot_times == (0.0,)
+
+
+def test_a_study_over_the_budget_builds_no_level(monkeypatch):
+    # the parent holds every level's states: 64 snapshots of 2^18 + 2^19 + 2^20 cells
+    built = []
+    monkeypatch.setattr(crossdiff.config, "build_problem", built.append)
+    cfg = parse_config(_huge(64).replace("n = 1048576", "n = 262144"))
+    with pytest.raises(ConfigError, match=r"^\[grid\] n, \[time\] snapshots and \[study\] "
+                                          r"levels: 64 snapshots of 1835008 cells hold"):
+        build_plan(cfg)
+    assert built == []
+
+
+def test_read_snapshots_checks_the_states_size(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    assert main(["run", _write_cfg(tmp_path, FAST), "--out", str(out)]) == 0
+    grid = build_problem(parse_config(FAST)).grid
+    monkeypatch.setattr(crossdiff.grid, "MAX_STATE_BYTES", 16 * 5 * 64)
+    assert read_snapshots(out, grid)[1].shape == (5, 2, 64)
+    monkeypatch.setattr(crossdiff.grid, "MAX_STATE_BYTES", 16 * 5 * 64 - 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(out))}: 5 snapshots of 64 cells "
+                                         "hold 5120 bytes of states, more than 5119$"):
+        read_snapshots(out, grid)
+
+
+def test_out_of_memory_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    # states at the budget pass parse_config; 1 GiB cannot fit a 512 MiB address space
+    proc = _run_cli(["run", _write_cfg(tmp_path, _huge(64)), "--out", str(tmp_path / "o")],
+                    timeout=30, address_limit=2**29)
+    assert proc.returncode == 3, proc.stderr
+    assert re.fullmatch(r"error: 3: Unable to allocate 1\.00 GiB [^\n]*\n", proc.stderr)
+
+    # a MemoryError without a message is named by its type
+    def no_memory(problem):
+        raise MemoryError
+
+    monkeypatch.setattr(crossdiff.cli, "run", no_memory)
+    assert main(["run", _write_cfg(tmp_path, FAST), "--out", str(tmp_path / "f")]) == 3
+    assert capsys.readouterr().err == "error: 3: MemoryError\n"
 
 
 def test_output_toggles(tmp_path):

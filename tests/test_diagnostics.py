@@ -544,7 +544,8 @@ def test_report_is_bitwise_the_same_for_any_block_size():
 
 def test_report_peak_memory_stays_near_the_states_size(monkeypatch):
     # every part but the weak residual works on blocks of rows; the residual
-    # holds one whole (T, n) flux, half of states.nbytes, and little more
+    # holds one whole (T, n) flux, half of states.nbytes.  Beyond it the
+    # blocks' temporaries take 1.78 MiB here (2.90 MiB with blocks of 2^16)
     monkeypatch.setattr(diagnostics, "_FORK_MIN_VALUES", 2**62)  # serial: one process
     n, snaps = 2048, 401
     prob = _standing_problem(n)
@@ -557,7 +558,7 @@ def test_report_peak_memory_stays_near_the_states_size(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.residuals and rep.omega_time_k.size > 0
-    assert peak < 1.5 * states.nbytes, peak / states.nbytes
+    assert peak - states.nbytes // 2 < 2 * 2**20, peak - states.nbytes // 2
 
 
 def test_only_a_large_report_forks(monkeypatch):
