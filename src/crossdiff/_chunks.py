@@ -21,6 +21,11 @@ child: it runs work(0, len(weights)) in place, so nested parallel work (a
 study level's report) forks no grandchildren and takes no more CPUs than
 the outer call shares out.
 
+fork and reap start and finish one such child on their own (the snapshot
+writers of `_stream` are such children), and usable_cpus is the CPU count
+in_chunks shares out.  shared_array is the (T, 2, n) states' map: what
+the parent writes into it after a fork, its children see.
+
 The only threads the parent may have are OpenBLAS's pool, which OpenBLAS
 stops before a fork with its pthread_atfork handler, so children may call
 BLAS and LAPACK (study levels do).  The test suite runs without
@@ -30,11 +35,16 @@ OPENBLAS_NUM_THREADS=1 and so checks that this is safe.
 from __future__ import annotations
 
 import bisect
+import errno
 import itertools
+import math
+import mmap
 import os
 import pickle
 import signal
 from typing import Callable, NoReturn, Sequence
+
+import numpy as np
 
 _in_chunk = False  # this process is running a chunk of an in_chunks call
 
@@ -61,28 +71,56 @@ def chunk_bounds(weights: Sequence[int], chunks: int) -> list[int]:
     return fill(lo)
 
 
+def usable_cpus() -> int:
+    """How many CPUs in_chunks shares work over: those this process may use,
+    or 1 without os.fork or while this process runs a chunk."""
+    if _in_chunk or not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+def shared_array(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float64 array over one anonymous shared map: a child forked
+    after it is made sees what the parent writes into it later, and the
+    parent what the child writes.  A map that does not fit raises
+    MemoryError, as np.empty(shape) would."""
+    try:
+        buffer = mmap.mmap(-1, 8 * math.prod(shape))
+    except OSError as err:
+        if err.errno != errno.ENOMEM:
+            raise
+        np.empty(shape)  # numpy's MemoryError names the size, when it does not fit either
+        raise MemoryError(str(err)) from None
+    return np.frombuffer(buffer, dtype=np.float64).reshape(shape)
+
+
+def fork(work: Callable[[int, int], object], lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that runs work(lo, hi) as a chunk (_run_child): its pid
+    and the read end of the pipe that carries its result, for reap."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _run_child(work, lo, hi, write_fd)
+    os.close(write_fd)
+    return pid, read_fd
+
+
 def in_chunks(work: Callable[[int, int], object], weights: Sequence[int]) -> list:
     """[work(lo, hi) for each chunk] over chunk_bounds(weights, usable CPUs):
     the parent runs the first chunk and an os.fork child each other one;
     one chunk, in place, when called from inside a chunk."""
     global _in_chunk
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    bounds = chunk_bounds(weights, (cpus or 1) if hasattr(os, "fork") and not _in_chunk else 1)
+    bounds = chunk_bounds(weights, usable_cpus())
     children = []  # (pid, read end of the pipe that carries its result)
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _in_chunk = True
-                _run_child(work, lo, hi, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
+            children.append(fork(work, lo, hi))
         outer, _in_chunk = _in_chunk, True
         try:
             results = [work(bounds[0], bounds[1])]
@@ -93,7 +131,7 @@ def in_chunks(work: Callable[[int, int], object], weights: Sequence[int]) -> lis
             os.kill(pid, signal.SIGTERM)  # not yet reaped, so still our child
         raise
     finally:
-        outcomes = [_reap(work, pid, read_fd) for pid, read_fd in children]
+        outcomes = [reap(work, pid, read_fd) for pid, read_fd in children]
     for result, err in outcomes:
         if err is not None:
             raise err
@@ -107,6 +145,8 @@ def _run_child(work, lo: int, hi: int, write_fd: int) -> NoReturn:
     as a RuntimeError holding its repr; always os._exit, so no handler or
     cleanup of the parent's stack runs in the child.  It exits 0 only once
     the whole message is written.  SIGTERM raises SystemExit in it."""
+    global _in_chunk
+    _in_chunk = True
     code = 1
     try:
         signal.signal(signal.SIGTERM, _stop)
@@ -129,7 +169,7 @@ def _stop(signum, frame) -> NoReturn:
     raise SystemExit(f"stopped by signal {signum}")
 
 
-def _reap(work, pid: int, read_fd: int) -> tuple:
+def reap(work, pid: int, read_fd: int) -> tuple:
     """Wait for a chunk's child: the (result, exception) pair it sent, or a
     RuntimeError when it ended before sending one.  The pipe is read to its
     end before waitpid: a child blocks on a message larger than the pipe's

@@ -25,6 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, build_plan, build_problem, dump_config, parse_config
+from ._stream import stream_snapshots
 from .csvio import (read_snapshots, read_table, write_atomic, write_report_csv,
                     write_snapshots, write_study_csv)
 from .diagnostics import build_report
@@ -102,11 +103,12 @@ def _load_config(path: str, args):
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args)
     problem = build_problem(cfg)
-    traj = run(problem)
-    report = build_report(traj, cfg.bank_k, cfg.residuals, cfg.moduli)
     out = Path(cfg.out_dir)
-    write_atomic(out / "run.cfg", dump_config(cfg))
-    write_snapshots(traj, out, cfg.precision)
+    with stream_snapshots(problem, out, cfg.precision):
+        traj = run(problem)
+        report = build_report(traj, cfg.bank_k, cfg.residuals, cfg.moduli)
+        write_atomic(out / "run.cfg", dump_config(cfg))
+        write_snapshots(traj, out, cfg.precision)
     write_report_csv(report, out, cfg.precision)
     print(f"run complete: {len(traj.times)} snapshots, "
           f"{len(traj.step_log)} steps, "

@@ -26,12 +26,20 @@ split them in time order over every CPU this process may use with
 which may be smaller, holds ceil(count / CPUs) files): the first chunk in
 this process and each other in an `os.fork` child.  Children see the
 trajectory through fork, and readers parse straight into a (T, 2, n) array
-over one shared mmap, so a child sends back nothing but its error.  Each
+over one shared map (`_chunks.shared_array`, which solver.run also keeps its
+states in), so a child sends back nothing but its error.  Each
 chunk stops at its first failing file, and the earliest failing chunk's
 error is raised once every child is reaped: a read fails on the first bad
 file in time order, as a sequential reader would.  Each snapshot is
 formatted and written on its own, so a trajectory's text is never held in
 memory whole.
+
+`crossdiff run` on two or more CPUs streams its snapshots
+(`_stream.stream_snapshots`): writer processes write each to its .tmp name
+with the per-file code of write_snapshots (`_snapshot_text`) while the run
+goes on.  write_snapshots then commits: its hook waits for the writers and
+says which files they wrote; write_snapshots renames those into place in
+time order and writes any other one split over the CPUs as above.
 
 Files are written to a temporary file and atomically renamed into place; a
 failed write removes its temporary file, so no partial table is left
@@ -44,13 +52,12 @@ import contextlib
 import functools
 import io
 import math
-import mmap
 import os
 from pathlib import Path
 
 import numpy as np
 
-from ._chunks import in_chunks
+from ._chunks import in_chunks, shared_array
 from .diagnostics import SCALAR_COLUMNS, DiagnosticsReport
 from .solver import Trajectory
 from .study import StudyReport
@@ -64,19 +71,34 @@ def _lines(row: str, values: list, precision: int) -> str:
     return (row * (len(values) // row.count("%"))) % tuple(values)
 
 
+_streamed = None  # if set, the indices of write_snapshots' files already at their .tmp names
+
+
+def _tmp(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
+
+
+def _write_file(path: Path, text: str | bytes) -> None:
+    with (open(path, "w", newline="") if isinstance(text, str) else open(path, "wb")) as fh:
+        fh.write(text)
+
+
+def _unlink(path: Path) -> None:
+    with contextlib.suppress(OSError):  # a directory is not ours to remove
+        path.unlink(missing_ok=True)
+
+
 def write_atomic(path: Path, text: str | bytes) -> None:
     """Write text (or bytes) to path through path.tmp and a rename, so path
     holds either its old content or all of text; on any failure path.tmp is
     removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _tmp(path)
     try:
-        with (open(tmp, "w", newline="") if isinstance(text, str) else open(tmp, "wb")) as fh:
-            fh.write(text)
+        _write_file(tmp, text)
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):  # a directory is not ours to remove
-            tmp.unlink(missing_ok=True)
+        _unlink(tmp)
         raise
 
 
@@ -239,37 +261,63 @@ def snapshot_filename(t: float) -> str:
     return f"snapshot_{format(float(t), '.17g')}.csv"
 
 
+def _snapshot_text(grid: GridSpec, precision: int):
+    """text(state): the bytes of the snapshot file of a (2, n) state on grid.
+    The x column is formatted here, once, into a body matrix of a row a
+    cell: x, rho and mu text with their commas and line feed, and zero bytes
+    where a text is shorter than its columns."""
+    # the x text, zero-padded to the longest: one array, not n string objects
+    x_text = np.array(_lines("%g", grid.cell_centers().tolist(), precision).splitlines(),
+                      dtype=bytes)
+    n, x_end, width = len(x_text), x_text.itemsize, _TEXT_WIDTH
+    header = b"x,rho,mu\n"
+    body = np.zeros(len(header) + n * (x_end + 2 * width + 3), dtype=np.uint8)
+    body[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    rows = body[len(header):].reshape(n, -1)
+    rows[:, :x_end] = x_text.view(np.uint8).reshape(n, x_end)
+    rows[:, [x_end, x_end + width + 1, -1]] = np.frombuffer(b",,\n", dtype=np.uint8)
+    rho_text = rows[:, x_end + 1:x_end + width + 1]
+    mu_text = rows[:, x_end + width + 2:-1]
+
+    def text(state: np.ndarray) -> bytes:
+        values, done = _format_fixed(np.ravel(state), precision)
+        if not done.all():
+            flat = [None] * (3 * n)  # x, rho, mu of each row in turn
+            flat[0::3], flat[1::3], flat[2::3] = (x_text.astype(str).tolist(), state[0].tolist(),
+                                                  state[1].tolist())
+            return (header.decode() + _lines("%s,%g,%g", flat, precision)).encode()
+        rho_text[...], mu_text[...] = values[:n], values[n:]
+        del values  # freed before the file's bytes, twice the body's size at their peak, are made
+        return body.tobytes().translate(None, b"\0")
+
+    return text
+
+
 def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path]:
-    """Write snapshot_<t>.csv for every time of traj; the paths in time order."""
+    """Write snapshot_<t>.csv for every time of traj; the paths in time order.
+    Some files may already sit at their .tmp names: the indices that the
+    private hook _streamed(traj, out_dir, precision) returns, if set (the
+    writers of _stream.stream_snapshots set it); those are renamed into
+    place in time order and the others written here."""
     out = Path(out_dir)
     paths = [out / snapshot_filename(t) for t in traj.times]
-    xc = traj.problem.grid.cell_centers().tolist()
-    x_lines = _lines("%g", xc, precision).splitlines()  # the same in every file
-    x_text = np.array(x_lines, dtype=bytes)  # zero-padded to the longest
-    n, x_end, width = len(xc), x_text.itemsize, _TEXT_WIDTH
-    header = np.frombuffer(b"x,rho,mu\n", dtype=np.uint8)
+    done = sorted(_streamed(traj, out, precision)) if _streamed is not None else []
+    for i, j in enumerate(done):
+        try:
+            os.replace(_tmp(paths[j]), paths[j])
+        except BaseException:
+            for rest in done[i:]:
+                _unlink(_tmp(paths[rest]))
+            raise
+    todo = sorted(set(range(len(paths))) - set(done))
+    if todo:
+        text = _snapshot_text(traj.problem.grid, precision)
 
-    def write(lo: int, hi: int) -> None:
-        # the header, then a row of x, rho and mu text a cell, with zero bytes
-        # where a text is shorter than its columns
-        body = np.zeros(len(header) + n * (x_end + 2 * width + 3), dtype=np.uint8)
-        body[:len(header)] = header
-        rows = body[len(header):].reshape(n, -1)
-        rows[:, :x_end] = x_text.view(np.uint8).reshape(n, x_end)
-        rows[:, [x_end, x_end + width + 1, -1]] = np.frombuffer(b",,\n", dtype=np.uint8)
-        rho_text = rows[:, x_end + 1:x_end + width + 1]
-        mu_text = rows[:, x_end + width + 2:-1]
-        for path, state in zip(paths[lo:hi], traj.states[lo:hi]):
-            text, done = _format_fixed(np.ravel(state), precision)
-            if done.all():
-                rho_text[...], mu_text[...] = text[:n], text[n:]
-                write_atomic(path, body.tobytes().translate(None, b"\0"))
-            else:
-                flat = [None] * (3 * n)  # x, rho, mu of each row in turn
-                flat[0::3], flat[1::3], flat[2::3] = x_lines, state[0].tolist(), state[1].tolist()
-                write_atomic(path, "x,rho,mu\n" + _lines("%s,%g,%g", flat, precision))
+        def write(lo: int, hi: int) -> None:
+            for j in todo[lo:hi]:
+                write_atomic(paths[j], text(traj.states[j]))
 
-    in_chunks(write, [1] * len(paths))
+        in_chunks(write, [1] * len(todo))
     return paths
 
 
@@ -298,10 +346,7 @@ def read_snapshots(traj_dir, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         check_states(len(stamped), grid.n_cells)
     except ValueError as err:
         raise ValueError(f"{traj_dir}: {err}") from None
-    shape = (len(stamped), 2, grid.n_cells)
-    # shared with the forked readers, which parse straight into their rows
-    states = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64)
-    states = states.reshape(shape)
+    states = shared_array((len(stamped), 2, grid.n_cells))  # the forked readers parse into it
 
     def read(lo: int, hi: int) -> None:
         for state, (_, path) in zip(states[lo:hi], stamped[lo:hi]):

@@ -26,9 +26,11 @@ per species).  Its drift substep (a = [V'; W'], no eps term) and that split
 (F = u_up / (rho_up + mu_up) * grad(q), q = kirchhoff(S) + eps S) are the
 same update u + dt * div(F) as the explicit step.  Each Newton iteration is
 one O(n) periodic tridiagonal solve: LAPACK gtsv on the Jacobian without its
-corners, plus a Sherman-Morrison correction for them.  The first such solve loads only scipy's LAPACK
-extension module (scipy.linalg._flapack) from its file; scipy.linalg and its
-package init never load, and an explicit run loads no scipy at all.
+corners, plus a Sherman-Morrison correction for them.  An iterate, or a
+drifted state, with no value below s_floor skips the clamp and its count.
+The first such solve loads only scipy's LAPACK extension module
+(scipy.linalg._flapack) from its file; scipy.linalg and its package init
+never load, and an explicit run loads no scipy at all.
 
 A step evaluates the velocities once: cfl_dt(u, problem) returns (dt,
 velocities), with the same pressure power giving the explicit stepper's
@@ -45,11 +47,15 @@ of a step is a.item(a.argmax()) or a.item(a.argmin()) (see _kernel).  The
 public cfl_dt and advance are the same kernel built for one step, so the
 arithmetic exists once; advance alone checks dt > 0, as run's guards never
 pass a dt of 0.  run starts from problem.u0 and copies each snapshot it
-keeps into one preallocated (T, 2, n) array, rho in [:, 0] and mu in
-[:, 1], whose rows the diagnostics evaluate directly.  It logs each step's
-t, dt, clamps and Newton iterations in four array.array buffers, 32 bytes
-a step, which the StepLog then views as read-only numpy columns without a
-copy; iterating the log builds the StepRecords only then.  A dt that would
+keeps into one (T, 2, n) array over an anonymous shared map
+(_chunks.shared_array), rho in [:, 0] and mu in [:, 1], whose rows the
+diagnostics evaluate directly.  Once a row holds its snapshot, run calls
+the private hook _stored, if set: _stream.stream_snapshots sets it, so
+that writer processes, which see the shared rows, write each snapshot's
+file while the run goes on.  It logs each step's t, dt, clamps and Newton
+iterations in four array.array buffers, 32 bytes a step, which the StepLog
+then views as read-only numpy columns without a copy; iterating the log
+builds the StepRecords only then.  A dt that would
 need more than 2^32 steps to reach the next snapshot time is a SolverError.
 """
 
@@ -64,6 +70,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
+from ._chunks import shared_array
 from .grid import grad
 from .model import ProblemSpec
 
@@ -71,6 +78,7 @@ NEWTON_TOL = 1e-11
 NEWTON_MAXIT = 50
 _VEL_FLOOR = 1e-30  # guards the advective CFL division
 _STEP_BUDGET = 2**32  # most steps of one dt that run may take to reach a snapshot time
+_stored = None  # if set, run calls _stored(problem, times, states, j) once it holds snapshot j
 
 
 class SolverError(RuntimeError):
@@ -235,7 +243,7 @@ def _kernel(problem: ProblemSpec):
     def semi_implicit(u, a, t, dt):  # the pressure is implicit: a goes unused
         upwind(u, drift, dt, t + dt, drifted)
         s_star = drifted[0] + drifted[1]
-        clamps = nl.clamp_count(s_star)
+        clamps = nl.clamp_count(s_star) if last_min < s_floor else 0  # as in transport
         _, q_new, iters, newton_clamps = _implicit_diffusion(s_star, dt, problem)
         u_new = state_b if u is state_a else state_a
         upwind(drifted, grad(q_new, dx), dt, t + dt, u_new, split=True)
@@ -297,7 +305,8 @@ def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray, b=None) -> np.n
     dgtsv = _lapack().dgtsv
 
     n = cd.size
-    diag = 1.0 + 2.0 * cd
+    diag = cd * 2.0
+    diag += 1.0
     gamma = -diag[0]
     lower, upper = -cd[0], -cd[-1]  # the corners J[n-1, 0] and J[0, n-1]
     diag[0] -= gamma
@@ -313,49 +322,66 @@ def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray, b=None) -> np.n
         raise SolverError(f"tridiagonal solve failed, LAPACK gtsv info {info}")
     y, z = yz[:, 0], yz[:, 1]
     ratio = upper / gamma
-    return y - (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]) * z
+    z *= (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])
+    return np.subtract(y, z, out=y)
 
 
 def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
     """Solve S - dt * Lap(kirchhoff(S) + eps S) = s_rhs by damped Newton.
 
-    Returns S, its q = kirchhoff(S) + eps S, the iterations and the clamps."""
+    Returns S, its q = kirchhoff(S) + eps S, the iterations and the clamps.
+    An iterate whose minimum (the argmin its clamp test takes) is at least
+    s_floor skips the clamp: its q is s ** alpha and its slope alpha * s **
+    (alpha - 1), the bits of kirchhoff and diffusivity, as the `**`
+    operator keeps numpy's fast paths for the exponents 0, 0.5, 1 and 2.
+    The residual, the slope and the solve's arrays are formed in place."""
     nl = problem.nonlinearity
     eps = problem.eps_viscosity
     dx = problem.grid.dx
+    alpha, s_floor = nl.alpha, nl.s_floor
     c = dt / (dx * dx)
 
-    def residual(s):
-        q = nl.kirchhoff(s)
-        if eps != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of q
-            q += eps * s
+    def residual(s, s_min):
+        q = nl.kirchhoff(s) if s_min < s_floor else s ** alpha
         lap = np.empty_like(q)  # q[i+1] - 2 q[i] + q[i-1], indices mod n
-        np.subtract(q[1:], 2.0 * q[:-1], out=lap[:-1])
+        if eps != 0.0:  # at eps = 0 the term is +-0.0 and changes no bit of q
+            q += np.multiply(s, eps, out=lap)
+        np.multiply(q[:-1], 2.0, out=lap[:-1])
+        np.subtract(q[1:], lap[:-1], out=lap[:-1])
         lap[-1] = q[0] - 2.0 * q[-1]
         lap[1:] += q[:-1]
         lap[0] += q[-1]
-        res = s - c * lap - s_rhs
+        lap *= c
+        res = np.subtract(s, lap, out=lap)
+        res -= s_rhs
         size = np.abs(res)
         return res, q, size.item(size.argmax())  # max |res|, NaN if res holds one
 
     s = s_rhs.copy()
+    s_min = s.item(s.argmin())
     b = np.empty((s.size, 2), order="F")  # the solves' right-hand sides
-    res, q, norm = residual(s)
+    res, q, norm = residual(s, s_min)
     clamps = 0
     for it in range(NEWTON_MAXIT):
         if norm <= NEWTON_TOL:
             return s, q, it, clamps
-        slope = np.where(s < nl.s_floor, 0.0, nl.diffusivity(s))  # q is flat there
+        if s_min < s_floor:
+            slope = np.where(s < s_floor, 0.0, nl.diffusivity(s))  # q is flat there
+        else:
+            slope = s ** (alpha - 1.0)
+            slope *= alpha
         if eps != 0.0:  # slope is never -0.0, so slope + 0.0 is slope
             slope += eps
-        delta = _solve_periodic_tridiagonal(c * slope, -res, b)
+        slope *= c
+        delta = _solve_periodic_tridiagonal(slope, -res, b)
         lam = 1.0
         for _ in range(30):
             trial = s + delta if lam == 1.0 else s + lam * delta  # 1.0 * delta is delta
-            clamps += nl.clamp_count(trial) if trial.item(trial.argmin()) < nl.s_floor else 0
-            res_t, q_t, norm_t = residual(trial)
+            t_min = trial.item(trial.argmin())
+            clamps += nl.clamp_count(trial) if t_min < s_floor else 0
+            res_t, q_t, norm_t = residual(trial, t_min)
             if norm_t < norm:
-                s, res, q, norm = trial, res_t, q_t, norm_t
+                s, s_min, res, q, norm = trial, t_min, res_t, q_t, norm_t
                 break
             lam *= 0.5
         else:
@@ -383,9 +409,12 @@ def run(problem: ProblemSpec) -> Trajectory:
     log_t, log_dt, log_clamps, log_iters = (b.append for b in buffers)
     velocities_dt, transport = _kernel(problem)
     t, u = 0.0, problem.u0
+    stored = _stored
     times = np.zeros(len(problem.snapshot_times))
-    states = np.empty((times.size, 2, problem.grid.n_cells))
+    states = shared_array((times.size, 2, problem.grid.n_cells))
     states[0] = u
+    if stored is not None:
+        stored(problem, times, states, 0)
     for j, target in enumerate(problem.snapshot_times[1:], 1):
         while t < target:
             remaining = target - t
@@ -410,6 +439,8 @@ def run(problem: ProblemSpec) -> Trajectory:
             t = target if landing else t + dt
         times[j] = t
         states[j] = u
+        if stored is not None:
+            stored(problem, times, states, j)
     times.setflags(write=False)
     states.setflags(write=False)
     return Trajectory(problem, times, states, StepLog.of(buffers))

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import fcntl
 import math
 import os
 import re
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossdiff
+import crossdiff._stream
 import crossdiff.cli
 import crossdiff.config
 import crossdiff.grid
@@ -1227,6 +1229,269 @@ def test_a_failing_first_chunk_stops_the_others_and_leaves_no_temporary_file(
     assert time.monotonic() - start < 20
     _assert_no_child_left()
     assert not list(out.glob("*.tmp"))
+
+
+# explicit steps at cfl_safety = 1.0 on rough data: the run stores the
+# snapshots at t = 0 to 4e-6, then an upwind step empties mu in cell 19
+ROUGH = """
+[grid]
+n = 32
+[model]
+alpha = 0.5
+[potentials]
+V = 1:-1.2:0
+W = 7:0:2.07
+[initial]
+rho_values = 4.54, 3.94, 0.593, 0.214, 3.97, 2.25, 0.4, 4.41, 0.11, 3.57, 2.62, 2.56, 4.18,
+  3.3, 3.11, 4.34, 4.6, 3.18, 4.54, 2.41, 0.509, 0.0943, 0.195, 4.8, 0.711, 0.274, 4.86, 2.03,
+  4.78, 3.14, 1.51, 2.48
+mu_values = 1.85, 4.73, 1.95, 2.76, 0.28, 0.0549, 2.39, 1.33, 1.94, 1.88, 3.56, 0.792, 4.8,
+  0.373, 1.17, 0.714, 2.21, 0.499, 0.669, 1.98, 0.0337, 4.5, 0.625, 1.52, 4.55, 1.99, 2.3,
+  3.9, 2.59, 1.28, 3.74, 0.82
+[time]
+t_final = 0.00025
+snapshots = 0, 1e-6, 2e-6, 3e-6, 4e-6, 0.00025
+cfl_safety = 1.0
+"""
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("where", ["absent", "nested", "existing"])
+def test_a_run_that_fails_part_way_leaves_the_output_as_it_was(tmp_path, capsys, monkeypatch,
+                                                               cpus, where):
+    cfg = _write_cfg(tmp_path, ROUGH, "rough.cfg")
+    out = tmp_path / "root" / ("a/b" if where == "nested" else "out")
+    (tmp_path / "root").mkdir()
+    if where == "existing":  # an earlier run's files, one at a snapshot's name
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / csvio.snapshot_filename(1e-6)).write_text("an older snapshot")
+        (out / "scalars.csv").write_text("t\n0\n")
+    before = _tree(tmp_path / "root")
+    _use_cpus(monkeypatch, cpus)
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3: positivity violated: mu at cell 19") and err.count("\n") == 1
+    _assert_no_child_left()
+    assert _tree(tmp_path / "root") == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_a_snapshot_that_cannot_be_written_exits_4_with_one_line(tmp_path, capsys, monkeypatch,
+                                                                 cpus, index):
+    t = build_problem(parse_config(FAST)).snapshot_times[index]
+    out = tmp_path / "out"
+    blocked = out / csvio.snapshot_filename(t)
+    blocked.mkdir(parents=True)  # a directory where a snapshot goes
+    _use_cpus(monkeypatch, cpus)
+    assert main(["run", _write_cfg(tmp_path, FAST), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4: [Errno 21] Is a directory") and err.count("\n") == 1
+    assert str(blocked) in err
+    _assert_no_child_left()
+    assert not list(out.glob("*.tmp"))
+    assert blocked.is_dir() and not any(blocked.iterdir())
+
+
+# runs whose snapshots go through the formatting kernel, and one whose rho
+# lies below 1e-4, so that every snapshot is written whole by %
+CPU_RUNS = {
+    "explicit": FAST.replace("snapshots = 5", "snapshots = 9"),
+    "semi-implicit": FAST.replace("snapshots = 5", "snapshots = 9\nstepper = semi-implicit"),
+    "below-1e-4": FAST.replace("rho_offset = 0.5", "rho_offset = 5e-5").replace(
+        "rho_modes = 1:0.2:0", "rho_modes = 1:2e-5:0").replace(
+        "snapshots = 5", "snapshots = 9\nstepper = semi-implicit"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CPU_RUNS))
+def test_a_run_writes_the_same_files_on_one_and_two_cpus(tmp_path, monkeypatch, name):
+    cfg = _write_cfg(tmp_path, CPU_RUNS[name])
+    files = {}
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus) / "o"
+        out.parent.mkdir()
+        monkeypatch.chdir(out.parent)  # a relative --out: run.cfg names it
+        assert main(["run", cfg, "--out", "o"]) == 0
+        _assert_no_child_left()
+        files[cpus] = _tree(out)
+    assert files[2] == files[1]
+    snapshots = [name for name in files[1] if name.startswith("snapshot_")]
+    assert len(snapshots) == 9 and len(files[1]) == 9 + 5  # no .tmp left
+    below = [b"e-05," in files[1][name] for name in snapshots]
+    assert all(below) if name == "below-1e-4" else not any(below)
+
+
+def _wait_for(predicate, what):
+    deadline = time.monotonic() + 20
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out waiting for {what}")
+        time.sleep(0.005)
+
+
+def _count_writer_files(monkeypatch):
+    """A list that gets, at each commit, the indices of the files the
+    writers wrote and how many snapshots they were sent."""
+    counts, finish = [], crossdiff._stream._Writers.finish
+
+    def counted(writers):
+        counts.append((sorted(finish(writers)), writers.sent))
+        return counts[-1][0]
+    monkeypatch.setattr(crossdiff._stream._Writers, "finish", counted)
+    return counts
+
+
+def _one_cpu_files(tmp_path, monkeypatch, cfg):
+    _use_cpus(monkeypatch, 1)
+    (tmp_path / "one").mkdir()
+    monkeypatch.chdir(tmp_path / "one")
+    assert main(["run", cfg, "--out", "o"]) == 0
+    return _tree(tmp_path / "one" / "o")
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_the_writer_processes_write_every_snapshot_while_the_run_goes_on(tmp_path, monkeypatch,
+                                                                         cpus):
+    # the report waits for the writers' first three files, so they are
+    # written while the run goes on; the commit renames every file
+    cfg = _write_cfg(tmp_path, CPU_RUNS["semi-implicit"])
+    expected = _one_cpu_files(tmp_path, monkeypatch, cfg)
+    counts = _count_writer_files(monkeypatch)
+    out = tmp_path / "two" / "o"
+    times = build_problem(parse_config(CPU_RUNS["semi-implicit"])).snapshot_times
+    tmps = [out / (csvio.snapshot_filename(t) + ".tmp") for t in times[:3]]
+    report = crossdiff.cli.build_report
+
+    def waiting_report(*args):
+        _wait_for(lambda: all(p.exists() for p in tmps), "three .tmp files")
+        return report(*args)
+    monkeypatch.setattr(crossdiff.cli, "build_report", waiting_report)
+    _use_cpus(monkeypatch, cpus)
+    out.parent.mkdir()
+    monkeypatch.chdir(out.parent)
+    assert main(["run", cfg, "--out", "o"]) == 0
+    _assert_no_child_left()
+    assert _tree(out) == expected
+    assert counts == [(list(range(9)), 9)]
+
+
+@pytest.mark.parametrize("where", ["nested", "existing"])
+def test_a_run_that_fails_after_the_writer_wrote_leaves_the_output_as_it_was(
+        tmp_path, capsys, monkeypatch, where):
+    cfg = _write_cfg(tmp_path, CPU_RUNS["explicit"])
+    out = tmp_path / "root" / ("a/b" if where == "nested" else "out")
+    (tmp_path / "root").mkdir()
+    if where == "existing":
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+    before = _tree(tmp_path / "root")
+    times = build_problem(parse_config(CPU_RUNS["explicit"])).snapshot_times
+    tmps = [out / (csvio.snapshot_filename(t) + ".tmp") for t in times]
+
+    def failing_report(*args):
+        _wait_for(lambda: all(p.exists() for p in tmps), "every .tmp file")
+        raise ValueError("the report failed")
+    monkeypatch.setattr(crossdiff.cli, "build_report", failing_report)
+    _use_cpus(monkeypatch, 2)
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: 3: the report failed\n"
+    _assert_no_child_left()
+    assert _tree(tmp_path / "root") == before
+
+
+def test_a_snapshot_the_writer_cannot_write_fails_the_commit_as_on_one_cpu(
+        tmp_path, capsys, monkeypatch):
+    # a directory at snapshot 2's .tmp name: the writer that takes it stops
+    # there, and the commit's own write of that file fails as on one CPU
+    cfg = _write_cfg(tmp_path, CPU_RUNS["explicit"])
+    times = build_problem(parse_config(CPU_RUNS["explicit"])).snapshot_times
+    counts = _count_writer_files(monkeypatch)
+    report = crossdiff.cli.build_report
+    errors = {}
+    for cpus in (1, 2):
+        out = tmp_path / str(cpus)
+        tmps = [out / (csvio.snapshot_filename(t) + ".tmp") for t in times]
+        tmps[2].mkdir(parents=True)
+
+        def waiting_report(*args):
+            if cpus == 2:
+                _wait_for(lambda: tmps[0].exists() and tmps[1].exists(), "two .tmp files")
+            return report(*args)
+        monkeypatch.setattr(crossdiff.cli, "build_report", waiting_report)
+        _use_cpus(monkeypatch, cpus)
+        assert main(["run", cfg, "--out", str(out)]) == 4
+        errors[cpus] = capsys.readouterr().err.replace(str(out), "OUT")
+        _assert_no_child_left()
+        assert [p.name for p in out.glob("*.tmp")] == [tmps[2].name]
+    assert errors[1] == errors[2]
+    assert errors[1].startswith("error: 4: [Errno 21] Is a directory") and "\n" not in errors[1][:-1]
+    (written, sent), = counts
+    assert sent == 9 and {0, 1} <= set(written) and 2 not in written
+
+
+def test_a_writer_a_pipe_behind_leaves_the_rest_to_the_commit(tmp_path, monkeypatch):
+    # each writer waits in its first file until the run is over, and the
+    # queue holds 256 snapshots: the run stops sending there, and the
+    # commit writes the snapshots that were never sent
+    text = (MINIMAL.replace("n = 128", "n = 8").replace("t_final = 0.05",
+                                                         "t_final = 0.05\nsnapshots = 600")
+            + "[output]\nbank_k = 1\nresiduals = false\nmoduli = false\n")
+    cfg = _write_cfg(tmp_path, text)
+    expected = _one_cpu_files(tmp_path, monkeypatch, cfg)
+    counts = _count_writer_files(monkeypatch)
+    parent, ran = os.getpid(), tmp_path / "ran"
+    snapshot_text, store = crossdiff._stream._snapshot_text, crossdiff._stream._Writers.store
+
+    def waiting_text(grid, precision):
+        text = snapshot_text(grid, precision)
+
+        def first_waits(state):
+            if os.getpid() != parent:
+                _wait_for(ran.exists, "the end of the run")
+            return text(state)
+        return first_waits
+
+    def small_pipe(writers, problem, times, states, j):
+        store(writers, problem, times, states, j)
+        if j == 0:
+            fcntl.fcntl(writers.pipe, fcntl.F_SETPIPE_SZ, 4096)
+
+    def report(*args):
+        ran.touch()
+        return build_report(*args)
+    build_report = crossdiff.cli.build_report
+    monkeypatch.setattr(crossdiff._stream, "_snapshot_text", waiting_text)
+    monkeypatch.setattr(crossdiff._stream._Writers, "store", small_pipe)
+    monkeypatch.setattr(crossdiff.cli, "build_report", report)
+    _use_cpus(monkeypatch, 2)
+    (tmp_path / "two").mkdir()
+    monkeypatch.chdir(tmp_path / "two")
+    assert main(["run", cfg, "--out", "o"]) == 0
+    _assert_no_child_left()
+    assert _tree(tmp_path / "two" / "o") == expected
+    (written, sent), = counts
+    assert 256 <= sent < 600 and written == list(range(sent))
+
+
+def test_a_stream_without_a_commit_leaves_no_writer_and_no_temporary_file(tmp_path, monkeypatch):
+    problem = build_problem(parse_config(CPU_RUNS["explicit"]))
+    out = tmp_path / "o"
+    _use_cpus(monkeypatch, 2)
+    with crossdiff._stream.stream_snapshots(problem, out):
+        traj = crossdiff.run(problem)
+        tmps = [out / (csvio.snapshot_filename(t) + ".tmp") for t in traj.times]
+        _wait_for(lambda: all(p.exists() for p in tmps), "every .tmp file")
+    _assert_no_child_left()
+    assert list(out.iterdir()) == []
+    assert crossdiff.solver._stored is None and csvio._streamed is None
 
 
 # a refining semi-implicit study (weights n^2: on 2 or more CPUs levels 0-2

@@ -56,6 +56,13 @@ CASES = {
               + "[time]\nt_final = 0.01\nsnapshots = 3\nstepper = semi-implicit\n"
                 "[output]\ndir = study\nbank_k = 2\n[study]\nlevels = 2\n"
                 "viscosity = 1e-3, 0\n"),
+    # semi-implicit steps at alpha = 1: the log pressure and the s ** 1.0 and
+    # s ** 0.0 fast paths; nine snapshots, so a run on two or more CPUs
+    # streams them through its writer process
+    "semi-alpha1": ("run", "[grid]\nn = 44\n[model]\nalpha = 1\n"
+                    + _COMMON.format(W="0:0:0", rho=0.25, mu="2:0:0.25")
+                    + "[time]\nt_final = 0.04\nsnapshots = 9\nstepper = semi-implicit\n"
+                      "[output]\ndir = semi-alpha1\nbank_k = 4\n"),
     "diagnose": ("diagnose", "semi"),
 }
 

@@ -1039,3 +1039,112 @@ def test_periodic_tridiagonal_solve_reports_lapack_failure(monkeypatch):
                         lambda: SimpleNamespace(dgtsv=failing_gtsv))
     with pytest.raises(SolverError, match="gtsv info 2"):
         crossdiff.solver._solve_periodic_tridiagonal(np.ones(4), np.ones(4))
+
+
+def _clamping_solve(cd_, rhs, b):
+    """_solve_periodic_tridiagonal as it was before it formed the diagonal
+    and the Sherman-Morrison combination in place; kept as the oracle."""
+    n = cd_.size
+    diag = 1.0 + 2.0 * cd_
+    gamma = -diag[0]
+    lower, upper = -cd_[0], -cd_[-1]
+    diag[0] -= gamma
+    diag[-1] -= lower * upper / gamma
+    b[:, 0] = rhs
+    b[:, 1] = 0.0
+    b[0, 1] = gamma
+    b[-1, 1] = lower
+    _, _, _, yz, info = crossdiff.solver._lapack().dgtsv(
+        -cd_[:-1], diag, -cd_[1:], b, overwrite_dl=True, overwrite_d=True,
+        overwrite_du=True, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"tridiagonal solve failed, LAPACK gtsv info {info}")
+    y, z = yz[:, 0], yz[:, 1]
+    ratio = upper / gamma
+    return y - (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]) * z
+
+
+def _clamping_implicit_diffusion(s_rhs, dt, problem):
+    """_implicit_diffusion as it was before it skipped the s_floor clamp of
+    an iterate whose minimum is at least s_floor: every residual through
+    Nonlinearity.kirchhoff and every slope through np.where and
+    Nonlinearity.diffusivity; kept as the oracle for bitwise equality."""
+    nl = problem.nonlinearity
+    eps = problem.eps_viscosity
+    dx = problem.grid.dx
+    c = dt / (dx * dx)
+
+    def residual(s):
+        q = nl.kirchhoff(s)
+        if eps != 0.0:
+            q += eps * s
+        lap = np.empty_like(q)
+        np.subtract(q[1:], 2.0 * q[:-1], out=lap[:-1])
+        lap[-1] = q[0] - 2.0 * q[-1]
+        lap[1:] += q[:-1]
+        lap[0] += q[-1]
+        res = s - c * lap - s_rhs
+        size = np.abs(res)
+        return res, q, size.item(size.argmax())
+
+    s = s_rhs.copy()
+    b = np.empty((s.size, 2), order="F")
+    res, q, norm = residual(s)
+    clamps = 0
+    for it in range(crossdiff.solver.NEWTON_MAXIT):
+        if norm <= crossdiff.solver.NEWTON_TOL:
+            return s, q, it, clamps
+        slope = np.where(s < nl.s_floor, 0.0, nl.diffusivity(s))
+        if eps != 0.0:
+            slope += eps
+        delta = _clamping_solve(c * slope, -res, b)
+        lam = 1.0
+        for _ in range(30):
+            trial = s + delta if lam == 1.0 else s + lam * delta
+            clamps += nl.clamp_count(trial) if trial.item(trial.argmin()) < nl.s_floor else 0
+            res_t, q_t, norm_t = residual(trial)
+            if norm_t < norm:
+                s, res, q, norm = trial, res_t, q_t, norm_t
+                break
+            lam *= 0.5
+        else:
+            raise SolverError(
+                f"newton stalled, residual {norm:.3e} after {it + 1} iterations")
+    raise SolverError(f"newton did not converge, residual {norm:.3e}")
+
+
+@st.composite
+def _floor_cases(draw):
+    case = draw(_newton_cases())
+    case["alpha"] = draw(st.sampled_from((1.0, 0.5)) | st.floats(0.01, 1.0))
+    # data spans 1e-4 to 5: a floor at 1e-12 clamps nothing, the others part or all of it
+    case["s_floor"] = draw(st.sampled_from((1e-12, 1e-3, 0.3, 1.0, 10.0)))
+    return case
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_floor_cases())
+@example(dict(n=44, alpha=1.0, eps=0.0, s_floor=1e-12, dt=1e-3,
+              s_rhs=1.0 + 0.5 * np.cos(np.linspace(0.0, 2.0 * np.pi, 44, endpoint=False))))
+@example(dict(n=16, alpha=1.0, eps=1e-3, s_floor=1.0, dt=1e-2,
+              s_rhs=1.0 + 0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))))
+@example(dict(n=20, alpha=0.5, eps=0.0, s_floor=0.7, dt=1e-3,
+              s_rhs=1.0 + 0.5 * np.cos(np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False))))
+def test_newton_skipping_the_clamp_is_bitwise_the_clamping_iteration(case):
+    """Forming q and the slope without the s_floor clamp where no value of
+    the iterate lies below s_floor, and the residual, the diagonal and the
+    Sherman-Morrison combination in place, changes no bit of S, q, the
+    iterations, the clamps or an error message."""
+    prob = _newton_problem(case)
+    args = (case["s_rhs"], case["dt"], prob)
+    try:
+        s_ref, q_ref, iters_ref, clamps_ref = _clamping_implicit_diffusion(*args)
+    except SolverError as err:
+        with pytest.raises(SolverError) as info:
+            crossdiff.solver._implicit_diffusion(*args)
+        assert str(info.value) == str(err)
+        return
+    s, q, iters, clamps = crossdiff.solver._implicit_diffusion(*args)
+    assert (iters, clamps) == (iters_ref, clamps_ref)
+    assert s.tobytes() == s_ref.tobytes()
+    assert q.tobytes() == q_ref.tobytes()
