@@ -21,10 +21,10 @@ child: it runs work(0, len(weights)) in place, so nested parallel work (a
 study level's report) forks no grandchildren and takes no more CPUs than
 the outer call shares out.
 
-fork and reap start and finish one such child on their own (the snapshot
-writers of `_stream` are such children), and usable_cpus is the CPU count
-in_chunks shares out.  shared_array is the (T, 2, n) states' map: what
-the parent writes into it after a fork, its children see.
+in_chunks serves read_snapshots, build_report and run_study; fork and
+reap run one such child alone, for the snapshot writers of `_stream`.
+usable_cpus is the CPU count in_chunks shares out, and shared_array the
+states' map: what the parent writes in it after a fork, its children see.
 
 The only threads the parent may have are OpenBLAS's pool, which OpenBLAS
 stops before a fork with its pthread_atfork handler, so children may call

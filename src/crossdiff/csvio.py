@@ -20,30 +20,30 @@ one row per body line, since loadtxt skips blank lines.  Anything else
 goes to one flat `float` pass, which owns every error message and also
 reads what only `float` accepts (`1_0`, Unicode digits).
 
-Snapshot files are independent, so write_snapshots and read_snapshots
-split them in time order over every CPU this process may use with
-`_chunks.in_chunks`, each file of weight 1 (so every chunk but the first,
-which may be smaller, holds ceil(count / CPUs) files): the first chunk in
-this process and each other in an `os.fork` child.  Children see the
-trajectory through fork, and readers parse straight into a (T, 2, n) array
-over one shared map (`_chunks.shared_array`, which solver.run also keeps its
-states in), so a child sends back nothing but its error.  Each
-chunk stops at its first failing file, and the earliest failing chunk's
-error is raised once every child is reaped: a read fails on the first bad
-file in time order, as a sequential reader would.  Each snapshot is
-formatted and written on its own, so a trajectory's text is never held in
-memory whole.
+read_snapshots splits the snapshot files in time order over every CPU
+this process may use with `_chunks.in_chunks`, each file of weight 1 (so
+every chunk but the first, which may be smaller, holds ceil(count / CPUs)
+files): the first chunk in this process and each other in an `os.fork`
+child.  Readers parse straight into a (T, 2, n) array over one shared map
+(`_chunks.shared_array`, which solver.run also keeps its states in), so a
+child sends back nothing but its error.  Each chunk stops at its first
+failing file, and the earliest failing chunk's error is raised once every
+child is reaped: a read fails on the first bad file in time order, as a
+sequential reader would.  write_snapshots writes in time order in this
+process.  Each snapshot is formatted and written on its own, so a
+trajectory's text is never held in memory whole.
 
 `crossdiff run` on two or more CPUs streams its snapshots
 (`_stream.stream_snapshots`): writer processes write each to its .tmp name
 with the per-file code of write_snapshots (`_snapshot_text`) while the run
 goes on.  write_snapshots then commits: its hook waits for the writers and
-says which files they wrote; write_snapshots renames those into place in
-time order and writes any other one split over the CPUs as above.
+says which files they wrote, and its one loop renames those into place and
+writes any other one itself, in time order.
 
 Files are written to a temporary file and atomically renamed into place; a
 failed write removes its temporary file, so no partial table is left
-behind.  After a failed write_snapshots, files of later chunks may exist.
+behind.  After a failed write_snapshots the files before the failing one
+are in place and no later one is, on any CPU count.
 """
 
 from __future__ import annotations
@@ -294,30 +294,27 @@ def _snapshot_text(grid: GridSpec, precision: int):
 
 
 def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path]:
-    """Write snapshot_<t>.csv for every time of traj; the paths in time order.
-    Some files may already sit at their .tmp names: the indices that the
-    private hook _streamed(traj, out_dir, precision) returns, if set (the
-    writers of _stream.stream_snapshots set it); those are renamed into
-    place in time order and the others written here."""
+    """Write snapshot_<t>.csv for every time of traj, in time order; the
+    paths.  Some files may already sit at their .tmp names: the indices that
+    the private hook _streamed(traj, out_dir, precision) returns, if set
+    (the writers of _stream.stream_snapshots set it); those are renamed into
+    place and the others written here.  On a failure the files before the
+    failing one exist, and no .tmp name of a later one is left."""
     out = Path(out_dir)
     paths = [out / snapshot_filename(t) for t in traj.times]
-    done = sorted(_streamed(traj, out, precision)) if _streamed is not None else []
-    for i, j in enumerate(done):
+    streamed = set(_streamed(traj, out, precision)) if _streamed is not None else set()
+    text = None
+    for j, path in enumerate(paths):
         try:
-            os.replace(_tmp(paths[j]), paths[j])
+            if j in streamed:
+                os.replace(_tmp(path), path)
+            else:
+                text = text or _snapshot_text(traj.problem.grid, precision)
+                write_atomic(path, text(traj.states[j]))
         except BaseException:
-            for rest in done[i:]:
-                _unlink(_tmp(paths[rest]))
+            for k in streamed.intersection(range(j, len(paths))):
+                _unlink(_tmp(paths[k]))
             raise
-    todo = sorted(set(range(len(paths))) - set(done))
-    if todo:
-        text = _snapshot_text(traj.problem.grid, precision)
-
-        def write(lo: int, hi: int) -> None:
-            for j in todo[lo:hi]:
-                write_atomic(paths[j], text(traj.states[j]))
-
-        in_chunks(write, [1] * len(todo))
     return paths
 
 

@@ -1,13 +1,15 @@
 import itertools
 import os
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossdiff import _chunks
 from crossdiff._chunks import chunk_bounds, in_chunks
+
+from conftest import assert_no_child_left, use_cpus
 
 
 def _heaviest(weights, bounds):
@@ -54,19 +56,18 @@ def test_chunk_bounds_minimise_the_heaviest_chunk(weights, cpus):
 
 
 def test_in_chunks_returns_every_chunk_in_order(monkeypatch):
-    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(3)))
+    use_cpus(monkeypatch, 3)
     parent = os.getpid()
     # each child's result is larger than a pipe's buffer
     results = in_chunks(lambda lo, hi: (lo, hi, os.getpid() == parent, bytes(200_000)),
                         [1] * 7)
     assert [r[:3] for r in results] == [(0, 1, True), (1, 4, False), (4, 7, False)]
     assert all(r[3] == bytes(200_000) for r in results)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 def test_a_call_inside_a_chunk_runs_in_that_chunks_process(monkeypatch):
-    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(2)))
+    use_cpus(monkeypatch, 2)
 
     def inner(lo, hi):
         return lo, hi, os.getpid()
@@ -81,7 +82,7 @@ def test_a_call_inside_a_chunk_runs_in_that_chunks_process(monkeypatch):
 
 def test_a_failing_first_chunk_stops_every_other_chunk(monkeypatch):
     # the parent's error is the earliest, so no child's outcome is waited for
-    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(3)))
+    use_cpus(monkeypatch, 3)
     parent = os.getpid()
 
     def work(lo, hi):
@@ -94,5 +95,19 @@ def test_a_failing_first_chunk_stops_every_other_chunk(monkeypatch):
     with pytest.raises(ValueError, match="^first chunk$"):
         in_chunks(work, [1, 1, 1])
     assert time.monotonic() - start < 20
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
+
+
+def test_an_exception_pickle_cannot_carry_comes_back_as_its_repr(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    class Unpicklable(Exception):  # a local class: pickle cannot name it
+        pass
+
+    def work(lo, hi):
+        if os.getpid() != parent:
+            raise Unpicklable("from a worker")
+
+    with pytest.raises(RuntimeError, match=f"^{re.escape(repr(Unpicklable('from a worker')))}$"):
+        in_chunks(work, [1, 1])

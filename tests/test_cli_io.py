@@ -38,6 +38,7 @@ from crossdiff.diagnostics import SCALAR_COLUMNS, DiagnosticsReport, ResidualRow
 from crossdiff.model import STEPPERS
 from crossdiff.study import LevelSummary
 from crossdiff.svgplot import emit_plot
+from conftest import assert_no_child_left, use_cpus
 from scenarios import fast_problem, heat_problem
 
 MINIMAL = """
@@ -680,7 +681,7 @@ def test_write_snapshots_peak_memory_is_set_by_one_snapshot(tmp_path, monkeypatc
     # one snapshot's 2n values are formatted at a time: the peak is its text
     # and the kernel's temporaries, about 43 times the snapshot's states
     # whatever the snapshot count; 2^16 values a call read 374 times
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     n, snaps = 2048, 64
     states = 0.5 + np.random.default_rng(0).random((snaps, 2, n))
     traj = _duck_trajectory((np.arange(n) + 0.5) / n, states)
@@ -1058,31 +1059,22 @@ def test_read_snapshots_array(tmp_path):
     assert states.shape == (5, 2, 64) and not states.flags.writeable
 
 
-def _use_cpus(monkeypatch, count):
-    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_snapshot_io_is_bitwise_equal_on_any_cpu_count(tmp_path, monkeypatch):
     traj = crossdiff.run(build_problem(parse_config(FAST)))
     written = {}
     for cpus in (1, 3):
-        _use_cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         paths = write_snapshots(traj, tmp_path / str(cpus))
-        _assert_no_child_left()
+        assert_no_child_left()
         assert [p.name for p in paths] == [csvio.snapshot_filename(t) for t in traj.times]
         written[cpus] = [p.read_bytes() for p in paths]
         assert sorted(p.name for p in (tmp_path / str(cpus)).iterdir()) == sorted(
             p.name for p in paths)  # no temporary file left
     assert written[1] == written[3]
     for cpus in (1, 3):
-        _use_cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         times, states = read_snapshots(tmp_path / "1", traj.problem.grid)
-        _assert_no_child_left()
+        assert_no_child_left()
         assert times.tobytes() == traj.times.tobytes()
         assert states.tobytes() == traj.states.tobytes()
         assert states.shape == traj.states.shape and not states.flags.writeable
@@ -1102,10 +1094,10 @@ def test_read_snapshots_raises_the_first_bad_file_on_any_cpu_count(tmp_path, mon
         rows[3] = rows[3].rsplit(",", 1)[0] + "," + defect
         paths[bad].write_text("\n".join(rows))
         for cpus in (1, 3):
-            _use_cpus(monkeypatch, cpus)
+            use_cpus(monkeypatch, cpus)
             with pytest.raises(ValueError) as err:
                 read_snapshots(out, grid)
-            _assert_no_child_left()
+            assert_no_child_left()
             messages[bad, cpus] = str(err.value)
         assert messages[bad, 1] == messages[bad, 3]
     assert messages[10, 1] == f"{paths[10]}: could not convert string to float: 'abc'"
@@ -1116,7 +1108,7 @@ def test_snapshot_workers_report_every_failure(tmp_path, monkeypatch):
     traj = crossdiff.run(build_problem(parse_config(FAST)))
     out = tmp_path / "o"
     write_snapshots(traj, out)
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     parent = os.getpid()
     read_table = csvio.read_table
 
@@ -1128,22 +1120,7 @@ def test_snapshot_workers_report_every_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(csvio, "read_table", killed_in_child)
     with pytest.raises(RuntimeError, match=f"ended by signal {int(signal.SIGKILL)}, sending no error"):
         read_snapshots(out, traj.problem.grid)
-    _assert_no_child_left()
-
-    class Unpicklable(Exception):  # a local class: pickle cannot name it
-        pass
-
-    write_atomic = csvio.write_atomic
-
-    def unpicklable_in_child(path, text):
-        if os.getpid() != parent:
-            raise Unpicklable("from a worker")
-        write_atomic(path, text)
-
-    monkeypatch.setattr(csvio, "write_atomic", unpicklable_in_child)
-    with pytest.raises(RuntimeError, match=re.escape("Unpicklable('from a worker')")):
-        write_snapshots(traj, tmp_path / "u")
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_failed_writes_leave_no_temporary_file(tmp_path, monkeypatch):
@@ -1157,15 +1134,16 @@ def test_failed_writes_leave_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(IsADirectoryError):
         emit_plot([("a", [1.0, 2.0], [1.0, 2.0])], tmp_path / "plot.svg")
     assert not (tmp_path / "plot.svg.tmp").exists()
-    # the same in a forked writer: the last snapshot's file is a directory
+    # the same in write_snapshots, which writes in time order on any CPU
+    # count: the last snapshot's file is a directory
     traj = crossdiff.run(build_problem(parse_config(FAST)))
     out = tmp_path / "o"
     last = out / csvio.snapshot_filename(traj.times[-1])
     last.mkdir(parents=True)
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     with pytest.raises(IsADirectoryError, match=re.escape(str(last))):
         write_snapshots(traj, out)
-    _assert_no_child_left()
+    assert_no_child_left()
     assert not list(out.glob("*.tmp"))
 
 
@@ -1198,37 +1176,6 @@ def test_a_run_cfg_write_that_fails_part_way_leaves_no_file(tmp_path, monkeypatc
     assert "No space left on device" in capsys.readouterr().err
     assert not (out / "run.cfg").exists()
     assert not (out / "run.cfg.tmp").exists()
-
-
-def test_a_failing_first_chunk_stops_the_others_and_leaves_no_temporary_file(
-        tmp_path, monkeypatch):
-    # the child's chunk is stopped inside write_atomic, its .tmp written;
-    # the parent's first file is a directory, so its own chunk fails
-    traj = crossdiff.run(build_problem(parse_config(FAST)))
-    out = tmp_path / "o"
-    (out / csvio.snapshot_filename(traj.times[0])).mkdir(parents=True)
-    child_first = _chunks.chunk_bounds([1] * len(traj.times), 2)[1]
-    child_tmp = out / (csvio.snapshot_filename(traj.times[child_first]) + ".tmp")
-    parent, replace = os.getpid(), os.replace
-
-    def slow_in_child(src, dst):
-        if os.getpid() != parent:
-            time.sleep(60)
-        deadline = time.monotonic() + 20
-        while not child_tmp.exists():
-            if time.monotonic() > deadline:
-                pytest.fail(f"the child never wrote {child_tmp.name}")
-            time.sleep(0.01)
-        replace(src, dst)
-
-    monkeypatch.setattr(csvio.os, "replace", slow_in_child)
-    _use_cpus(monkeypatch, 2)
-    start = time.monotonic()
-    with pytest.raises(IsADirectoryError):
-        write_snapshots(traj, out)
-    assert time.monotonic() - start < 20
-    _assert_no_child_left()
-    assert not list(out.glob("*.tmp"))
 
 
 # explicit steps at cfl_safety = 1.0 on rough data: the run stores the
@@ -1273,11 +1220,11 @@ def test_a_run_that_fails_part_way_leaves_the_output_as_it_was(tmp_path, capsys,
         (out / csvio.snapshot_filename(1e-6)).write_text("an older snapshot")
         (out / "scalars.csv").write_text("t\n0\n")
     before = _tree(tmp_path / "root")
-    _use_cpus(monkeypatch, cpus)
+    use_cpus(monkeypatch, cpus)
     assert main(["run", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: 3: positivity violated: mu at cell 19") and err.count("\n") == 1
-    _assert_no_child_left()
+    assert_no_child_left()
     assert _tree(tmp_path / "root") == before
 
 
@@ -1289,12 +1236,12 @@ def test_a_snapshot_that_cannot_be_written_exits_4_with_one_line(tmp_path, capsy
     out = tmp_path / "out"
     blocked = out / csvio.snapshot_filename(t)
     blocked.mkdir(parents=True)  # a directory where a snapshot goes
-    _use_cpus(monkeypatch, cpus)
+    use_cpus(monkeypatch, cpus)
     assert main(["run", _write_cfg(tmp_path, FAST), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: 4: [Errno 21] Is a directory") and err.count("\n") == 1
     assert str(blocked) in err
-    _assert_no_child_left()
+    assert_no_child_left()
     assert not list(out.glob("*.tmp"))
     assert blocked.is_dir() and not any(blocked.iterdir())
 
@@ -1315,12 +1262,12 @@ def test_a_run_writes_the_same_files_on_one_and_two_cpus(tmp_path, monkeypatch, 
     cfg = _write_cfg(tmp_path, CPU_RUNS[name])
     files = {}
     for cpus in (1, 2):
-        _use_cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         out = tmp_path / str(cpus) / "o"
         out.parent.mkdir()
         monkeypatch.chdir(out.parent)  # a relative --out: run.cfg names it
         assert main(["run", cfg, "--out", "o"]) == 0
-        _assert_no_child_left()
+        assert_no_child_left()
         files[cpus] = _tree(out)
     assert files[2] == files[1]
     snapshots = [name for name in files[1] if name.startswith("snapshot_")]
@@ -1350,7 +1297,7 @@ def _count_writer_files(monkeypatch):
 
 
 def _one_cpu_files(tmp_path, monkeypatch, cfg):
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     (tmp_path / "one").mkdir()
     monkeypatch.chdir(tmp_path / "one")
     assert main(["run", cfg, "--out", "o"]) == 0
@@ -1374,11 +1321,11 @@ def test_the_writer_processes_write_every_snapshot_while_the_run_goes_on(tmp_pat
         _wait_for(lambda: all(p.exists() for p in tmps), "three .tmp files")
         return report(*args)
     monkeypatch.setattr(crossdiff.cli, "build_report", waiting_report)
-    _use_cpus(monkeypatch, cpus)
+    use_cpus(monkeypatch, cpus)
     out.parent.mkdir()
     monkeypatch.chdir(out.parent)
     assert main(["run", cfg, "--out", "o"]) == 0
-    _assert_no_child_left()
+    assert_no_child_left()
     assert _tree(out) == expected
     assert counts == [(list(range(9)), 9)]
 
@@ -1400,41 +1347,62 @@ def test_a_run_that_fails_after_the_writer_wrote_leaves_the_output_as_it_was(
         _wait_for(lambda: all(p.exists() for p in tmps), "every .tmp file")
         raise ValueError("the report failed")
     monkeypatch.setattr(crossdiff.cli, "build_report", failing_report)
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     assert main(["run", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: 3: the report failed\n"
-    _assert_no_child_left()
+    assert_no_child_left()
     assert _tree(tmp_path / "root") == before
 
 
 def test_a_snapshot_the_writer_cannot_write_fails_the_commit_as_on_one_cpu(
         tmp_path, capsys, monkeypatch):
     # a directory at snapshot 2's .tmp name: the writer that takes it stops
-    # there, and the commit's own write of that file fails as on one CPU
+    # there, and the commit's own write of that file fails as on one CPU,
+    # after snapshots 0 and 1 and before any later one
     cfg = _write_cfg(tmp_path, CPU_RUNS["explicit"])
     times = build_problem(parse_config(CPU_RUNS["explicit"])).snapshot_times
     counts = _count_writer_files(monkeypatch)
     report = crossdiff.cli.build_report
-    errors = {}
+    errors, trees = {}, {}
     for cpus in (1, 2):
-        out = tmp_path / str(cpus)
+        out = tmp_path / str(cpus) / "o"
         tmps = [out / (csvio.snapshot_filename(t) + ".tmp") for t in times]
         tmps[2].mkdir(parents=True)
+        monkeypatch.chdir(out.parent)  # a relative --out: run.cfg names it
 
         def waiting_report(*args):
             if cpus == 2:
                 _wait_for(lambda: tmps[0].exists() and tmps[1].exists(), "two .tmp files")
             return report(*args)
         monkeypatch.setattr(crossdiff.cli, "build_report", waiting_report)
-        _use_cpus(monkeypatch, cpus)
-        assert main(["run", cfg, "--out", str(out)]) == 4
-        errors[cpus] = capsys.readouterr().err.replace(str(out), "OUT")
-        _assert_no_child_left()
+        use_cpus(monkeypatch, cpus)
+        assert main(["run", cfg, "--out", "o"]) == 4
+        errors[cpus] = capsys.readouterr().err
+        assert_no_child_left()
         assert [p.name for p in out.glob("*.tmp")] == [tmps[2].name]
+        trees[cpus] = _tree(out)
     assert errors[1] == errors[2]
+    assert trees[1] == trees[2]
+    assert sorted(trees[1]) == sorted(["run.cfg", tmps[2].name] + [
+        csvio.snapshot_filename(t) for t in times[:2]])
     assert errors[1].startswith("error: 4: [Errno 21] Is a directory") and "\n" not in errors[1][:-1]
     (written, sent), = counts
     assert sent == 9 and {0, 1} <= set(written) and 2 not in written
+
+
+def test_a_run_whose_writers_cannot_be_forked_writes_every_file_itself(tmp_path, monkeypatch):
+    # 9 snapshots of 2 x 64 values: too few for build_report to fork
+    cfg = _write_cfg(tmp_path, CPU_RUNS["explicit"])
+    expected = _one_cpu_files(tmp_path, monkeypatch, cfg)
+
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    monkeypatch.setattr(_chunks.os, "fork", fork)
+    use_cpus(monkeypatch, 2)
+    (tmp_path / "two").mkdir()
+    monkeypatch.chdir(tmp_path / "two")
+    assert main(["run", cfg, "--out", "o"]) == 0
+    assert _tree(tmp_path / "two" / "o") == expected
 
 
 def test_a_writer_a_pipe_behind_leaves_the_rest_to_the_commit(tmp_path, monkeypatch):
@@ -1471,11 +1439,11 @@ def test_a_writer_a_pipe_behind_leaves_the_rest_to_the_commit(tmp_path, monkeypa
     monkeypatch.setattr(crossdiff._stream, "_snapshot_text", waiting_text)
     monkeypatch.setattr(crossdiff._stream._Writers, "store", small_pipe)
     monkeypatch.setattr(crossdiff.cli, "build_report", report)
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     (tmp_path / "two").mkdir()
     monkeypatch.chdir(tmp_path / "two")
     assert main(["run", cfg, "--out", "o"]) == 0
-    _assert_no_child_left()
+    assert_no_child_left()
     assert _tree(tmp_path / "two" / "o") == expected
     (written, sent), = counts
     assert 256 <= sent < 600 and written == list(range(sent))
@@ -1484,12 +1452,12 @@ def test_a_writer_a_pipe_behind_leaves_the_rest_to_the_commit(tmp_path, monkeypa
 def test_a_stream_without_a_commit_leaves_no_writer_and_no_temporary_file(tmp_path, monkeypatch):
     problem = build_problem(parse_config(CPU_RUNS["explicit"]))
     out = tmp_path / "o"
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     with crossdiff._stream.stream_snapshots(problem, out):
         traj = crossdiff.run(problem)
         tmps = [out / (csvio.snapshot_filename(t) + ".tmp") for t in traj.times]
         _wait_for(lambda: all(p.exists() for p in tmps), "every .tmp file")
-    _assert_no_child_left()
+    assert_no_child_left()
     assert list(out.iterdir()) == []
     assert crossdiff.solver._stored is None and csvio._streamed is None
 
@@ -1522,16 +1490,16 @@ def test_study_is_bitwise_equal_on_any_cpu_count(tmp_path, monkeypatch):
         cfg = _write_cfg(tmp_path, text, f"{name}.cfg")
         reports, files = {}, {}
         for cpus in (1, 2, 3, 8):
-            _use_cpus(monkeypatch, cpus)
+            use_cpus(monkeypatch, cpus)
             report = crossdiff.run_study(
                 plan, reference=lambda t, x: 0.5 + 0.2 * np.cos(2.0 * np.pi * x))
-            _assert_no_child_left()
+            assert_no_child_left()
             reports[cpus] = _bits(report)
             out = tmp_path / f"{name}_{cpus}" / "s"
             out.parent.mkdir()
             monkeypatch.chdir(out.parent)  # a relative --out: run.cfg names it
             assert main(["study", cfg, "--out", "s"]) == 0
-            _assert_no_child_left()
+            assert_no_child_left()
             files[cpus] = {p.relative_to(out): p.read_bytes()
                            for p in out.rglob("*") if p.is_file()}
         assert len(files[1]) == 3 + 1 + 4 * 4  # tables, run.cfg, 4 reports per level
@@ -1556,15 +1524,15 @@ def test_study_raises_the_earliest_failing_level(tmp_path, capsys, monkeypatch, 
             raise crossdiff.SolverError("positivity violated")
         return solver_run(problem)
     monkeypatch.setattr(crossdiff.study, "run", run)
-    _use_cpus(monkeypatch, cpus)
+    use_cpus(monkeypatch, cpus)
     message = f"study level {min(failing)} failed: positivity violated"
     with pytest.raises(RuntimeError, match=f"^{message}$"):
         crossdiff.run_study(build_plan(parse_config(STUDIES["fixed"])))
-    _assert_no_child_left()
+    assert_no_child_left()
     out = tmp_path / "s"
     assert main(["study", _write_cfg(tmp_path, STUDIES["fixed"]), "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: 3: {message}\n"
-    _assert_no_child_left()
+    assert_no_child_left()
     assert not out.exists()
 
 
@@ -1577,15 +1545,15 @@ def test_study_worker_killed_by_a_signal(tmp_path, capsys, monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return solver_run(problem)
     monkeypatch.setattr(crossdiff.study, "run", killed_in_child)
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     ended = f"run_study.<locals>.run_levels worker \\d+ ended by signal {int(signal.SIGKILL)}"
     with pytest.raises(RuntimeError, match=f"^{ended}, sending no error$"):
         crossdiff.run_study(build_plan(parse_config(STUDIES["refining"])))
-    _assert_no_child_left()
+    assert_no_child_left()
     assert main(["study", _write_cfg(tmp_path, STUDIES["refining"]),
                  "--out", str(tmp_path / "s")]) == 3
     assert re.fullmatch(f"error: 3: {ended}, sending no error\n", capsys.readouterr().err)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_main_stepper_and_eps_overrides(tmp_path):

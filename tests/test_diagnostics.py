@@ -1,5 +1,4 @@
 import dataclasses
-import os
 import re
 import tracemalloc
 
@@ -16,6 +15,7 @@ from crossdiff.diagnostics import SCALAR_COLUMNS, diss_entropy_rate, make_test_b
 from crossdiff.grid import cell_mean, grad
 from crossdiff.solver import Trajectory
 
+from conftest import assert_no_child_left, use_cpus
 from scenarios import fast_problem, heat_problem, stationary_problem
 
 
@@ -514,7 +514,7 @@ def test_report_is_bitwise_the_same_on_any_number_of_cpus(monkeypatch):
     for case, residuals, moduli in cases:
         reports = {}
         for cpus in (1, 2, 3, 5):
-            monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            use_cpus(monkeypatch, cpus)
             reports[cpus] = cd.build_report(case, None, residuals, moduli)
         for field in dataclasses.fields(cd.DiagnosticsReport):
             want = _bits(getattr(reports[1], field.name))
@@ -565,7 +565,7 @@ def test_only_a_large_report_forks(monkeypatch):
     def fork():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(2)))
+    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(_chunks.os, "fork", fork)
     prob = _standing_problem(2048)
     snaps = diagnostics._FORK_MIN_VALUES // (2 * 2048)  # states hold snaps * 2 * n values
@@ -575,14 +575,13 @@ def test_only_a_large_report_forks(monkeypatch):
 
 
 def test_report_raises_the_bank_error_it_raised_serially(monkeypatch):
-    monkeypatch.setattr(_chunks.os, "sched_getaffinity", lambda pid: set(range(2)))
+    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(diagnostics, "_FORK_MIN_VALUES", 0)
     traj = cd.run(stationary_problem(16, snaps=3))
     message = "test bank k_max exceeds n/4 (k_max=5, n=16)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cd.build_report(traj, bank_k=16 // 4 + 1)
-    with pytest.raises(ChildProcessError):  # no child was left behind
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 def test_moduli_nonuniform_spacing_skips_time_curve():
