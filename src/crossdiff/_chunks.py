@@ -23,8 +23,8 @@ the outer call shares out.
 
 in_chunks serves read_snapshots, build_report and run_study; fork and
 reap run one such child alone, for the snapshot writers of `_stream`.
-usable_cpus is the CPU count in_chunks shares out, and shared_array the
-states' map: what the parent writes in it after a fork, its children see.
+usable_cpus is the CPU count in_chunks shares out.  shared_array holds the
+states of read_snapshots and of a streamed run alone, for forked children.
 
 The only threads the parent may have are OpenBLAS's pool, which OpenBLAS
 stops before a fork with its pthread_atfork handler, so children may call

@@ -3,30 +3,30 @@ integrates and builds its report.
 
 stream_snapshots(problem, out_dir, precision) is a context manager around
 the run.  When this process may use two or more CPUs
-(`_chunks.usable_cpus`), it makes out_dir and sets two private hooks: the
-solver's `_stored`, which solver.run calls once a row of its states holds
-a snapshot, and csvio's `_streamed`, which write_snapshots calls first.
-At the first snapshot the hook forks one writer per usable CPU, each of
-which sees run's states through their shared map (`_chunks.shared_array`);
-a writer's work is a _chunks chunk, so it reports its result or error
-through a pipe.  The hook then puts each snapshot's index and time, 16
-bytes, on one queue pipe that every writer reads: a read of one message
-is atomic, so each snapshot goes to one writer, which writes it to its
-.tmp name with csvio's per-file code.  The run never waits for a writer:
-a send that would block (the writers a pipe's worth behind) ends the
-sending, and the commit writes the rest.  The writers are forked early,
-from a process that holds little more than the problem, so their
+(`_chunks.usable_cpus`), it makes out_dir and yields a _Writers, else
+None; `cli` passes that value as the private _stream argument of both
+solver.run and csvio.write_snapshots.  The _Writers holds the run's states
+in one shared map (`_chunks.shared_array`), the only run whose states are
+shared.  Once a row holds its snapshot, run calls the stream's store: at
+snapshot 0 it forks one writer per usable CPU, each of which sees the
+states through the map; a writer's work is a _chunks chunk, so it reports
+its result or error through a pipe.  store then puts each snapshot's index
+and time, 16 bytes, on one queue pipe that every writer reads: a read of
+one message is atomic, so each snapshot goes to one writer, which writes
+it to its .tmp name with csvio's per-file code.  The run never waits for a
+writer: a send that would block (the writers a pipe's worth behind) ends
+the sending, and the commit writes the rest.  The writers are forked
+early, from a process that holds little more than the problem, so their
 formatting does not add to the run's peak memory, as it does in a process
 forked after the report.
 
-write_snapshots of that run's trajectory into out_dir at that precision
-commits: it closes the queue, so the writers write what is left on it and
-end, renames the files they wrote in time order and writes any other one
-itself.  If the block raises before the commit, the writers are stopped
-with SIGTERM and reaped, their .tmp files are removed, and so are the
-directories made for them, so a failed run leaves out_dir as it was.  With
-one usable CPU, or when out_dir cannot be made, the block runs as it is
-and write_snapshots writes every file.
+write_snapshots commits through the stream: it closes the queue, so the
+writers write what is left on it and end, renames the files they wrote in
+time order and writes any other one itself.  If the block raises before
+the commit, the writers are stopped with SIGTERM and reaped, their .tmp
+files are removed, and so are the directories made for them, so a failed
+run leaves out_dir as it was.  With one usable CPU, or when out_dir cannot
+be made, the block gets None, and write_snapshots writes every file.
 """
 
 from __future__ import annotations
@@ -38,28 +38,29 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvio, solver
-from ._chunks import fork, reap, usable_cpus
+from ._chunks import fork, reap, shared_array, usable_cpus
 from .csvio import _snapshot_text, _tmp, _unlink, _write_file, snapshot_filename
 
 
 class _Writers:
-    """The writer processes of one stream_snapshots block and their queue."""
+    """The writer processes of one stream_snapshots block, their queue and
+    the shared (T, 2, n) map that the run keeps its states in."""
 
     def __init__(self, problem, out: Path, precision: int, count: int):
         self.problem, self.out, self.precision, self.count = problem, out, precision, count
-        self.times = self.states = None
+        self.states = shared_array((len(problem.snapshot_times), 2, problem.grid.n_cells))
+        self.times = None
         self.children = []  # (pid, read end of its result pipe)
         self.sent = 0  # snapshots put on the queue
         self.committed = False
 
-    def store(self, problem, times, states, j) -> None:
-        """solver.run's hook: fork the writers at snapshot 0, then put each
-        snapshot on their queue."""
-        if problem is not self.problem or j != self.sent:
+    def store(self, times, j) -> None:
+        """For solver.run, once states[j] holds snapshot j at times[j]: fork
+        the writers at snapshot 0, then put each snapshot on their queue."""
+        if j != self.sent:  # the sending has ended
             return
         if j == 0:
-            self.times, self.states = times, states
+            self.times = times
             self.queue, self.pipe = os.pipe()
             try:
                 for _ in range(self.count):
@@ -109,12 +110,9 @@ class _Writers:
         self.children = []
         return done
 
-    def commit(self, traj, out: Path, precision: int) -> list[int]:
-        """csvio's hook: for this run's trajectory into out at this
-        precision, the indices of the snapshots at their .tmp names."""
-        if (self.committed or traj.states is not self.states or out != self.out
-                or precision != self.precision):
-            return []
+    def commit(self) -> list[int]:
+        """For csvio.write_snapshots: the indices of the snapshots at their
+        .tmp names."""
         self.committed = True
         return self.finish()
 
@@ -153,22 +151,21 @@ def _remove_dirs(paths: list[Path]) -> None:
 
 @contextlib.contextmanager
 def stream_snapshots(problem, out_dir, precision: int = 17):
-    """Stream the snapshots of solver.run(problem) into out_dir while the
-    block runs (see the module docstring)."""
+    """The _Writers that stream the snapshots of solver.run(problem) into
+    out_dir while the block runs, or None (see the module docstring)."""
     out, cpus = Path(out_dir), usable_cpus()
-    made = _make_dirs(out) if solver._stored is None and cpus > 1 else None
+    # the map before any directory: a MemoryError leaves out_dir as it was
+    writers = _Writers(problem, out, precision, cpus) if cpus > 1 else None
+    made = _make_dirs(out) if writers is not None else None
     if made is None:
-        yield
+        yield None
         return
-    writers = _Writers(problem, out, precision, cpus)
-    solver._stored, csvio._streamed = writers.store, writers.commit
     try:
-        yield
+        yield writers
     except BaseException:
         if not writers.committed:
             writers.abort()
             _remove_dirs(made)
         raise
     finally:
-        solver._stored = csvio._streamed = None
         writers.abort()

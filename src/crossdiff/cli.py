@@ -104,11 +104,11 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args)
     problem = build_problem(cfg)
     out = Path(cfg.out_dir)
-    with stream_snapshots(problem, out, cfg.precision):
-        traj = run(problem)
+    with stream_snapshots(problem, out, cfg.precision) as stream:
+        traj = run(problem, _stream=stream)
         report = build_report(traj, cfg.bank_k, cfg.residuals, cfg.moduli)
         write_atomic(out / "run.cfg", dump_config(cfg))
-        write_snapshots(traj, out, cfg.precision)
+        write_snapshots(traj, out, cfg.precision, _stream=stream)
     write_report_csv(report, out, cfg.precision)
     print(f"run complete: {len(traj.times)} snapshots, "
           f"{len(traj.step_log)} steps, "

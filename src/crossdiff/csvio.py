@@ -25,20 +25,19 @@ this process may use with `_chunks.in_chunks`, each file of weight 1 (so
 every chunk but the first, which may be smaller, holds ceil(count / CPUs)
 files): the first chunk in this process and each other in an `os.fork`
 child.  Readers parse straight into a (T, 2, n) array over one shared map
-(`_chunks.shared_array`, which solver.run also keeps its states in), so a
-child sends back nothing but its error.  Each chunk stops at its first
-failing file, and the earliest failing chunk's error is raised once every
-child is reaped: a read fails on the first bad file in time order, as a
-sequential reader would.  write_snapshots writes in time order in this
-process.  Each snapshot is formatted and written on its own, so a
-trajectory's text is never held in memory whole.
+(`_chunks.shared_array`), so a child sends back nothing but its error.
+Each chunk stops at its first failing file, and the earliest failing
+chunk's error is raised once every child is reaped: a read fails on the
+first bad file in time order, as a sequential reader would.
 
+write_snapshots formats and writes each snapshot on its own, in time order
+in this process, so a trajectory's text is never held in memory whole.
 `crossdiff run` on two or more CPUs streams its snapshots
 (`_stream.stream_snapshots`): writer processes write each to its .tmp name
-with the per-file code of write_snapshots (`_snapshot_text`) while the run
-goes on.  write_snapshots then commits: its hook waits for the writers and
-says which files they wrote, and its one loop renames those into place and
-writes any other one itself, in time order.
+with that per-file code (`_snapshot_text`) while the run goes on.  Given
+that stream as its private _stream argument, write_snapshots commits: the
+stream waits for the writers and says which files they wrote, and the one
+loop renames those into place and writes any other one itself.
 
 Files are written to a temporary file and atomically renamed into place; a
 failed write removes its temporary file, so no partial table is left
@@ -69,9 +68,6 @@ def _lines(row: str, values: list, precision: int) -> str:
     digits, formatted once per line over the row-major `values`."""
     row = row.replace("%g", f"%.{precision}g") + "\n"
     return (row * (len(values) // row.count("%"))) % tuple(values)
-
-
-_streamed = None  # if set, the indices of write_snapshots' files already at their .tmp names
 
 
 def _tmp(path: Path) -> Path:
@@ -293,16 +289,17 @@ def _snapshot_text(grid: GridSpec, precision: int):
     return text
 
 
-def write_snapshots(traj: Trajectory, out_dir, precision: int = 17) -> list[Path]:
+def write_snapshots(traj: Trajectory, out_dir, precision: int = 17, *,
+                    _stream=None) -> list[Path]:
     """Write snapshot_<t>.csv for every time of traj, in time order; the
-    paths.  Some files may already sit at their .tmp names: the indices that
-    the private hook _streamed(traj, out_dir, precision) returns, if set
-    (the writers of _stream.stream_snapshots set it); those are renamed into
-    place and the others written here.  On a failure the files before the
-    failing one exist, and no .tmp name of a later one is left."""
+    paths.  Given the stream that traj was run with (_stream.stream_snapshots
+    into out_dir at this precision), the files that its commit() names sit at
+    their .tmp names: those are renamed into place, the others written here.
+    On a failure the files before the failing one exist, and no .tmp name of
+    a later one is left."""
     out = Path(out_dir)
     paths = [out / snapshot_filename(t) for t in traj.times]
-    streamed = set(_streamed(traj, out, precision)) if _streamed is not None else set()
+    streamed = set(_stream.commit()) if _stream is not None else set()
     text = None
     for j, path in enumerate(paths):
         try:

@@ -47,16 +47,16 @@ of a step is a.item(a.argmax()) or a.item(a.argmin()) (see _kernel).  The
 public cfl_dt and advance are the same kernel built for one step, so the
 arithmetic exists once; advance alone checks dt > 0, as run's guards never
 pass a dt of 0.  run starts from problem.u0 and copies each snapshot it
-keeps into one (T, 2, n) array over an anonymous shared map
-(_chunks.shared_array), rho in [:, 0] and mu in [:, 1], whose rows the
-diagnostics evaluate directly.  Once a row holds its snapshot, run calls
-the private hook _stored, if set: _stream.stream_snapshots sets it, so
-that writer processes, which see the shared rows, write each snapshot's
-file while the run goes on.  It logs each step's t, dt, clamps and Newton
-iterations in four array.array buffers, 32 bytes a step, which the StepLog
-then views as read-only numpy columns without a copy; iterating the log
-builds the StepRecords only then.  A dt that would
-need more than 2^32 steps to reach the next snapshot time is a SolverError.
+keeps into one (T, 2, n) array, rho in [:, 0] and mu in [:, 1], whose rows
+the diagnostics evaluate directly.  That array is run's own, unless the
+private _stream argument (the writers of _stream.stream_snapshots) is
+given: then run keeps its states in the stream's shared map and calls its
+store once a row holds its snapshot, so that writer processes write each
+snapshot's file while the run goes on.  It logs each step's t, dt, clamps
+and Newton iterations in four array.array buffers, 32 bytes a step, which
+the StepLog then views as read-only numpy columns without a copy; iterating
+the log builds the StepRecords only then.  A dt that would need more than
+2^32 steps to reach the next snapshot time is a SolverError.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from ._chunks import shared_array
 from .grid import grad
 from .model import ProblemSpec
 
@@ -78,7 +77,6 @@ NEWTON_TOL = 1e-11
 NEWTON_MAXIT = 50
 _VEL_FLOOR = 1e-30  # guards the advective CFL division
 _STEP_BUDGET = 2**32  # most steps of one dt that run may take to reach a snapshot time
-_stored = None  # if set, run calls _stored(problem, times, states, j) once it holds snapshot j
 
 
 class SolverError(RuntimeError):
@@ -402,19 +400,18 @@ def advance(u: np.ndarray, velocities: np.ndarray, t: float, dt: float,
     return u_new, StepRecord(t, dt, clamps, iters)
 
 
-def run(problem: ProblemSpec) -> Trajectory:
+def run(problem: ProblemSpec, *, _stream=None) -> Trajectory:
     """Integrate from t = 0 to t_final with adaptive CFL steps, truncating
     dt to land exactly on every snapshot time (never interpolating)."""
     buffers = StepLog.buffers()
     log_t, log_dt, log_clamps, log_iters = (b.append for b in buffers)
     velocities_dt, transport = _kernel(problem)
     t, u = 0.0, problem.u0
-    stored = _stored
     times = np.zeros(len(problem.snapshot_times))
-    states = shared_array((times.size, 2, problem.grid.n_cells))
+    states = np.empty((times.size, 2, problem.grid.n_cells)) if _stream is None else _stream.states
     states[0] = u
-    if stored is not None:
-        stored(problem, times, states, 0)
+    if _stream is not None:
+        _stream.store(times, 0)
     for j, target in enumerate(problem.snapshot_times[1:], 1):
         while t < target:
             remaining = target - t
@@ -439,8 +436,8 @@ def run(problem: ProblemSpec) -> Trajectory:
             t = target if landing else t + dt
         times[j] = t
         states[j] = u
-        if stored is not None:
-            stored(problem, times, states, j)
+        if _stream is not None:
+            _stream.store(times, j)
     times.setflags(write=False)
     states.setflags(write=False)
     return Trajectory(problem, times, states, StepLog.of(buffers))

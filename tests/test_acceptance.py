@@ -8,6 +8,8 @@ Scenarios:
       n=256, T=0.05; S solves the heat equation.
   C (fast diffusion): alpha=1/2, V=sin(2 pi x), W=cos(2 pi x),
       rho0 = mu0 = 0.5 + 0.2 cos(2 pi x), T=0.05.
+  D (steady state with potentials): alpha = 1/2 and 1, V = W = 0.3 cos(2 pi x)
+      + 0.1 sin(4 pi x), n = 32 and 64, T=1; S tends to p^-1(C - V).
 """
 
 import dataclasses
@@ -21,7 +23,8 @@ from crossdiff.diagnostics import make_test_bank
 from crossdiff.grid import grad
 from crossdiff.transforms import shifted_gradient, to_sum_ratio
 
-from scenarios import fast_problem, heat_problem, heat_reference, stationary_problem
+from scenarios import (fast_problem, heat_problem, heat_reference, potential_problem,
+                       stationary_problem, steady_sum)
 
 
 def _report(traj, k_max=8):
@@ -292,3 +295,19 @@ bank_k = 4
         assert (out1 / name).read_bytes() == (rediag / name).read_bytes()
     print("\n[criterion 12] PASS determinism: repeated runs byte-identical; "
           "diagnose reproduces the run report exactly")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_criterion_13_explicit_steady_state_with_potentials(alpha):
+    # the run has relaxed by t = 1 (t = 2 agrees to 4 digits); the scheme's
+    # steady state lies O(dx^2) from S_inf, as its drift is V' at the interfaces
+    errors = {}
+    for n in (32, 64):
+        problem = potential_problem(n, alpha)
+        s = cd.run(problem).states[-1].sum(axis=0)
+        errors[n] = float(np.sum(np.abs(s - steady_sum(problem))) * problem.grid.dx)
+    rate = float(np.log2(errors[32] / errors[64]))
+    assert 1.9 <= rate <= 2.1
+    assert errors[64] <= 5e-4
+    print(f"\n[criterion 13] PASS steady state, alpha = {alpha}: L1 error "
+          f"{errors[32]:.3e} -> {errors[64]:.3e} at n = 32 -> 64, rate {rate:.3f} in [1.9, 2.1]")

@@ -1427,8 +1427,8 @@ def test_a_writer_a_pipe_behind_leaves_the_rest_to_the_commit(tmp_path, monkeypa
             return text(state)
         return first_waits
 
-    def small_pipe(writers, problem, times, states, j):
-        store(writers, problem, times, states, j)
+    def small_pipe(writers, times, j):
+        store(writers, times, j)
         if j == 0:
             fcntl.fcntl(writers.pipe, fcntl.F_SETPIPE_SZ, 4096)
 
@@ -1453,13 +1453,13 @@ def test_a_stream_without_a_commit_leaves_no_writer_and_no_temporary_file(tmp_pa
     problem = build_problem(parse_config(CPU_RUNS["explicit"]))
     out = tmp_path / "o"
     use_cpus(monkeypatch, 2)
-    with crossdiff._stream.stream_snapshots(problem, out):
-        traj = crossdiff.run(problem)
+    with crossdiff._stream.stream_snapshots(problem, out) as stream:
+        traj = crossdiff.run(problem, _stream=stream)
         tmps = [out / (csvio.snapshot_filename(t) + ".tmp") for t in traj.times]
         _wait_for(lambda: all(p.exists() for p in tmps), "every .tmp file")
     assert_no_child_left()
     assert list(out.iterdir()) == []
-    assert crossdiff.solver._stored is None and csvio._streamed is None
+    assert not hasattr(crossdiff.solver, "_stored") and not hasattr(csvio, "_streamed")
 
 
 # a refining semi-implicit study (weights n^2: on 2 or more CPUs levels 0-2
@@ -1712,9 +1712,10 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
                     timeout=30, address_limit=2**29)
     assert proc.returncode == 3, proc.stderr
     assert re.fullmatch(r"error: 3: Unable to allocate 1\.00 GiB [^\n]*\n", proc.stderr)
+    assert not (tmp_path / "o").exists()
 
     # a MemoryError without a message is named by its type
-    def no_memory(problem):
+    def no_memory(problem, _stream=None):
         raise MemoryError
 
     monkeypatch.setattr(crossdiff.cli, "run", no_memory)
@@ -1826,8 +1827,8 @@ def test_main_run_reports_step_log_counts(tmp_path, capsys, monkeypatch):
     trajs = []
     solver_run = crossdiff.cli.run
 
-    def run(problem):
-        trajs.append(solver_run(problem))
+    def run(problem, _stream=None):
+        trajs.append(solver_run(problem, _stream=_stream))
         return trajs[-1]
     monkeypatch.setattr(crossdiff.cli, "run", run)
     out = tmp_path / "o"

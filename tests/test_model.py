@@ -98,7 +98,7 @@ def test_alpha_one_reductions():
 
 def test_clamp_count():
     nl = cd.Nonlinearity(0.5, s_floor=1e-6)
-    assert nl.clamp_count(np.array([1.0, 1e-7, -2.0, 0.1])) == 2
+    assert nl.clamp_count(np.array([1.0, 1e-7, -2.0, 0.1, 1e-6])) == 2  # s_floor itself stays
     assert np.isfinite(float(nl.pressure(-5.0)))
 
 

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import mmap
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -237,6 +240,30 @@ def test_run_zero_horizon():
     assert traj.states.shape == (1, 2, 16) and list(traj.times) == [0.0]
     assert np.array_equal(traj.states[0], prob.u0)
     assert not traj.states.flags.writeable and not traj.times.flags.writeable
+
+
+def test_a_run_outside_a_stream_keeps_its_states_in_private_memory():
+    # only the states of a streamed run (crossdiff run on 2 or more CPUs) are a shared map
+    base = cd.run(fast_problem(16, snaps=3, t_final=1e-3)).states
+    while base is not None:  # arrays' .base, then a memoryview's .obj
+        assert not isinstance(base, mmap.mmap)
+        base = base.obj if isinstance(base, memoryview) else getattr(base, "base", None)
+
+
+def test_the_solver_imports_only_grid_and_model_from_the_package():
+    # the solver knows no stream: neither _chunks, _stream nor csvio
+    imported = set()
+    for node in ast.walk(ast.parse(Path(crossdiff.solver.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "crossdiff"):  # from . import x
+                imported.update(f"crossdiff.{alias.name}" for alias in node.names)
+            else:
+                imported.add(re.sub(r"^\.", "crossdiff.", module))
+    assert {m for m in imported if m.split(".")[0] == "crossdiff"} == {"crossdiff.grid",
+                                                                       "crossdiff.model"}
 
 
 def test_run_stationary_snapshots():

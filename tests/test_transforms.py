@@ -24,8 +24,11 @@ def test_to_sum_ratio_rejects_nonpositive():
         to_sum_ratio(vals, np.ones(8))
     rows = np.ones((3, 8))
     rows[1, 5] = 0.0
-    with pytest.raises(ValueError, match="cell 5"):
+    # an exact zero in either species is nonpositive, not the non-finite log of 0
+    with pytest.raises(ValueError, match="nonpositive density at cell 5"):
         to_sum_ratio(np.ones((3, 8)), rows)
+    with pytest.raises(ValueError, match="nonpositive density at cell 5"):
+        to_sum_ratio(rows, np.ones((3, 8)))
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
