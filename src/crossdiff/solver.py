@@ -28,17 +28,18 @@ same update u + dt * div(F) as the explicit step.  Each Newton iteration is
 one O(n) periodic tridiagonal solve: LAPACK gtsv on the Jacobian without its
 corners, plus a Sherman-Morrison correction for them.  An iterate, or a
 drifted state, with no value below s_floor skips the clamp and its count.
-The first such solve loads only scipy's LAPACK extension module
-(scipy.linalg._flapack) from its file; scipy.linalg and its package init
-never load, and an explicit run loads no scipy at all.
+That gtsv is numpy's own LAPACK dgtsv, called through ctypes from the
+library numpy.linalg already links, so a run loads no second LAPACK; numpy
+is the only runtime dependency.
 
 A step evaluates the velocities once: cfl_dt(u, problem) returns (dt,
 velocities), with the same pressure power giving the explicit stepper's
 diffusive bound (the semi-implicit stepper has none), and advance(u,
 velocities, t, dt, problem) steps with them.  run builds that pair once per
 run as one kernel for both steppers (_kernel, the only reader of
-problem.stepper): two closures over working arrays allocated once, with
-the problem's scalars read once.  Every upwind update of both steppers
+problem.stepper): two closures over working arrays allocated once (the
+Newton solve's gtsv arrays and argument tuple among them), with the
+problem's scalars read once.  Every upwind update of both steppers
 goes through one closure, and each new state goes into one of two buffers
 that the steps alternate, so a state the kernel returned stays valid until
 the step after next.  An explicit step goes through no layer of the model
@@ -61,12 +62,10 @@ the log builds the StepRecords only then.  A dt that would need more than
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.util
-import os
 from array import array
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -77,10 +76,12 @@ NEWTON_TOL = 1e-11
 NEWTON_MAXIT = 50
 _VEL_FLOOR = 1e-30  # guards the advective CFL division
 _STEP_BUDGET = 2**32  # most steps of one dt that run may take to reach a snapshot time
+_DGTSV = "scipy_dgtsv_64_"  # numpy's wheels build OpenBLAS with ILP64 and this symbol suffix
 
 
 class SolverError(RuntimeError):
-    """Raised on positivity violation or Newton breakdown; carries time."""
+    """Raised on positivity violation, Newton breakdown or a LAPACK without
+    dgtsv; carries time."""
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,7 @@ def _kernel(problem: ProblemSpec):
     downwind = np.empty((2, n), dtype=bool)
     state_a, state_b, drifted = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
     viscosity = eps if explicit else 0.0  # the semi-implicit eps is in the Newton solve
+    solve = None if explicit else _periodic_solver(n)
 
     def upwind(u, a, dt, t_new, out, split=False):
         nonlocal last, last_min
@@ -242,7 +244,7 @@ def _kernel(problem: ProblemSpec):
         upwind(u, drift, dt, t + dt, drifted)
         s_star = drifted[0] + drifted[1]
         clamps = nl.clamp_count(s_star) if last_min < s_floor else 0  # as in transport
-        _, q_new, iters, newton_clamps = _implicit_diffusion(s_star, dt, problem)
+        _, q_new, iters, newton_clamps = _implicit_diffusion(s_star, dt, problem, solve)
         u_new = state_b if u is state_a else state_a
         upwind(drifted, grad(q_new, dx), dt, t + dt, u_new, split=True)
         return u_new, clamps + newton_clamps, iters
@@ -275,57 +277,82 @@ def _check_positive(u: np.ndarray, t: float) -> float:
 
 
 @functools.cache
-def _lapack():
-    """scipy's LAPACK extension module _flapack, loaded from its file.
-    `scipy.linalg.lapack.dgtsv` is this module's dgtsv, but importing it runs
-    the whole scipy.linalg package init (about 0.3 s) first."""
-    scipy = importlib.util.find_spec("scipy")  # locates scipy without importing it
-    where = os.path.join(os.path.dirname(scipy.origin), "linalg")
-    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.linalg._flapack")
-    if spec is None:
-        raise ImportError(f"no LAPACK extension module _flapack in {where}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _dgtsv():
+    """numpy's own LAPACK dgtsv(n, nrhs, dl, d, du, b, ldb, info), every
+    argument by reference and the integers int64 (ILP64).  The lookup goes
+    through the handle of numpy.linalg's own extension module, and dlsym on
+    a handle also searches the libraries it links, so nothing new loads.  A
+    LAPACK without the symbol is a SolverError that names it."""
+    library = np.linalg._umath_linalg.__file__
+    try:
+        dgtsv = getattr(ctypes.CDLL(library), _DGTSV)
+    except AttributeError:
+        raise SolverError(f"numpy's LAPACK has no {_DGTSV} (looked up through {library})") from None
+    dgtsv.argtypes = [ctypes.c_void_p] * 8
+    dgtsv.restype = None
+    return dgtsv
 
 
-def _solve_periodic_tridiagonal(cd: np.ndarray, rhs: np.ndarray, b=None) -> np.ndarray:
-    """Solve J x = rhs for the cyclic tridiagonal J[i, i] = 1 + 2 cd[i],
-    J[i, i -+ 1] = -cd[i -+ 1] (indices mod n) in O(n); b, if given, is an
-    (n, 2) Fortran-ordered array that the solve overwrites.
+def _gtsv(n: int):
+    """The (n - 1,) dl, (n,) d, (n - 1,) du and (n, 2) Fortran-ordered b of
+    one tridiagonal system, allocated once, and gtsv(): LAPACK dgtsv on them
+    in place (b becomes the solution), returning its info.  The argument
+    tuple is built once, and its pointers (data_as) keep their arrays alive."""
+    dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    b = np.empty((n, 2), order="F")
+    info = ctypes.c_int64()
+    args = (ctypes.byref(ctypes.c_int64(n)), ctypes.byref(ctypes.c_int64(2)),
+            *(a.ctypes.data_as(ctypes.c_void_p) for a in (dl, d, du, b)),
+            ctypes.byref(ctypes.c_int64(n)), ctypes.byref(info))
+
+    def gtsv():
+        _dgtsv()(*args)
+        return info.value
+
+    return dl, d, du, b, gtsv
+
+
+def _periodic_solver(n: int):
+    """solve(cd, rhs) -> x, the solution of J x = rhs for the cyclic
+    tridiagonal J[i, i] = 1 + 2 cd[i], J[i, i -+ 1] = -cd[i -+ 1] (indices
+    mod n), in O(n) over one _gtsv(n); x is a view into its b, valid until
+    the next solve.
 
     J = T + u v^T, u = gamma e_0 + J[n-1, 0] e_{n-1}, v = e_0 + (J[0, n-1] /
     gamma) e_{n-1} with gamma = -J[0, 0], leaves T tridiagonal.  One LAPACK
     gtsv call solves T y = rhs and T z = u, and Sherman-Morrison gives
     x = y - (v.y) / (1 + v.z) z.  With cd >= 0 both J and T are strictly
     diagonally dominant by columns, hence nonsingular."""
-    dgtsv = _lapack().dgtsv
+    dl, d, du, b, gtsv = _gtsv(n)
+    y, z = b[:, 0], b[:, 1]
 
-    n = cd.size
-    diag = cd * 2.0
-    diag += 1.0
-    gamma = -diag[0]
-    lower, upper = -cd[0], -cd[-1]  # the corners J[n-1, 0] and J[0, n-1]
-    diag[0] -= gamma
-    diag[-1] -= lower * upper / gamma
-    b = np.empty((n, 2), order="F") if b is None else b
-    b[:, 0] = rhs
-    b[:, 1] = 0.0
-    b[0, 1] = gamma
-    b[-1, 1] = lower
-    _, _, _, yz, info = dgtsv(-cd[:-1], diag, -cd[1:], b, overwrite_dl=True,
-                              overwrite_d=True, overwrite_du=True, overwrite_b=True)
-    if info != 0:
-        raise SolverError(f"tridiagonal solve failed, LAPACK gtsv info {info}")
-    y, z = yz[:, 0], yz[:, 1]
-    ratio = upper / gamma
-    z *= (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])
-    return np.subtract(y, z, out=y)
+    def solve(cd, rhs):
+        np.multiply(cd, 2.0, out=d)
+        np.add(d, 1.0, out=d)
+        gamma = -d[0]
+        lower, upper = -cd[0], -cd[-1]  # the corners J[n-1, 0] and J[0, n-1]
+        d[0] -= gamma
+        d[-1] -= lower * upper / gamma
+        np.negative(cd[:-1], out=dl)
+        np.negative(cd[1:], out=du)
+        y[:] = rhs
+        z[:] = 0.0
+        z[0] = gamma
+        z[-1] = lower
+        info = gtsv()
+        if info != 0:
+            raise SolverError(f"tridiagonal solve failed, LAPACK gtsv info {info}")
+        ratio = upper / gamma
+        np.multiply(z, (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]), out=z)
+        return np.subtract(y, z, out=y)
+
+    return solve
 
 
-def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
-    """Solve S - dt * Lap(kirchhoff(S) + eps S) = s_rhs by damped Newton.
+def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec, solve=None):
+    """Solve S - dt * Lap(kirchhoff(S) + eps S) = s_rhs by damped Newton,
+    each iteration's linear system by solve, a _periodic_solver of the size
+    of s_rhs (a new one if not given).
 
     Returns S, its q = kirchhoff(S) + eps S, the iterations and the clamps.
     An iterate whose minimum (the argmin its clamp test takes) is at least
@@ -355,9 +382,9 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
         size = np.abs(res)
         return res, q, size.item(size.argmax())  # max |res|, NaN if res holds one
 
+    solve = _periodic_solver(s_rhs.size) if solve is None else solve
     s = s_rhs.copy()
     s_min = s.item(s.argmin())
-    b = np.empty((s.size, 2), order="F")  # the solves' right-hand sides
     res, q, norm = residual(s, s_min)
     clamps = 0
     for it in range(NEWTON_MAXIT):
@@ -371,7 +398,7 @@ def _implicit_diffusion(s_rhs: np.ndarray, dt: float, problem: ProblemSpec):
         if eps != 0.0:  # slope is never -0.0, so slope + 0.0 is slope
             slope += eps
         slope *= c
-        delta = _solve_periodic_tridiagonal(slope, -res, b)
+        delta = solve(slope, -res)
         lam = 1.0
         for _ in range(30):
             trial = s + delta if lam == 1.0 else s + lam * delta  # 1.0 * delta is delta

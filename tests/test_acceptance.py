@@ -7,7 +7,8 @@ Scenarios:
   B (linear diffusion): alpha=1, V=W=0, rho0 = mu0 = (1+0.5 cos(2 pi x))/2,
       n=256, T=0.05; S solves the heat equation.
   C (fast diffusion): alpha=1/2, V=sin(2 pi x), W=cos(2 pi x),
-      rho0 = mu0 = 0.5 + 0.2 cos(2 pi x), T=0.05.
+      rho0 = mu0 = 0.5 + 0.2 cos(2 pi x), T=0.05; explicit, and (criterion
+      14) semi-implicit at n = 64, 128 and 256.
   D (steady state with potentials): alpha = 1/2 and 1, V = W = 0.3 cos(2 pi x)
       + 0.1 sin(4 pi x), n = 32 and 64, T=1; S tends to p^-1(C - V).
 """
@@ -311,3 +312,18 @@ def test_criterion_13_explicit_steady_state_with_potentials(alpha):
     assert errors[64] <= 5e-4
     print(f"\n[criterion 13] PASS steady state, alpha = {alpha}: L1 error "
           f"{errors[32]:.3e} -> {errors[64]:.3e} at n = 32 -> 64, rate {rate:.3f} in [1.9, 2.1]")
+
+
+def test_criterion_14_stepper_distance_first_order(fast_trajs):
+    # with V != W there is no closed form, so the two steppers check each
+    # other: their distance falls at the semi-implicit splitting's first order
+    distance = {}
+    for n, traj in fast_trajs.items():
+        semi = cd.run(fast_problem(n, snaps=21, stepper="semi-implicit"))
+        distance[n] = float(np.sum(np.abs(traj.states[-1] - semi.states[-1]))
+                            * traj.problem.grid.dx)
+    rates = [float(np.log2(distance[n] / distance[2 * n])) for n in (64, 128)]
+    assert all(0.8 <= rate <= 1.2 for rate in rates)
+    print(f"\n[criterion 14] PASS stepper distance at t = 0.05: L1 "
+          f"{distance[64]:.3e} -> {distance[128]:.3e} -> {distance[256]:.3e} at n = 64 -> "
+          f"256, rates {rates[0]:.3f}, {rates[1]:.3f} in [0.8, 1.2]")

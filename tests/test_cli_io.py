@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import fcntl
+import functools
 import math
 import os
 import re
@@ -27,6 +28,7 @@ import crossdiff._stream
 import crossdiff.cli
 import crossdiff.config
 import crossdiff.grid
+import crossdiff.solver
 import crossdiff.study
 from crossdiff import _chunks, csvio
 from crossdiff.cli import main
@@ -916,10 +918,10 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_loads_no_sparse_modules():
-    # scipy.sparse costs setup time and resident memory; the solver needs only
-    # scipy's LAPACK extension module, which it loads without scipy.linalg.
-    # The snapshot I/O forks with os alone: multiprocessing and
-    # concurrent.futures would cost setup time too
+    # scipy.sparse costs setup time and resident memory, and crossdiff runs on
+    # numpy alone: the Newton solve calls numpy's own LAPACK.  The snapshot
+    # I/O forks with os alone: multiprocessing and concurrent.futures would
+    # cost setup time too
     src = str(Path(crossdiff.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import crossdiff.cli, sys; print(sorted(m for m in sys.modules if "
@@ -931,9 +933,9 @@ def test_cli_import_loads_no_sparse_modules():
 
 
 def test_explicit_pipeline_loads_no_scipy(tmp_path):
-    # the first Newton solve loads scipy's LAPACK extension module alone, not
-    # scipy.linalg and its package init; import, an explicit run, diagnose and
-    # plot load no scipy module at all
+    # import, an explicit run, diagnose, plot and a semi-implicit run load no
+    # scipy module; the Newton solve's dgtsv is numpy's, so (on Linux) the
+    # process maps one OpenBLAS, not a second one from scipy.libs
     src = str(Path(crossdiff.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     cfg, out = _write_cfg(tmp_path, FAST), str(tmp_path / "o")
@@ -948,13 +950,33 @@ def test_explicit_pipeline_loads_no_scipy(tmp_path):
         f"codes = [main(argv) for argv in {explicit!r}]",
         "seen.append(scipy_modules())",
         f"codes.append(main({semi!r}))",
+        "if sys.platform == 'linux':",
+        "    with open('/proc/self/maps') as maps:",
+        "        for name in sorted({line.split()[-1] for line in maps if 'openblas' in line}):",
+        "            print('mapped', name)",
         "print(repr((codes, seen, scipy_modules())))",
     ])
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == repr(
-        ([0, 0, 0, 0], [[], []], ["scipy.linalg._flapack"]))
+    assert proc.stdout.splitlines()[-1] == repr(([0, 0, 0, 0], [[], []], []))
+    if sys.platform == "linux":
+        mapped = [line for line in proc.stdout.splitlines() if line.startswith("mapped ")]
+        assert len(mapped) == 1, mapped
+
+
+def test_a_lapack_without_dgtsv_fails_the_first_newton_solve_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(crossdiff.solver, "_DGTSV", "no_such_dgtsv_64_")
+    monkeypatch.setattr(crossdiff.solver, "_dgtsv",
+                        functools.cache(crossdiff.solver._dgtsv.__wrapped__))
+    cfg = _write_cfg(tmp_path, FAST)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--stepper", "explicit"]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "si"), "--stepper", "semi-implicit"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3: numpy's LAPACK has no no_such_dgtsv_64_ ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "si").exists()
 
 
 def _corrupt_snapshots(traj_dir, defect):

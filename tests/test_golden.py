@@ -5,9 +5,10 @@ completion line (its step and clamp counts) with the line recorded there.
 Any change to what a run computes, down to the last bit of one value,
 changes a digest here.  No grid has a power-of-two cell count: dividing by
 such a dx is exact, so a reordered (F / dx) * dt would not show there.
-The table was generated with numpy 2.4.6 and scipy 1.17.1 (LAPACK from
-scipy-openblas 0.3.31) on x86-64; another numpy, LAPACK or CPU may round
-differently and then fails this test without a change to crossdiff.  To write the table again from a tree whose outputs
+The table holds for numpy 2.4.6 on x86-64, whose LAPACK (the
+Newton solve's dgtsv) is numpy's own scipy-openblas64 0.3.31; another
+numpy, LAPACK or CPU may round differently and then fails this test
+without a change to crossdiff.  To write the table again from a tree whose outputs
 are trusted, run
 
     PYTHONPATH=src python tests/test_golden.py

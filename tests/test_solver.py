@@ -2,10 +2,8 @@ import ast
 import dataclasses
 import mmap
 import re
-import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,6 +262,23 @@ def test_the_solver_imports_only_grid_and_model_from_the_package():
                 imported.add(re.sub(r"^\.", "crossdiff.", module))
     assert {m for m in imported if m.split(".")[0] == "crossdiff"} == {"crossdiff.grid",
                                                                        "crossdiff.model"}
+
+
+def test_no_module_imports_scipy_and_numpy_is_the_only_dependency():
+    # the Newton solve calls numpy's own LAPACK: scipy serves the tests alone
+    package = Path(crossdiff.__file__).parent
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not [m for m in names if m.split(".")[0] == "scipy"], (path.name, names)
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", d).group() for d in project["dependencies"]] == ["numpy"]
 
 
 def test_run_stationary_snapshots():
@@ -869,7 +884,7 @@ def _tridiagonal_cases(draw):
 @example((np.array([1e10, 0.0, 1e-6, 3.0]), np.array([1.0, -2.0, 0.5, 1e3])))
 def test_periodic_tridiagonal_solve_matches_dense(case):
     cd_, rhs = case
-    x = crossdiff.solver._solve_periodic_tridiagonal(cd_, rhs)
+    x = crossdiff.solver._periodic_solver(cd_.size)(cd_, rhs)
     jac = _dense_cyclic_jacobian(cd_)
     x_ref = np.linalg.solve(jac, rhs)
     assert _relative_residual(jac, x, rhs) <= 1e-12
@@ -981,7 +996,7 @@ def _every_term_implicit_diffusion(s_rhs, dt, problem):
         return s - c * lap - s_rhs, q
 
     s = s_rhs.copy()
-    b = np.empty((s.size, 2), order="F")
+    solve = crossdiff.solver._periodic_solver(s.size)
     res, q = residual(s)
     norm = float(np.max(np.abs(res)))
     clamps = 0
@@ -989,7 +1004,7 @@ def _every_term_implicit_diffusion(s_rhs, dt, problem):
         if norm <= crossdiff.solver.NEWTON_TOL:
             return s, q, it, clamps
         slope = np.where(s < nl.s_floor, 0.0, nl.diffusivity(s))
-        delta = crossdiff.solver._solve_periodic_tridiagonal(c * (slope + eps), -res, b)
+        delta = solve(c * (slope + eps), -res)
         lam = 1.0
         for _ in range(30):
             trial = s + lam * delta
@@ -1038,34 +1053,28 @@ def _gtsv_cases(draw):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(_gtsv_cases())
 def test_direct_lapack_load_gives_the_public_dgtsv_bits(case):
-    # the solver loads scipy's _flapack from its file, skipping the
-    # scipy.linalg package init; its dgtsv must be the public one, bit for bit
+    # the solver calls numpy's own LAPACK dgtsv through ctypes; scipy's
+    # public dgtsv, a separate build, must give the same bits and info
     cd_, rhs = case
     diag = 1.0 + 2.0 * cd_
-    diag[0] *= 2.0  # T of the cyclic system, as _solve_periodic_tridiagonal forms it
+    diag[0] *= 2.0  # T of the cyclic system, as _periodic_solver forms it
     diag[-1] += cd_[0] * cd_[-1] / (1.0 + 2.0 * cd_[0])
-
-    def solve(gtsv):
-        return gtsv(-cd_[:-1], diag.copy(), -cd_[1:], np.asfortranarray(rhs))
-
-    *arrays, info = solve(crossdiff.solver._lapack().dgtsv)
-    *arrays_ref, info_ref = solve(scipy.linalg.lapack.dgtsv)
+    dl, d, du, b, gtsv = crossdiff.solver._gtsv(cd_.size)
+    dl[:], d[:], du[:], b[:] = -cd_[:-1], diag, -cd_[1:], rhs
+    info = gtsv()
+    *arrays_ref, info_ref = scipy.linalg.lapack.dgtsv(-cd_[:-1], diag.copy(), -cd_[1:],
+                                                      np.asfortranarray(rhs))
     assert info == info_ref == 0
-    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in arrays_ref]
-    # CPython keeps a single-phase-init extension module in sys.modules and
-    # hands that module to every later load, so there the two are one object
-    if sys.modules.get("scipy.linalg._flapack") is crossdiff.solver._lapack():
-        assert crossdiff.solver._lapack().dgtsv is scipy.linalg.lapack.dgtsv
+    assert [a.tobytes() for a in (dl, d, du, b)] == [a.tobytes() for a in arrays_ref]
 
 
 def test_periodic_tridiagonal_solve_reports_lapack_failure(monkeypatch):
-    def failing_gtsv(dl, d, du, b, **_):
-        return dl, d, du, b, 2
+    def failing_dgtsv(*args):
+        args[-1]._obj.value = 2  # info, passed by reference
 
-    monkeypatch.setattr(crossdiff.solver, "_lapack",
-                        lambda: SimpleNamespace(dgtsv=failing_gtsv))
+    monkeypatch.setattr(crossdiff.solver, "_dgtsv", lambda: failing_dgtsv)
     with pytest.raises(SolverError, match="gtsv info 2"):
-        crossdiff.solver._solve_periodic_tridiagonal(np.ones(4), np.ones(4))
+        crossdiff.solver._periodic_solver(4)(np.ones(4), np.ones(4))
 
 
 def _clamping_solve(cd_, rhs, b):
@@ -1081,7 +1090,7 @@ def _clamping_solve(cd_, rhs, b):
     b[:, 1] = 0.0
     b[0, 1] = gamma
     b[-1, 1] = lower
-    _, _, _, yz, info = crossdiff.solver._lapack().dgtsv(
+    _, _, _, yz, info = scipy.linalg.lapack.dgtsv(
         -cd_[:-1], diag, -cd_[1:], b, overwrite_dl=True, overwrite_d=True,
         overwrite_du=True, overwrite_b=True)
     if info != 0:
