@@ -3,30 +3,31 @@ integrates and builds its report.
 
 stream_snapshots(problem, out_dir, precision) is a context manager around
 the run.  When this process may use two or more CPUs
-(`_chunks.usable_cpus`), it makes out_dir and yields a _Writers, else
-None; `cli` passes that value as the private _stream argument of both
-solver.run and csvio.write_snapshots.  The _Writers holds the run's states
-in one shared map (`_chunks.shared_array`), the only run whose states are
-shared.  Once a row holds its snapshot, run calls the stream's store: at
-snapshot 0 it forks one writer per usable CPU, each of which sees the
-states through the map; a writer's work is a _chunks chunk, so it reports
-its result or error through a pipe.  store then puts each snapshot's index
-and time, 16 bytes, on one queue pipe that every writer reads: a read of
-one message is atomic, so each snapshot goes to one writer, which writes
-it to its .tmp name with csvio's per-file code.  The run never waits for a
-writer: a send that would block (the writers a pipe's worth behind) ends
-the sending, and the commit writes the rest.  The writers are forked
-early, from a process that holds little more than the problem, so their
-formatting does not add to the run's peak memory, as it does in a process
-forked after the report.
+(`_chunks.usable_cpus`), it allocates the run's states as one shared map
+(`_chunks.shared_array`), makes out_dir, forks one writer per usable CPU,
+which sees the states through the map, and yields a _Writers; `cli`
+passes that value as the private _stream argument of both solver.run and
+csvio.write_snapshots.  A writer's work is a _chunks chunk, so it reports
+its result or error through a pipe.  Forked before the solve, from a
+process that holds little more than the problem, the writers do not add
+their formatting to the run's peak memory.  Once row j of the map holds
+the snapshot at time t, run calls store(j, t), which puts j and t, 16
+bytes, on one queue pipe that every writer reads: a read of one message
+is atomic, so each snapshot goes to one writer, which writes it to its
+.tmp name with csvio's per-file code.  The run never waits for a writer:
+a send that would block (the writers a pipe's worth behind) ends the
+sending, and write_snapshots writes the rest.
 
-write_snapshots commits through the stream: it closes the queue, so the
-writers write what is left on it and end, renames the files they wrote in
-time order and writes any other one itself.  If the block raises before
-the commit, the writers are stopped with SIGTERM and reaped, their .tmp
-files are removed, and so are the directories made for them, so a failed
-run leaves out_dir as it was.  With one usable CPU, or when out_dir cannot
-be made, the block gets None, and write_snapshots writes every file.
+write_snapshots calls finish, which closes the queue, so the writers write
+what is left on it and end, and names the files they wrote; it renames
+those in time order and writes any other one itself.  The stream alone
+removes .tmp files: if the block raises, or ends without finish, the
+writers still running are stopped with SIGTERM and reaped and the .tmp
+name of every snapshot sent is removed; if it raises, so are the empty
+directories made for the writers, so a failed run leaves out_dir as it
+was.  With one usable CPU, or when out_dir cannot be made or no writer
+forked, the block gets None and out_dir is as it was: run keeps private
+states, and write_snapshots writes every file.
 """
 
 from __future__ import annotations
@@ -43,40 +44,40 @@ from .csvio import _snapshot_text, _tmp, _unlink, _write_file, snapshot_filename
 
 
 class _Writers:
-    """The writer processes of one stream_snapshots block, their queue and
-    the shared (T, 2, n) map that the run keeps its states in."""
+    """The writer processes of one stream_snapshots block, their queue, the
+    shared (T, 2, n) map that the run keeps its states in, and the times of
+    the snapshots sent."""
 
-    def __init__(self, problem, out: Path, precision: int, count: int):
-        self.problem, self.out, self.precision, self.count = problem, out, precision, count
+    def __init__(self, problem, out: Path, precision: int):
+        self.problem, self.out, self.precision = problem, out, precision
         self.states = shared_array((len(problem.snapshot_times), 2, problem.grid.n_cells))
-        self.times = None
         self.children = []  # (pid, read end of its result pipe)
-        self.sent = 0  # snapshots put on the queue
-        self.committed = False
+        self.sent = []  # the times of the snapshots put on the queue
 
-    def store(self, times, j) -> None:
-        """For solver.run, once states[j] holds snapshot j at times[j]: fork
-        the writers at snapshot 0, then put each snapshot on their queue."""
-        if j != self.sent:  # the sending has ended
-            return
-        if j == 0:
-            self.times = times
-            self.queue, self.pipe = os.pipe()
-            try:
-                for _ in range(self.count):
-                    self.children.append(fork(self.write, 0, len(times)))
-            except OSError:  # as many writers as could be forked
-                pass
-            finally:
-                os.close(self.queue)
-            if not self.children:  # write_snapshots writes every file
-                os.close(self.pipe)
-                return
-            os.set_blocking(self.pipe, False)
+    def start(self, count: int) -> bool:
+        """Fork up to count writers on a new queue: whether any was forked."""
+        self.queue, self.pipe = os.pipe()
+        os.set_blocking(self.pipe, False)
         try:
-            os.write(self.pipe, np.array([j, times[j]]).tobytes())
-            self.sent += 1
-        except OSError:  # a pipe's worth behind, or gone: the commit writes the rest
+            for _ in range(count):
+                self.children.append(fork(self.write, 0, count))
+        except OSError:  # as many writers as could be forked
+            pass
+        finally:
+            os.close(self.queue)
+        if not self.children:
+            os.close(self.pipe)
+        return bool(self.children)
+
+    def store(self, j: int, t: float) -> None:
+        """For solver.run, once states[j] holds snapshot j at time t: put it
+        on the writers' queue."""
+        if j != len(self.sent):  # the sending has ended
+            return
+        try:
+            os.write(self.pipe, np.array([j, t]).tobytes())
+            self.sent.append(t)
+        except OSError:  # a pipe's worth behind, or gone: write_snapshots writes the rest
             pass
 
     def write(self, lo: int, hi: int) -> list[int]:
@@ -90,18 +91,16 @@ class _Writers:
             tmp = _tmp(self.out / snapshot_filename(t))
             try:
                 _write_file(tmp, text(self.states[int(j)]))
-            except OSError:  # the commit writes this file again, and fails the same way
+            except OSError:  # write_snapshots writes this file again, and fails the same way
                 _unlink(tmp)
                 break
             done.append(int(j))
         return done
 
     def finish(self) -> list[int]:
-        """End the queue and reap the writers once they have emptied it; the
-        indices of the .tmp files they wrote (none from a writer that
-        failed)."""
-        if not self.children:
-            return []
+        """For csvio.write_snapshots: end the queue and reap the writers once
+        they have emptied it; the indices of the snapshots at their .tmp
+        names (none from a writer that failed)."""
         os.close(self.pipe)
         done = []
         for pid, result in self.children:
@@ -110,20 +109,14 @@ class _Writers:
         self.children = []
         return done
 
-    def commit(self) -> list[int]:
-        """For csvio.write_snapshots: the indices of the snapshots at their
-        .tmp names."""
-        self.committed = True
-        return self.finish()
-
     def abort(self) -> None:
-        """Stop the writers at once and remove every .tmp file they may have written."""
-        if not self.children:
-            return
-        for pid, _ in self.children:
-            os.kill(pid, signal.SIGTERM)  # not yet reaped, so still our child
-        self.finish()
-        for t in self.times[:self.sent]:
+        """Stop the writers at once if finish has not reaped them, and remove
+        the .tmp name of every snapshot sent."""
+        if self.children:
+            for pid, _ in self.children:
+                os.kill(pid, signal.SIGTERM)  # not yet reaped, so still our child
+            self.finish()
+        for t in self.sent:
             _unlink(_tmp(self.out / snapshot_filename(t)))
 
 
@@ -155,17 +148,17 @@ def stream_snapshots(problem, out_dir, precision: int = 17):
     out_dir while the block runs, or None (see the module docstring)."""
     out, cpus = Path(out_dir), usable_cpus()
     # the map before any directory: a MemoryError leaves out_dir as it was
-    writers = _Writers(problem, out, precision, cpus) if cpus > 1 else None
+    writers = _Writers(problem, out, precision) if cpus > 1 else None
     made = _make_dirs(out) if writers is not None else None
-    if made is None:
-        yield None
-        return
     try:
-        yield writers
-    except BaseException:
-        if not writers.committed:
-            writers.abort()
-            _remove_dirs(made)
-        raise
-    finally:
+        if made is not None and writers.start(cpus):
+            yield writers
+            if writers.children:  # the block did not call finish
+                writers.abort()
+            return
+    except BaseException:  # in the forks or the block
         writers.abort()
+        _remove_dirs(made)
+        raise
+    _remove_dirs(made or [])
+    yield None

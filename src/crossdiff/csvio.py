@@ -35,9 +35,10 @@ in this process, so a trajectory's text is never held in memory whole.
 `crossdiff run` on two or more CPUs streams its snapshots
 (`_stream.stream_snapshots`): writer processes write each to its .tmp name
 with that per-file code (`_snapshot_text`) while the run goes on.  Given
-that stream as its private _stream argument, write_snapshots commits: the
-stream waits for the writers and says which files they wrote, and the one
-loop renames those into place and writes any other one itself.
+that stream as its private _stream argument, write_snapshots calls its
+finish, which waits for the writers and says which files they wrote, and
+the one loop renames those into place and writes any other one itself;
+the stream removes any .tmp name that the loop leaves.
 
 Files are written to a temporary file and atomically renamed into place; a
 failed write removes its temporary file, so no partial table is left
@@ -293,25 +294,20 @@ def write_snapshots(traj: Trajectory, out_dir, precision: int = 17, *,
                     _stream=None) -> list[Path]:
     """Write snapshot_<t>.csv for every time of traj, in time order; the
     paths.  Given the stream that traj was run with (_stream.stream_snapshots
-    into out_dir at this precision), the files that its commit() names sit at
-    their .tmp names: those are renamed into place, the others written here.
-    On a failure the files before the failing one exist, and no .tmp name of
-    a later one is left."""
+    into out_dir at this precision), the files that its finish() names sit
+    at their .tmp names: those are renamed into place, the others written
+    here.  On a failure the files before the failing one exist; the stream
+    removes the .tmp names of the later ones."""
     out = Path(out_dir)
     paths = [out / snapshot_filename(t) for t in traj.times]
-    streamed = set(_stream.commit()) if _stream is not None else set()
+    streamed = set(_stream.finish()) if _stream is not None else set()
     text = None
     for j, path in enumerate(paths):
-        try:
-            if j in streamed:
-                os.replace(_tmp(path), path)
-            else:
-                text = text or _snapshot_text(traj.problem.grid, precision)
-                write_atomic(path, text(traj.states[j]))
-        except BaseException:
-            for k in streamed.intersection(range(j, len(paths))):
-                _unlink(_tmp(paths[k]))
-            raise
+        if j in streamed:
+            os.replace(_tmp(path), path)
+        else:
+            text = text or _snapshot_text(traj.problem.grid, precision)
+            write_atomic(path, text(traj.states[j]))
     return paths
 
 

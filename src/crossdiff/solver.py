@@ -52,12 +52,12 @@ keeps into one (T, 2, n) array, rho in [:, 0] and mu in [:, 1], whose rows
 the diagnostics evaluate directly.  That array is run's own, unless the
 private _stream argument (the writers of _stream.stream_snapshots) is
 given: then run keeps its states in the stream's shared map and calls its
-store once a row holds its snapshot, so that writer processes write each
-snapshot's file while the run goes on.  It logs each step's t, dt, clamps
-and Newton iterations in four array.array buffers, 32 bytes a step, which
-the StepLog then views as read-only numpy columns without a copy; iterating
-the log builds the StepRecords only then.  A dt that would need more than
-2^32 steps to reach the next snapshot time is a SolverError.
+store(j, t) once row j holds the snapshot at time t, so that writer
+processes write each file while the run goes on.  It logs each step's t,
+dt, clamps and Newton iterations in four array.array buffers, 32 bytes a
+step, which the StepLog views as read-only numpy columns without a copy;
+iterating the log builds the StepRecords only then.  A dt that would need
+more than 2^32 steps to reach the next snapshot time is a SolverError.
 """
 
 from __future__ import annotations
@@ -438,7 +438,7 @@ def run(problem: ProblemSpec, *, _stream=None) -> Trajectory:
     states = np.empty((times.size, 2, problem.grid.n_cells)) if _stream is None else _stream.states
     states[0] = u
     if _stream is not None:
-        _stream.store(times, 0)
+        _stream.store(0, t)
     for j, target in enumerate(problem.snapshot_times[1:], 1):
         while t < target:
             remaining = target - t
@@ -464,7 +464,7 @@ def run(problem: ProblemSpec, *, _stream=None) -> Trajectory:
         times[j] = t
         states[j] = u
         if _stream is not None:
-            _stream.store(times, j)
+            _stream.store(j, t)
     times.setflags(write=False)
     states.setflags(write=False)
     return Trajectory(problem, times, states, StepLog.of(buffers))

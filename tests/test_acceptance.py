@@ -302,16 +302,24 @@ bank_k = 4
 def test_criterion_13_explicit_steady_state_with_potentials(alpha):
     # the run has relaxed by t = 1 (t = 2 agrees to 4 digits); the scheme's
     # steady state lies O(dx^2) from S_inf, as its drift is V' at the interfaces
-    errors = {}
+    # the energy at t = 1 lies above E_inf, the energy of S_inf (with V = W
+    # any split of S_inf has it), by the square of that error: O(dx^4)
+    errors, gaps = {}, {}
     for n in (32, 64):
         problem = potential_problem(n, alpha)
-        s = cd.run(problem).states[-1].sum(axis=0)
-        errors[n] = float(np.sum(np.abs(s - steady_sum(problem))) * problem.grid.dx)
+        traj, s_inf = cd.run(problem), steady_sum(problem)
+        s = traj.states[-1].sum(axis=0)
+        errors[n] = float(np.sum(np.abs(s - s_inf)) * problem.grid.dx)
+        report = cd.build_report(traj, residuals=False, moduli=False)
+        gaps[n] = float(report.energy[-1] - cd.energy(s_inf / 2, s_inf / 2, problem))
     rate = float(np.log2(errors[32] / errors[64]))
     assert 1.9 <= rate <= 2.1
     assert errors[64] <= 5e-4
+    energy_rate = float(np.log2(gaps[32] / gaps[64]))
+    assert gaps[64] > 0.0 and 3.8 <= energy_rate <= 4.2
     print(f"\n[criterion 13] PASS steady state, alpha = {alpha}: L1 error "
-          f"{errors[32]:.3e} -> {errors[64]:.3e} at n = 32 -> 64, rate {rate:.3f} in [1.9, 2.1]")
+          f"{errors[32]:.3e} -> {errors[64]:.3e} at n = 32 -> 64, rate {rate:.3f} in [1.9, 2.1]; "
+          f"energy gap {gaps[32]:.4e} -> {gaps[64]:.4e}, rate {energy_rate:.3f} in [3.8, 4.2]")
 
 
 def test_criterion_14_stepper_distance_first_order(fast_trajs):

@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
 import errno
 import fcntl
 import functools
+import io
 import math
+import mmap
 import os
 import re
 import resource
@@ -1298,6 +1301,35 @@ def test_a_run_writes_the_same_files_on_one_and_two_cpus(tmp_path, monkeypatch, 
     assert all(below) if name == "below-1e-4" else not any(below)
 
 
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(text=_config_texts(None))
+def test_any_valid_config_runs_the_same_on_one_and_two_cpus(text):
+    # each CPU count from its own directory: run.cfg names the relative --out
+    codes, errs, trees = {}, {}, {}
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        for cpus in (1, 2):
+            use_cpus(mp, cpus)
+            (Path(root) / str(cpus)).mkdir()
+            mp.chdir(Path(root) / str(cpus))
+            Path("case.cfg").write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                codes[cpus] = main(["run", "case.cfg", "--out", "o"])
+            assert_no_child_left()
+            errs[cpus], trees[cpus] = err.getvalue(), _tree(Path("."))
+        assert codes[1] in (0, 3)
+        if codes[1] == 3:
+            assert errs[1].startswith("error: 3: ") and errs[1].count("\n") == 1
+            assert "Traceback" not in errs[1]
+        assert (codes[2], errs[2], trees[2]) == (codes[1], errs[1], trees[1])
+        assert not any(name.endswith(".tmp") for name in trees[1])
+        if codes[1] == 0 and parse_config(text).precision == 17:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["diagnose", "o", "--out", "d"]) == 0
+            for name in ("scalars.csv", "omega_space.csv", "omega_time.csv", "residuals.csv"):
+                assert (Path("d") / name).read_bytes() == (Path("o") / name).read_bytes()
+
+
 def _wait_for(predicate, what):
     deadline = time.monotonic() + 20
     while not predicate():
@@ -1312,7 +1344,7 @@ def _count_writer_files(monkeypatch):
     counts, finish = [], crossdiff._stream._Writers.finish
 
     def counted(writers):
-        counts.append((sorted(finish(writers)), writers.sent))
+        counts.append((sorted(finish(writers)), len(writers.sent)))
         return counts[-1][0]
     monkeypatch.setattr(crossdiff._stream._Writers, "finish", counted)
     return counts
@@ -1427,6 +1459,47 @@ def test_a_run_whose_writers_cannot_be_forked_writes_every_file_itself(tmp_path,
     assert _tree(tmp_path / "two" / "o") == expected
 
 
+def test_a_stream_that_forks_no_writer_is_none_and_leaves_the_run_to_one_cpu(tmp_path,
+                                                                          monkeypatch):
+    # no directory before write_snapshots, and no state in a shared map
+    problem = build_problem(parse_config(CPU_RUNS["explicit"]))
+    out = tmp_path / "a" / "o"
+
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    monkeypatch.setattr(_chunks.os, "fork", fork)
+    use_cpus(monkeypatch, 2)
+    with crossdiff._stream.stream_snapshots(problem, out) as stream:
+        assert stream is None and not (tmp_path / "a").exists()
+        traj = crossdiff.run(problem, _stream=stream)
+        base = traj.states
+        while base is not None:  # arrays' .base, then a memoryview's .obj
+            assert not isinstance(base, mmap.mmap)
+            base = base.obj if isinstance(base, memoryview) else getattr(base, "base", None)
+        assert not (tmp_path / "a").exists()
+        paths = write_snapshots(traj, out, _stream=stream)
+    assert sorted(out.iterdir()) == sorted(paths) and len(paths) == 9
+
+
+def test_an_interrupt_between_the_writer_forks_leaves_no_writer_and_no_directory(
+        tmp_path, monkeypatch):
+    problem = build_problem(parse_config(CPU_RUNS["explicit"]))
+    forks, real_fork = [], os.fork
+
+    def fork():  # the first writer is forked, then the run is interrupted
+        if forks:
+            raise KeyboardInterrupt
+        forks.append(real_fork())
+        return forks[-1]
+    monkeypatch.setattr(_chunks.os, "fork", fork)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        with crossdiff._stream.stream_snapshots(problem, tmp_path / "a" / "o"):
+            pass
+    assert_no_child_left()
+    assert forks and not (tmp_path / "a").exists()
+
+
 def test_a_writer_a_pipe_behind_leaves_the_rest_to_the_commit(tmp_path, monkeypatch):
     # each writer waits in its first file until the run is over, and the
     # queue holds 256 snapshots: the run stops sending there, and the
@@ -1449,8 +1522,8 @@ def test_a_writer_a_pipe_behind_leaves_the_rest_to_the_commit(tmp_path, monkeypa
             return text(state)
         return first_waits
 
-    def small_pipe(writers, times, j):
-        store(writers, times, j)
+    def small_pipe(writers, j, t):
+        store(writers, j, t)
         if j == 0:
             fcntl.fcntl(writers.pipe, fcntl.F_SETPIPE_SZ, 4096)
 
@@ -1671,6 +1744,19 @@ def test_a_cfl_step_that_cannot_move_time_exits_3(tmp_path, alpha, cfl_safety, m
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: 3: CFL step dt=")
     assert f"{message} (cfl_safety = {cfl_safety})" in proc.stderr
+
+
+def test_a_cfl_step_of_half_an_ulp_of_the_target_meets_the_step_budget(tmp_path, capsys):
+    # the diffusive bound 1/32 at cfl_safety = 2^-48 gives dt = 2^-53, half
+    # an ulp of t = 1: 1 - dt != 1, so the progress guard lets it through
+    # (1 + dt == 1 would not), and the step budget stops it
+    text = ("[grid]\nn = 4\n[model]\nalpha = 1\n[initial]\nrho_offset = 0.5\n"
+            "mu_offset = 0.5\n[time]\nt_final = 1\nsnapshots = 2\n"
+            "cfl_safety = 3.552713678800501e-15\n")
+    assert main(["run", _write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "error: 3: CFL step dt=1.11022e-16 needs more than 4294967296 steps to reach t=1 "
+        "(cfl_safety = 3.552713678800501e-15)\n")
 
 
 # n at the cell cap; 64 snapshots of it hold exactly MAX_STATE_BYTES of states

@@ -24,7 +24,10 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from crossdiff.cli import main
+from conftest import use_cpus
 
 TABLE = Path(__file__).resolve().with_name("golden_digests.json")
 
@@ -89,7 +92,10 @@ def _outputs(root: Path) -> dict:
     return results
 
 
-def test_outputs_match_golden_digests(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_outputs_match_golden_digests(tmp_path, monkeypatch, cpus):
+    # on 2 CPUs each run streams its snapshots through writer processes
+    use_cpus(monkeypatch, cpus)
     monkeypatch.chdir(tmp_path)  # every path a case names is relative: run.cfg holds dir
     assert _outputs(tmp_path) == json.loads(TABLE.read_text())
 
